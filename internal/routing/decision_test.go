@@ -21,10 +21,17 @@ import (
 	"mccmesh/internal/routing"
 )
 
+// parityProvider is a DecisionProvider with the dense-ID per-direction
+// AllowedID every built-in one carries: the reference its masks are checked
+// against.
+type parityProvider interface {
+	routing.DecisionProvider
+	AllowedID(u, v, d int32) bool
+}
+
 // referenceMask assembles the decision mask the slow way: the healthy forward
-// directions from u toward d, filtered through per-direction AllowedID — the
-// exact set CandidateDirsID would collect.
-func referenceMask(m *mesh.Mesh, prov routing.IDProvider, u int32, uPt grid.Point, d int32, dPt grid.Point) uint8 {
+// directions from u toward d, filtered through per-direction AllowedID.
+func referenceMask(m *mesh.Mesh, prov parityProvider, u int32, uPt grid.Point, d int32, dPt grid.Point) uint8 {
 	var mk uint8
 	for _, a := range m.Axes() {
 		delta := dPt.Axis(a) - uPt.Axis(a)
@@ -47,7 +54,7 @@ func referenceMask(m *mesh.Mesh, prov routing.IDProvider, u int32, uPt grid.Poin
 // random (u, d) pairs of healthy nodes. Each pair is checked twice in a row,
 // so both the miss path (cold or stale slot) and the immediately-warm hit
 // path of the caching providers are exercised on the same query.
-func checkParity(t *testing.T, m *mesh.Mesh, prov routing.DecisionProvider, r *rng.Rand, count int, stage string) {
+func checkParity(t *testing.T, m *mesh.Mesh, prov parityProvider, r *rng.Rand, count int, stage string) {
 	t.Helper()
 	for n := 0; n < count; n++ {
 		u := int32(r.Intn(m.NodeCount()))
@@ -83,21 +90,21 @@ func TestDecisionMaskParity(t *testing.T) {
 			oracle := &routing.Oracle{Mesh: m}
 			mcc := &routing.MCC{Set: set}
 			labeled := &routing.Labeled{Labeling: lab}
-			cached := []routing.DecisionProvider{oracle, mcc}
-			blockProvs := func() []routing.DecisionProvider {
-				return []routing.DecisionProvider{
+			cached := []parityProvider{oracle, mcc}
+			blockProvs := func() []parityProvider {
+				return []parityProvider{
 					&routing.Block{Regions: block.Build(m, block.BoundingBox)},
 					&routing.Block{Regions: block.Build(m, block.ConvexityRule)},
 				}
 			}
 
 			r := rng.New(seed * 7)
-			stageAll := func(stage string, provs ...routing.DecisionProvider) {
+			stageAll := func(stage string, provs ...parityProvider) {
 				for _, p := range provs {
 					checkParity(t, m, p, r, 300, stage)
 				}
 			}
-			all := append([]routing.DecisionProvider{labeled, routing.LocalGreedy{}}, cached...)
+			all := append([]parityProvider{labeled, routing.LocalGreedy{}}, cached...)
 			stageAll("fresh", append(all, blockProvs()...)...)
 
 			// Incremental fault additions, one node at a time.

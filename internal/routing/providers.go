@@ -389,7 +389,8 @@ func (o *Oracle) Allowed(u, v, d grid.Point) bool {
 	return o.field(u, v, d, dID).CanReach(v)
 }
 
-// AllowedID implements IDProvider.
+// AllowedID is Allowed addressed by dense node IDs: the per-direction
+// reference the decision-parity tests check CandidateMaskID against.
 func (o *Oracle) AllowedID(u, v, d int32) bool {
 	m := o.Mesh
 	vP := m.Point(int(v))
@@ -456,7 +457,7 @@ func (p *MCC) Allowed(u, v, d grid.Point) bool {
 	return p.field(u, v, d, dID).CanReach(v)
 }
 
-// AllowedID implements IDProvider.
+// AllowedID is Allowed addressed by dense node IDs (see Oracle.AllowedID).
 func (p *MCC) AllowedID(u, v, d int32) bool {
 	if v != d && p.Set.Labeling != nil && p.Set.Labeling.UnsafeAt(int(v)) {
 		return false
@@ -595,7 +596,7 @@ func (p *Block) Allowed(u, v, d grid.Point) bool {
 	return p.field(u, v, d, dID).CanReach(v)
 }
 
-// AllowedID implements IDProvider.
+// AllowedID is Allowed addressed by dense node IDs (see Oracle.AllowedID).
 func (p *Block) AllowedID(u, v, d int32) bool {
 	if v != d && p.Regions.ContainsID(v) {
 		return false
@@ -631,7 +632,7 @@ func (LocalGreedy) Name() string { return "local-greedy" }
 // Allowed implements Provider.
 func (LocalGreedy) Allowed(_, _, _ grid.Point) bool { return true }
 
-// AllowedID implements IDProvider.
+// AllowedID is Allowed addressed by dense node IDs (see Oracle.AllowedID).
 func (LocalGreedy) AllowedID(_, _, _ int32) bool { return true }
 
 // CandidateMaskID implements DecisionProvider: with no fault information
@@ -654,7 +655,7 @@ func (p *Labeled) Allowed(_, v, d grid.Point) bool {
 	return v == d || !p.Labeling.Unsafe(v)
 }
 
-// AllowedID implements IDProvider.
+// AllowedID is Allowed addressed by dense node IDs (see Oracle.AllowedID).
 func (p *Labeled) AllowedID(_, v, d int32) bool {
 	return v == d || !p.Labeling.UnsafeAt(int(v))
 }

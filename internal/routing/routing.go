@@ -34,43 +34,33 @@ type Provider interface {
 	Name() string
 }
 
-// IDProvider is the index-first fast path of Provider: the same decision,
-// addressed by dense mesh node IDs, with no Point construction or map lookup
-// on the way. Every built-in provider except Records implements it; the
-// traffic engine type-asserts once per provider and falls back to Allowed for
-// third-party providers that don't.
-type IDProvider interface {
-	Provider
-	// AllowedID is Allowed with u, v and d given as dense node IDs.
-	AllowedID(u, v, d int32) bool
-}
-
-// DecisionProvider is the packed-decision fast path of IDProvider: one call
-// answers the entire hop. The returned mask has bit i set exactly when
-// grid.Direction(i) is an allowed candidate forwarding direction from u
-// toward d — the same set CandidateDirsID collects from per-direction
-// AllowedID consultations, folded into one byte.
+// DecisionProvider is the packed-decision fast path of Provider: one call
+// answers the entire hop, addressed by dense mesh node IDs. The returned mask
+// has bit i set exactly when grid.Direction(i) is an allowed candidate
+// forwarding direction from u toward d — the same set CandidateDirs collects
+// from per-direction Allowed consultations, folded into one byte.
 //
 // The field-cache providers (Oracle, MCC, Block) answer from the memoised
 // reachability field of the destination: while the fault epoch is stable, a
 // hop is one slot read plus at most three bit probes, with no per-direction
 // interface calls. Stateless providers (LocalGreedy, Labeled) compute it on
-// the fly, which
-// still collapses the per-direction interface calls into one. Every built-in
-// IDProvider implements it; the traffic engine type-asserts once per provider
-// and falls back to CandidateDirsID for third-party providers that don't.
+// the fly, which still collapses the per-direction interface calls into one.
+// Every built-in
+// provider except Records implements it; the traffic engine type-asserts once
+// per provider and falls back to CandidateDirs for third-party providers
+// that don't.
 type DecisionProvider interface {
-	IDProvider
+	Provider
 	// CandidateMaskID returns the packed candidate-direction mask for a hop
 	// from u toward d. m is the routing mesh (used by stateless providers for
 	// the neighbour and fault tables; caching providers consult their own
 	// snapshot's mesh). u/uPt and d/dPt name the same nodes in both
-	// addressings, exactly as in CandidateDirsID.
+	// addressings.
 	CandidateMaskID(m *mesh.Mesh, u int32, uPt grid.Point, d int32, dPt grid.Point) uint8
 }
 
 // AppendMaskDirs appends the directions set in mask to dst, in direction-enum
-// order — the order CandidateDirsID produces (at most one direction per axis,
+// order — the order CandidateDirs produces (at most one direction per axis,
 // axes in X, Y, Z order), so selection policies see identical candidate
 // slices on either path.
 func AppendMaskDirs(dst []grid.Direction, mask uint8) []grid.Direction {
@@ -221,28 +211,6 @@ func CandidateDirs(m *mesh.Mesh, prov Provider, orient grid.Orientation, cur, d 
 			continue
 		}
 		if prov.Allowed(cur, v, d) {
-			dst = append(dst, dir)
-		}
-	}
-	return dst
-}
-
-// CandidateDirsID is the index-first CandidateDirs: the neighbour step is a
-// table lookup (mesh.NeighborID), the fault check a bitset read, and the
-// provider consultation goes through AllowedID — no Point is built anywhere
-// on the hop. cur/curPt and d/dPt name the same nodes in both addressings;
-// the caller (the traffic engine) already holds both.
-func CandidateDirsID(m *mesh.Mesh, prov IDProvider, orient grid.Orientation, cur int32, curPt grid.Point, d int32, dPt grid.Point, dst []grid.Direction) []grid.Direction {
-	for _, a := range m.Axes() {
-		if curPt.Axis(a) == dPt.Axis(a) {
-			continue
-		}
-		dir := orient.Forward(a)
-		v := m.NeighborID(cur, dir)
-		if v == mesh.NoNeighbor || m.FaultyAt(int(v)) {
-			continue
-		}
-		if prov.AllowedID(cur, v, d) {
 			dst = append(dst, dir)
 		}
 	}

@@ -8,10 +8,8 @@ import (
 	"runtime"
 	"time"
 
-	"mccmesh/internal/core"
 	"mccmesh/internal/registry"
 	"mccmesh/internal/rng"
-	"mccmesh/internal/simnet"
 	"mccmesh/internal/stats"
 	"mccmesh/internal/traffic"
 )
@@ -177,28 +175,10 @@ func measureBench(ctx context.Context, sc *Scenario) (*Report, error) {
 				start := time.Now()
 				for trial := 0; trial < spec.Trials; trial++ {
 					seed := rng.Derive(cellSeed, uint64(trial))
-					m := sc.newMesh()
-					injector.Inject(m, rng.New(rng.Derive(seed, 1<<48)))
-					im, err := traffic.BuildModel(model.Name, core.NewModel(m), model.Args())
+					e, err := sc.trafficEngine(model, pattern, injector, seed, traffic.Options{Rate: rate, Timeline: timeline})
 					if err != nil {
 						return nil, err // unreachable after Validate
 					}
-					p, err := traffic.BuildPattern(pattern.Name, m, pattern.Args())
-					if err != nil {
-						return nil, err // unreachable after Validate
-					}
-					e := traffic.NewEngine(m, im, p, traffic.Options{
-						Rate:      rate,
-						Warmup:    simnet.Time(spec.Measure.Warmup),
-						Window:    simnet.Time(spec.Measure.Window),
-						LinkDelay: simnet.Time(spec.Measure.LinkDelay),
-						MaxEvents: spec.Measure.MaxEvents,
-						Timeline:  timeline,
-						Shards:    spec.ShardCount(),
-						ShardModel: func() (traffic.InfoModel, error) {
-							return traffic.BuildModel(model.Name, core.NewModel(m), model.Args())
-						},
-					})
 					r := e.Run(seed)
 					if r.Err != nil {
 						return nil, fmt.Errorf("bench cell %s: %w", label, r.Err)
@@ -215,29 +195,10 @@ func measureBench(ctx context.Context, sc *Scenario) (*Report, error) {
 				// feeds the counter snapshot of the cell.
 				{
 					seed := rng.Derive(cellSeed, 0)
-					m := sc.newMesh()
-					injector.Inject(m, rng.New(rng.Derive(seed, 1<<48)))
-					im, err := traffic.BuildModel(model.Name, core.NewModel(m), model.Args())
+					e, err := sc.trafficEngine(model, pattern, injector, seed, traffic.Options{Rate: rate, Timeline: timeline, Telemetry: true})
 					if err != nil {
 						return nil, err // unreachable after Validate
 					}
-					p, err := traffic.BuildPattern(pattern.Name, m, pattern.Args())
-					if err != nil {
-						return nil, err // unreachable after Validate
-					}
-					e := traffic.NewEngine(m, im, p, traffic.Options{
-						Rate:      rate,
-						Warmup:    simnet.Time(spec.Measure.Warmup),
-						Window:    simnet.Time(spec.Measure.Window),
-						LinkDelay: simnet.Time(spec.Measure.LinkDelay),
-						MaxEvents: spec.Measure.MaxEvents,
-						Timeline:  timeline,
-						Telemetry: true,
-						Shards:    spec.ShardCount(),
-						ShardModel: func() (traffic.InfoModel, error) {
-							return traffic.BuildModel(model.Name, core.NewModel(m), model.Args())
-						},
-					})
 					if r := e.Run(seed); r.Err == nil && r.Telemetry != nil {
 						res.Telemetry = r.Telemetry.Snapshot()
 					}

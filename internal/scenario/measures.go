@@ -498,6 +498,34 @@ func measureAdaptivity(ctx context.Context, sc *Scenario) (*Report, error) {
 	return rep, nil
 }
 
+// trafficEngine builds one traffic trial of a cell: a fresh mesh with the
+// trial's static faults injected, the model and pattern built by name over
+// it, and an engine taking its timing and shard count from the spec. Its
+// ShardModel rebuilds the model over the same mesh, once per shard when the
+// trial splits. opts supplies the cell's rate and the per-measure options.
+func (sc *Scenario) trafficEngine(model, pattern Component, injector fault.Injector, seed uint64, opts traffic.Options) (*traffic.Engine, error) {
+	m := sc.newMesh()
+	injector.Inject(m, rng.New(rng.Derive(seed, 1<<48)))
+	im, err := traffic.BuildModel(model.Name, core.NewModel(m), model.Args())
+	if err != nil {
+		return nil, err
+	}
+	p, err := traffic.BuildPattern(pattern.Name, m, pattern.Args())
+	if err != nil {
+		return nil, err
+	}
+	ms := sc.spec.Measure
+	opts.Warmup = simnet.Time(ms.Warmup)
+	opts.Window = simnet.Time(ms.Window)
+	opts.LinkDelay = simnet.Time(ms.LinkDelay)
+	opts.MaxEvents = ms.MaxEvents
+	opts.Shards = sc.spec.ShardCount()
+	opts.ShardModel = func() (traffic.InfoModel, error) {
+		return traffic.BuildModel(model.Name, core.NewModel(m), model.Args())
+	}
+	return traffic.NewEngine(m, im, p, opts), nil
+}
+
 // measureTraffic is experiment E7: sustained-load throughput, delivery ratio
 // and latency percentiles for every pattern × information model × injection
 // rate cell. Trials are sharded across parallel workers with per-trial
@@ -558,32 +586,17 @@ func measureTraffic(ctx context.Context, sc *Scenario) (*Report, error) {
 					if err := ctx.Err(); err != nil {
 						return &traffic.Result{Err: err}
 					}
-					m := sc.newMesh()
-					injector.Inject(m, rng.New(rng.Derive(seed, 1<<48)))
-					im, err := traffic.BuildModel(model.Name, core.NewModel(m), model.Args())
-					if err != nil {
-						panic(err) // validated up front
-					}
-					p, err := traffic.BuildPattern(pattern.Name, m, pattern.Args())
-					if err != nil {
-						panic(err) // validated up front
-					}
-					e := traffic.NewEngine(m, im, p, traffic.Options{
+					e, err := sc.trafficEngine(model, pattern, injector, seed, traffic.Options{
 						Rate:       rate,
-						Warmup:     simnet.Time(spec.Measure.Warmup),
-						Window:     simnet.Time(spec.Measure.Window),
-						LinkDelay:  simnet.Time(spec.Measure.LinkDelay),
-						MaxEvents:  spec.Measure.MaxEvents,
 						Faults:     schedule,
 						Timeline:   timeline,
 						Telemetry:  sc.telemetry,
 						TraceEvery: sc.traceEvery,
 						TraceCap:   sc.traceCap,
-						Shards:     spec.ShardCount(),
-						ShardModel: func() (traffic.InfoModel, error) {
-							return traffic.BuildModel(model.Name, core.NewModel(m), model.Args())
-						},
 					})
+					if err != nil {
+						panic(err) // validated up front
+					}
 					return e.Run(seed)
 				})
 				agg := traffic.Collect(results)

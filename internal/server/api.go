@@ -1,6 +1,7 @@
 package server
 
 import (
+	"context"
 	"encoding/json"
 	"fmt"
 	"net/http"
@@ -153,13 +154,13 @@ func (s *Server) handleCancel(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusNotFound, "no such job %q", r.PathValue("id"))
 		return
 	}
-	changed := job.Cancel()
+	// A job sealed while still queued is never run by a worker, so its seal
+	// is journaled and counted here, before the CANCELED state turns visible.
+	changed := job.Cancel(func() {
+		s.journalSeal(job.id, string(StatusCanceled), context.Canceled.Error())
+		s.counter(func(t *telemetry.Sink) { t.Inc(telemetry.ServerJobsCancelled) })
+	})
 	info := job.Info(false)
-	if changed && info.Status == StatusCanceled {
-		// Sealed while still queued: the worker never sees it, so the seal is
-		// journaled here (duplicate seals from the worker path are harmless).
-		s.journalSeal(info.ID, string(StatusCanceled), info.Error)
-	}
 	writeJSON(w, http.StatusOK, map[string]any{
 		"id": r.PathValue("id"), "cancelled": changed, "status": info.Status,
 	})

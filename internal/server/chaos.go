@@ -22,8 +22,8 @@ const (
 	// a Delay rule widens the window for cancel/DELETE racing the final seal.
 	ChaosSeal ChaosPoint = "job.seal"
 	// ChaosJournalSubmit fires before a submit record is appended to the
-	// journal; an Err rule drops the record (a crash between admission and
-	// the journal write).
+	// journal; an Err rule drops the record (a write lost before the job was
+	// queued).
 	ChaosJournalSubmit ChaosPoint = "journal.submit"
 	// ChaosJournalSeal fires before a seal record is appended to the journal;
 	// an Err rule drops the record, simulating a crash after the job was

@@ -141,16 +141,20 @@ func (j *Job) setStack(stack string) {
 	j.mu.Unlock()
 }
 
-// evict seals a still-queued job as EVICTED (graceful drain); it refuses
-// once the job has been claimed or sealed, and reports whether it sealed.
-func (j *Job) evict() bool {
+// sealQueued seals a still-queued job as st. sideEffects — the journal
+// append and the lifecycle counter — run under the job lock before the new
+// state becomes visible, so no reader sees a terminal state whose side effects
+// have not landed yet. It refuses once the job has been claimed or sealed, and
+// reports whether it sealed.
+func (j *Job) sealQueued(st Status, errText string, sideEffects func()) bool {
 	j.mu.Lock()
 	defer j.mu.Unlock()
 	if j.status != StatusQueued {
 		return false
 	}
-	j.status = StatusEvicted
-	j.errText = "evicted: server draining; resubmit the spec"
+	sideEffects()
+	j.status = st
+	j.errText = errText
 	j.wakeLocked()
 	return true
 }
@@ -167,29 +171,23 @@ func (j *Job) fillCached(rep *scenario.Report, events []JobEvent) {
 	j.mu.Unlock()
 }
 
-// Cancel asks the job to stop: a queued job is sealed immediately, a running
-// one has its context cancelled (the run surfaces context.Canceled and the
-// worker seals it). Terminal jobs are left untouched. It reports whether the
-// call changed anything.
-func (j *Job) Cancel() bool {
+// Cancel asks the job to stop: a queued job is sealed immediately, after
+// sideEffects have run (see sealQueued); a running one has its context
+// cancelled (the run surfaces context.Canceled and the worker seals it).
+// Terminal jobs are left untouched. It reports whether the call changed
+// anything.
+func (j *Job) Cancel(sideEffects func()) bool {
+	if j.sealQueued(StatusCanceled, context.Canceled.Error(), sideEffects) {
+		j.cancel()
+		return true
+	}
 	j.mu.Lock()
-	st := j.status
-	if st == StatusQueued {
-		j.status = StatusCanceled
-		j.errText = context.Canceled.Error()
-		j.wakeLocked()
-	}
+	running := j.status == StatusRunning
 	j.mu.Unlock()
-	switch st {
-	case StatusQueued:
+	if running {
 		j.cancel()
-		return true
-	case StatusRunning:
-		j.cancel()
-		return true
-	default:
-		return false
 	}
+	return running
 }
 
 // claim moves a queued job to running; a job cancelled while queued refuses.
@@ -238,13 +236,13 @@ func (j *Job) Info(withReport bool) JobInfo {
 	return info
 }
 
-// snapshot returns the terminal report and event log (for cache insertion).
-func (j *Job) snapshot() (*scenario.Report, []JobEvent) {
+// eventLog returns a copy of the event log (for cache insertion).
+func (j *Job) eventLog() []JobEvent {
 	j.mu.Lock()
 	defer j.mu.Unlock()
 	evs := make([]JobEvent, len(j.events))
 	copy(evs, j.events)
-	return j.report, evs
+	return evs
 }
 
 // JobInfo is the wire form of a job's state.

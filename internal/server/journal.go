@@ -30,7 +30,8 @@ type journalRecord struct {
 	Spec json.RawMessage `json:"spec,omitempty"`
 	// Status is the terminal state (seal records only). Beyond the job
 	// lifecycle states it can be "replayed": the job was resubmitted under a
-	// new id after a restart.
+	// new id after a restart; or "rejected": the submit was journaled but the
+	// queue refused the job (full or draining).
 	Status string `json:"status,omitempty"`
 	// Error carries the terminal error text, if any.
 	Error string `json:"error,omitempty"`

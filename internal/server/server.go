@@ -265,32 +265,38 @@ func (s *Server) submit(sc *scenario.Scenario, withTelemetry bool) (*Job, error)
 		}
 	}
 
+	// The submit record lands before the job is queued: once queued, a
+	// worker may seal it at any moment, and a seal journaled ahead of its
+	// submit would leave the submit looking in flight to the next restart.
+	s.journalSubmit(job)
+	reject := func(err error) (*Job, error) {
+		cancel()
+		s.journalSeal(id, "rejected", err.Error())
+		return nil, err
+	}
 	s.mu.Lock()
 	if s.draining {
 		// Re-checked under the same lock BeginDrain closes the queue under,
 		// so a send can never race the close.
 		s.mu.Unlock()
-		cancel()
-		return nil, errDraining
+		return reject(errDraining)
 	}
 	select {
 	case s.queue <- job:
 	default:
 		s.mu.Unlock()
-		cancel()
-		return nil, fmt.Errorf("job queue full (%d waiting)", s.cfg.Queue)
+		return reject(fmt.Errorf("job queue full (%d waiting)", s.cfg.Queue))
 	}
 	s.queued++
 	s.tel.Inc(telemetry.ServerJobsSubmitted)
 	s.tel.Max(telemetry.ServerQueueDepth, int64(s.queued))
 	s.mu.Unlock()
 	s.register(job)
-	s.journalSubmit(job)
 	return job, nil
 }
 
 // journalSubmit appends a job's submit record (no-op without a journal). The
-// chaos point simulates a crash between admission and the append.
+// chaos point simulates the append being lost to a crash.
 func (s *Server) journalSubmit(job *Job) {
 	if s.jnl == nil {
 		return
@@ -369,11 +375,10 @@ func (s *Server) worker() {
 
 // evictJob seals a still-queued job as EVICTED during a drain.
 func (s *Server) evictJob(job *Job) {
-	if !job.evict() {
-		return // already cancelled or otherwise sealed
-	}
-	s.journalSeal(job.id, string(StatusEvicted), "evicted: server draining")
-	s.counter(func(t *telemetry.Sink) { t.Inc(telemetry.ServerJobsEvicted) })
+	job.sealQueued(StatusEvicted, "evicted: server draining; resubmit the spec", func() {
+		s.journalSeal(job.id, string(StatusEvicted), "evicted: server draining")
+		s.counter(func(t *telemetry.Sink) { t.Inc(telemetry.ServerJobsEvicted) })
+	})
 }
 
 // jobDeadline resolves a job's effective wall-clock budget: the spec's own
@@ -441,24 +446,26 @@ func (s *Server) retryAfterSeconds() int {
 	return sec
 }
 
-// sealJob records a job's terminal state and journals it. The chaos point
-// sits before the seal so a Delay rule widens the cancel-vs-seal race window
-// for the tests.
+// sealJob journals a job's terminal state, then records it on the job: the
+// state a client can observe is always durable already. The chaos point sits
+// before the seal so a Delay rule widens the cancel-vs-seal race window for
+// the tests.
 func (s *Server) sealJob(job *Job, st Status, rep *scenario.Report, errText string) {
 	s.chaos.hit(ChaosSeal) //nolint:errcheck // only Delay rules are meaningful here
-	job.finish(st, rep, errText)
 	s.journalSeal(job.id, string(st), errText)
+	job.finish(st, rep, errText)
 }
 
 // runJob executes one job: it wires the observer into the job's event log,
 // installs a shared-topology mesh source, runs the scenario under the job
-// context (bounded by the effective deadline) and seals the outcome.
-// Successful telemetry-free runs populate the result cache.
+// context (bounded by the effective deadline) and seals the outcome. Every
+// side effect of an outcome — the result cache entry of a successful
+// telemetry-free run, the lifecycle counters, the journal record — lands
+// before the terminal state turns visible, so a client that sees DONE and
+// resubmits always hits the cache.
 func (s *Server) runJob(job *Job) {
-	if !job.claim() { // cancelled while queued
-		s.journalSeal(job.id, string(StatusCanceled), context.Canceled.Error())
-		s.counter(func(t *telemetry.Sink) { t.Inc(telemetry.ServerJobsCancelled) })
-		return
+	if !job.claim() {
+		return // cancelled while queued; Cancel sealed and counted it
 	}
 	sc := job.sc
 	sc.Observe(job.appendEvent)
@@ -483,31 +490,30 @@ func (s *Server) runJob(job *Job) {
 	switch {
 	case err == nil:
 		s.observeServiceTime(time.Since(start))
-		s.sealJob(job, StatusDone, rep, "")
 		if !job.telemetry {
-			report, events := job.snapshot()
-			s.cache.put(job.digest, &cacheEntry{report: report, events: events, jobID: job.id})
+			s.cache.put(job.digest, &cacheEntry{report: rep, events: job.eventLog(), jobID: job.id})
 		}
 		s.counter(func(t *telemetry.Sink) { t.Inc(telemetry.ServerJobsCompleted) })
+		s.sealJob(job, StatusDone, rep, "")
 	case errors.As(err, &pe):
 		job.setStack(pe.stack)
-		s.sealJob(job, StatusFailed, rep, pe.Error())
 		s.counter(func(t *telemetry.Sink) {
 			t.Inc(telemetry.ServerPanics)
 			t.Inc(telemetry.ServerJobsFailed)
 		})
+		s.sealJob(job, StatusFailed, rep, pe.Error())
 	case errors.Is(err, context.DeadlineExceeded) && job.ctx.Err() == nil:
 		// The per-job deadline fired (the client's own context is still live);
 		// the report keeps every completed cell, with the interrupted cell
 		// marked TIMEOUT by the scenario layer.
-		s.sealJob(job, StatusTimeout, rep, fmt.Sprintf("deadline exceeded after %s", deadline))
 		s.counter(func(t *telemetry.Sink) { t.Inc(telemetry.ServerTimeouts) })
+		s.sealJob(job, StatusTimeout, rep, fmt.Sprintf("deadline exceeded after %s", deadline))
 	case errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded):
-		s.sealJob(job, StatusCanceled, rep, err.Error())
 		s.counter(func(t *telemetry.Sink) { t.Inc(telemetry.ServerJobsCancelled) })
+		s.sealJob(job, StatusCanceled, rep, err.Error())
 	default:
-		s.sealJob(job, StatusFailed, rep, err.Error())
 		s.counter(func(t *telemetry.Sink) { t.Inc(telemetry.ServerJobsFailed) })
+		s.sealJob(job, StatusFailed, rep, err.Error())
 	}
 }
 

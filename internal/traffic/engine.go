@@ -77,16 +77,21 @@ type Options struct {
 	TraceCap int
 	// Shards splits the trial spatially into up to Shards slab shards (see
 	// mesh.SlabPartition), each owning its own event queue and packet pool,
-	// synchronised conservatively at a per-tick barrier. The measured results
-	// are bit-identical to the sequential path at any shard count. 0 or 1 —
-	// the default — runs the sequential engine with zero overhead; so does
-	// tracing (TraceEvery > 0), because packet traces are defined over the
-	// global delivery order a single queue provides. Requires ShardModel.
+	// synchronised conservatively at a per-tick barrier. The trial runs the
+	// same coordinator at any shard count — one shard is simply the partition
+	// with one part — and the measured results are bit-identical across
+	// counts. 0 or 1 — the default — runs the single shard on a plain event
+	// queue with zero overhead; so does tracing (TraceEvery > 0), because
+	// packet traces are defined over the global delivery order a single queue
+	// provides, and so does a mesh too thin to split two ways. Requires
+	// ShardModel.
 	Shards int
 	// ShardModel builds one information model instance per shard: model state
 	// (labellings, routing field caches) is not concurrency-safe, so each
-	// shard routes against a private copy. Required when Shards > 1; when nil
-	// the engine stays sequential.
+	// shard routes against a private copy. It is called exactly once per slab,
+	// in slab order, and only when the trial actually splits into two or more
+	// slabs; otherwise the trial routes on the engine's own model and never
+	// calls it. When nil the engine runs a single shard.
 	ShardModel func() (InfoModel, error)
 }
 
@@ -219,12 +224,15 @@ func NewEngine(m *mesh.Mesh, model InfoModel, pattern Pattern, opts Options) *En
 	return &Engine{mesh: m, model: model, pattern: pattern, opts: opts}
 }
 
-// run is the per-Run state shared by the handler callbacks.
+// run is the per-shard state of one Run, shared by the handler callbacks: a
+// trial has one per slab (one in all when it does not shard). Its Result
+// holds only the shard's packet counters and histograms; the trial merges
+// them when the run ends.
 type run struct {
 	e *Engine
-	// model is the information model this state routes against: e.model in the
-	// sequential engine, a private per-shard instance (Options.ShardModel) in
-	// the sharded one.
+	// model is the information model this state routes against: e.model when
+	// the trial runs on one slab, a private per-shard instance
+	// (Options.ShardModel) when it splits.
 	model   InfoModel
 	res     *Result
 	nodeRng []rng.Rand
@@ -235,9 +243,10 @@ type run struct {
 	// kinds are interned once per run so the hot path never touches strings.
 	injectID, packetID simnet.KindID
 
-	// provs caches the per-orientation provider and its one-time IDProvider
-	// type assertion, so the per-hop loop neither re-asks the model nor
-	// re-asserts. Fault events flush it (models may hand out new providers).
+	// provs caches the per-orientation provider and its one-time
+	// DecisionProvider type assertion, so the per-hop loop neither re-asks the
+	// model nor re-asserts. Fault events flush it (models may hand out new
+	// providers).
 	provs [8]provEntry
 
 	// pool holds every in-flight packet by value; envelopes carry pool
@@ -255,31 +264,24 @@ type run struct {
 	tel   *telemetry.Sink
 	trace *telemetry.TraceSink
 
-	// Churn-timeline state, nil/zero without Options.Timeline. groups records
-	// the nodes each failure group took down so its repair restores exactly
-	// them; nextInject tracks each node's pending injection-timer delivery
-	// tick, so a repair can tell a timer chain broken by the failure (the
-	// timer was dropped while the node was faulty) from one still in flight.
-	groups     [][]grid.Point
-	nextInject []simnet.Time
-	// The open phase accumulator: closed into phases at every churn event
-	// inside the measurement window and once more at the end of the run.
-	phases         []PhaseStat
-	phaseStart     simnet.Time
-	phaseHealthy   int
+	// Churn-timeline state, nil/zero without Options.Timeline. nextInject
+	// tracks each node's pending injection-timer delivery tick (the table is
+	// shared by every state; each writes only its own nodes), so a repair can
+	// tell a timer chain broken by the failure (the timer was dropped while
+	// the node was faulty) from one still in flight. phased enables the
+	// open-phase delivery tally, which the trial drains at every phase close.
+	nextInject     []simnet.Time
+	phased         bool
 	phaseDelivered int
 	phaseLatSum    int64
 }
 
 // provEntry is one cached per-orientation provider; masked selects the
-// packed-decision CandidateMaskID path (every built-in provider), fast the
-// index-first AllowedID path, and the Provider field the Point fallback for
-// third-party providers implementing neither.
+// packed-decision CandidateMaskID path (every built-in provider), and the
+// Provider field is the Point fallback for third-party providers without it.
 type provEntry struct {
 	prov   routing.Provider
-	id     routing.IDProvider
 	dec    routing.DecisionProvider
-	fast   bool
 	masked bool
 }
 
@@ -314,15 +316,10 @@ func (st *run) release(ref int32) { st.free = append(st.free, ref) }
 // Run executes one trial with the given seed and returns its measurements.
 // Everything — injection gaps, destinations, tie-breaking, fault placement —
 // derives deterministically from the seed, so identical seeds give identical
-// results wherever the trial runs. A trial that exhausts the simulator's
-// event budget reports the failure in Result.Err instead of panicking.
+// results wherever the trial runs, on one shard or several. A trial that
+// exhausts the simulator's event budget reports the failure in Result.Err
+// instead of panicking.
 func (e *Engine) Run(seed uint64) *Result {
-	if e.opts.Shards > 1 && e.opts.ShardModel != nil && e.opts.TraceEvery == 0 {
-		if res := e.runSharded(seed); res != nil {
-			return res
-		}
-		// nil: the mesh has too few layers to split — fall through sequential.
-	}
 	res := &Result{
 		Model:        e.model.Name(),
 		Pattern:      e.pattern.Name(),
@@ -331,52 +328,72 @@ func (e *Engine) Run(seed uint64) *Result {
 		Warmup:       e.opts.Warmup,
 		Window:       e.opts.Window,
 	}
-	st := &run{
-		e:       e,
-		model:   e.model,
-		res:     res,
-		nodeRng: make([]rng.Rand, e.mesh.NodeCount()),
-		policy:  e.opts.Policy,
-		horizon: e.opts.Warmup + e.opts.Window,
-		pool:    make([]packet, 0, 1024),
-		dirs:    make([]grid.Direction, 0, 6),
+	models, slabs, err := e.partition()
+	if err != nil {
+		res.Err = err
+		return res
 	}
-	for i := range st.nodeRng {
-		st.nodeRng[i].Seed(rng.Derive(seed, uint64(i)))
+	// The shared randomness: one RNG stream per node (only the state owning
+	// the node draws from it) and one stateless policy.
+	nodeRng := make([]rng.Rand, e.mesh.NodeCount())
+	for i := range nodeRng {
+		nodeRng[i].Seed(rng.Derive(seed, uint64(i)))
 	}
-	if st.policy == nil {
-		st.policy = routing.Seeded{Seed: rng.Derive(seed, 1<<40)}
+	policy := e.opts.Policy
+	if policy == nil {
+		policy = routing.Seeded{Seed: rng.Derive(seed, 1<<40)}
 	}
-	if e.opts.Telemetry || e.opts.TraceEvery > 0 {
-		st.tel = telemetry.NewSink()
-		if inst, ok := e.model.(telemetry.Instrumentable); ok {
-			inst.SetTelemetry(st.tel)
+	var nextInject []simnet.Time
+	if e.opts.Timeline != nil {
+		nextInject = make([]simnet.Time, e.mesh.NodeCount())
+	}
+	tr := &trial{e: e, res: res, slabs: slabs, horizon: e.opts.Warmup + e.opts.Window}
+	tr.states = make([]*run, len(models))
+	for s, model := range models {
+		st := &run{
+			e:          e,
+			model:      model,
+			res:        &Result{},
+			nodeRng:    nodeRng,
+			policy:     policy,
+			horizon:    tr.horizon,
+			pool:       make([]packet, 0, 1024),
+			dirs:       make([]grid.Direction, 0, 6),
+			nextInject: nextInject,
+			phased:     e.opts.Timeline != nil,
 		}
-		if e.opts.TraceEvery > 0 {
-			capacity := e.opts.TraceCap
-			if capacity <= 0 {
-				capacity = 256
+		if e.opts.Telemetry || e.opts.TraceEvery > 0 {
+			st.tel = telemetry.NewSink()
+			if inst, ok := model.(telemetry.Instrumentable); ok {
+				inst.SetTelemetry(st.tel)
 			}
-			st.trace = telemetry.NewTraceSink(rng.Derive(seed, traceSalt), e.opts.TraceEvery, capacity, st.tel)
 		}
+		tr.states[s] = st
 	}
-	net := simnet.New(e.mesh, st, simnet.Options{LinkDelay: e.opts.LinkDelay, MaxEvents: e.opts.MaxEvents, Telemetry: st.tel})
-	st.injectID = net.Kind(kindInject)
-	st.packetID = net.Kind(kindPacket)
+	if e.opts.TraceEvery > 0 {
+		// Tracing pins a single state (see partition).
+		st := tr.states[0]
+		capacity := e.opts.TraceCap
+		if capacity <= 0 {
+			capacity = 256
+		}
+		st.trace = telemetry.NewTraceSink(rng.Derive(seed, traceSalt), e.opts.TraceEvery, capacity, st.tel)
+	}
+	tr.net = tr.newNetwork()
+	injectID, packetID := tr.net.Kind(kindInject), tr.net.Kind(kindPacket)
+	for _, st := range tr.states {
+		st.injectID, st.packetID = injectID, packetID
+	}
 	for i, ev := range e.opts.Faults {
 		evRng := rng.New(rng.Derive(seed, uint64(1)<<32+uint64(i)))
-		net.At(ev.At, func() {
+		tr.net.At(ev.At, func() {
 			placed := ev.Inject.Inject(e.mesh, evRng)
-			// Models that can absorb the new faults incrementally keep their
-			// labellings, regions and field caches alive; the rest recompute
-			// lazily from scratch. Either way the cached provider table is
-			// flushed — a model is free to hand out new providers after this.
-			st.applyFaults(placed)
+			tr.faultsChanged(placed, false)
 			// With a timeline also active, a scheduled injection is a phase
 			// boundary too: the healthy-node base of the open phase changed.
 			// It is not a timeline event, so Failures stays untouched.
-			if st.phases != nil && len(placed) > 0 {
-				st.closePhase(net.Now())
+			if tr.phases != nil && len(placed) > 0 {
+				tr.closePhase(tr.net.Now())
 			}
 		})
 	}
@@ -385,56 +402,105 @@ func (e *Engine) Run(seed uint64) *Result {
 		// salted generator, each group's placement from its own — so the
 		// schedule and the placements are independent deterministic streams.
 		steps := tl.Program(rng.New(rng.Derive(seed, churnProgramSalt)))
-		st.groups = make([][]grid.Point, fault.Groups(steps))
-		st.nextInject = make([]simnet.Time, e.mesh.NodeCount())
-		st.phases = make([]PhaseStat, 0, len(steps)+1)
-		st.phaseStart = e.opts.Warmup
-		st.phaseHealthy = res.HealthyNodes
+		tr.groups = make([][]grid.Point, fault.Groups(steps))
+		tr.phases = make([]PhaseStat, 0, len(steps)+1)
+		tr.phaseStart = e.opts.Warmup
+		tr.phaseHealthy = res.HealthyNodes
 		for i := range steps {
 			stp := steps[i]
 			var placeRng *rng.Rand
 			if !stp.Repair {
 				placeRng = rng.New(rng.Derive(seed, churnPlaceSalt+uint64(stp.Group)))
 			}
-			net.At(simnet.Time(stp.At), func() { st.churnStep(net, stp, placeRng) })
+			tr.net.At(simnet.Time(stp.At), func() { tr.churnStep(stp, placeRng) })
 		}
 	}
-	sim, err := net.Run()
+	sim, err := tr.net.Run()
+	tr.finish(sim, err)
+	return res
+}
+
+// trial is the coordinator of one Run. It owns what the per-shard run states
+// share: the Result header and churn counters, the fault-schedule and churn
+// callbacks, the phase ledger and the end-of-run merge. A trial on one slab
+// has one state on a plain simnet.Network; a sharded trial has one state per
+// slab on a simnet.ShardedNetwork (see sharded.go).
+type trial struct {
+	e       *Engine
+	net     network
+	slabs   []mesh.IDRange
+	states  []*run
+	res     *Result
+	horizon simnet.Time
+
+	// groups records the nodes each failure group took down so its repair
+	// restores exactly them. Nil without Options.Timeline.
+	groups [][]grid.Point
+	// The open phase: closed into phases at every churn event inside the
+	// measurement window and once more at the end of the run. Its delivery
+	// tally stays distributed over the states (run.phaseDelivered) and is
+	// drained here when a phase closes.
+	phases       []PhaseStat
+	phaseStart   simnet.Time
+	phaseHealthy int
+}
+
+// finish merges the per-state results into the trial's Result and closes the
+// run's phase ledger, telemetry totals and traces.
+func (tr *trial) finish(sim simnet.Stats, err error) {
+	res := tr.res
 	res.Err = err
 	res.FinalTime = sim.FinalTime
 	res.Events = sim.Events
+	for _, st := range tr.states {
+		sres := st.res
+		res.Offered += sres.Offered
+		res.Skipped += sres.Skipped
+		res.Injected += sres.Injected
+		res.Delivered += sres.Delivered
+		res.Stuck += sres.Stuck
+		res.MeasuredInjected += sres.MeasuredInjected
+		res.MeasuredDelivered += sres.MeasuredDelivered
+		res.Latency.Merge(&sres.Latency)
+		res.Hops.Merge(&sres.Hops)
+	}
+	// Injected-in-A-lost-in-B is only visible globally: Lost must come from
+	// the merged totals, never from per-shard differences.
 	res.Lost = res.Injected - res.Delivered - res.Stuck
-	if st.phases != nil {
+	if tr.phases != nil {
 		// Close the open phase; drain deliveries past the horizon have
 		// already been accumulated into it.
-		end := st.horizon
-		if end < st.phaseStart {
-			end = st.phaseStart
+		end := tr.horizon
+		if end < tr.phaseStart {
+			end = tr.phaseStart
 		}
-		res.Phases = append(st.phases, PhaseStat{
-			Start: st.phaseStart, End: end, Healthy: st.phaseHealthy,
-			Delivered: st.phaseDelivered, LatencySum: st.phaseLatSum,
+		del, lat := tr.drainPhaseTallies()
+		res.Phases = append(tr.phases, PhaseStat{
+			Start: tr.phaseStart, End: end, Healthy: tr.phaseHealthy,
+			Delivered: del, LatencySum: lat,
 		})
 	}
-	if st.tel != nil {
+	if tel := tr.states[0].tel; tel != nil {
+		for _, st := range tr.states[1:] {
+			tel.Merge(st.tel)
+		}
 		// Packet and churn totals come from the Result at the end of the run
 		// instead of per-packet increments: the hot path pays nothing for
 		// counters the aggregates already carry.
-		st.tel.Add(telemetry.PacketsInjected, int64(res.Injected))
-		st.tel.Add(telemetry.PacketsDelivered, int64(res.Delivered))
-		st.tel.Add(telemetry.PacketsStuck, int64(res.Stuck))
-		st.tel.Add(telemetry.PacketsLost, int64(res.Lost))
-		st.tel.Add(telemetry.ChurnFailures, int64(res.Failures))
-		st.tel.Add(telemetry.ChurnRepairs, int64(res.Repairs))
-		st.tel.Add(telemetry.ChurnFailedNodes, int64(res.FailedNodes))
-		st.tel.Add(telemetry.ChurnRepairedNodes, int64(res.RepairedNodes))
-		res.Telemetry = st.tel
+		tel.Add(telemetry.PacketsInjected, int64(res.Injected))
+		tel.Add(telemetry.PacketsDelivered, int64(res.Delivered))
+		tel.Add(telemetry.PacketsStuck, int64(res.Stuck))
+		tel.Add(telemetry.PacketsLost, int64(res.Lost))
+		tel.Add(telemetry.ChurnFailures, int64(res.Failures))
+		tel.Add(telemetry.ChurnRepairs, int64(res.Repairs))
+		tel.Add(telemetry.ChurnFailedNodes, int64(res.FailedNodes))
+		tel.Add(telemetry.ChurnRepairedNodes, int64(res.RepairedNodes))
+		res.Telemetry = tel
 	}
-	if st.trace != nil {
-		st.trace.Close()
-		res.Traces = st.trace.Traces()
+	if trace := tr.states[0].trace; trace != nil {
+		trace.Close()
+		res.Traces = trace.Traces()
 	}
-	return res
 }
 
 // Derivation salts for the churn timeline's seed streams, disjoint from the
@@ -447,90 +513,118 @@ const (
 	traceSalt = uint64(1) << 43
 )
 
-// applyFaults pushes freshly placed faults through the model's incremental
-// path (or a wholesale invalidation) and flushes the cached provider table.
-func (st *run) applyFaults(placed []grid.Point) {
-	if fa, ok := st.model.(FaultApplier); ok {
-		fa.ApplyFaults(placed)
-	} else {
-		st.model.Invalidate()
-	}
-	st.provs = [8]provEntry{}
-}
-
-// churnStep executes one materialised timeline step: place a failure group or
-// repair one, push the change through the model's incremental path, and close
-// the current measurement phase.
-func (st *run) churnStep(net *simnet.Network, stp fault.Step, placeRng *rng.Rand) {
-	now := net.Now()
-	if stp.Repair {
-		pts := st.groups[stp.Group]
-		if len(pts) == 0 {
-			return // the failure placed nothing (saturated mesh)
+// faultsChanged pushes placed (or, with repaired, restored) faults through
+// every state's model — the incremental FaultApplier / FaultRepairer path
+// when the model has one, a wholesale invalidation otherwise — and flushes
+// the cached provider tables: a model is free to hand out new providers
+// after a fault change.
+func (tr *trial) faultsChanged(pts []grid.Point, repaired bool) {
+	for _, st := range tr.states {
+		incremental := false
+		if repaired {
+			if fr, ok := st.model.(FaultRepairer); ok {
+				fr.RepairFaults(pts)
+				incremental = true
+			}
+		} else if fa, ok := st.model.(FaultApplier); ok {
+			fa.ApplyFaults(pts)
+			incremental = true
 		}
-		st.groups[stp.Group] = nil
-		st.e.mesh.RemoveFaults(pts...)
-		if fr, ok := st.model.(FaultRepairer); ok {
-			fr.RepairFaults(pts)
-		} else {
+		if !incremental {
 			st.model.Invalidate()
 		}
 		st.provs = [8]provEntry{}
-		st.res.Repairs++
-		st.res.RepairedNodes += len(pts)
+	}
+}
+
+// owner returns the state owning the dense node ID.
+func (tr *trial) owner(id int32) *run {
+	for s, slab := range tr.slabs {
+		if slab.Contains(id) {
+			return tr.states[s]
+		}
+	}
+	panic(fmt.Sprintf("traffic: node %d outside every slab", id))
+}
+
+// churnStep executes one materialised timeline step: place a failure group or
+// repair one, push the change through every state's model, and close the
+// current measurement phase.
+func (tr *trial) churnStep(stp fault.Step, placeRng *rng.Rand) {
+	now := tr.net.Now()
+	m := tr.e.mesh
+	if stp.Repair {
+		pts := tr.groups[stp.Group]
+		if len(pts) == 0 {
+			return // the failure placed nothing (saturated mesh)
+		}
+		tr.groups[stp.Group] = nil
+		m.RemoveFaults(pts...)
+		tr.faultsChanged(pts, true)
+		tr.res.Repairs++
+		tr.res.RepairedNodes += len(pts)
 		// Restart the injection clock of every repaired node whose pending
 		// timer was dropped while it was faulty (delivery tick strictly in
 		// the past); a timer still in flight keeps the chain alive on its
 		// own. A timer landing on the repair tick itself is never dropped —
-		// churn callbacks were enqueued at setup, so they run before any
-		// same-tick timer and the node is healthy by the time it delivers —
-		// hence the strict comparison (<= would arm a second chain).
+		// churn callbacks run before any same-tick delivery, on one shard or
+		// several, so the node is healthy by the time it delivers — hence the
+		// strict comparison (<= would arm a second chain).
 		for _, p := range pts {
-			id := st.e.mesh.ID(p)
-			if st.nextInject[id] < now {
-				st.scheduleInjection(net.ContextOf(id))
+			id := m.ID(p)
+			if st := tr.owner(id); st.nextInject[id] < now {
+				st.scheduleInjection(tr.net.ContextOf(id))
 			}
 		}
 	} else {
-		placed := stp.Inject.Inject(st.e.mesh, placeRng)
+		placed := stp.Inject.Inject(m, placeRng)
 		if len(placed) == 0 {
 			return
 		}
-		st.groups[stp.Group] = placed
-		st.applyFaults(placed)
-		st.res.Failures++
-		st.res.FailedNodes += len(placed)
+		tr.groups[stp.Group] = placed
+		tr.faultsChanged(placed, false)
+		tr.res.Failures++
+		tr.res.FailedNodes += len(placed)
 	}
-	st.closePhase(now)
+	tr.closePhase(now)
 }
 
 // closePhase ends the open measurement phase at a churn event. Events at or
 // before the warmup only rebase the first phase's healthy count; events at or
 // past the horizon leave the final phase open (it closes when the run ends).
-func (st *run) closePhase(now simnet.Time) {
-	healthy := st.e.mesh.NodeCount() - st.e.mesh.FaultCount()
-	if now <= st.e.opts.Warmup {
-		st.phaseHealthy = healthy
+func (tr *trial) closePhase(now simnet.Time) {
+	healthy := tr.e.mesh.NodeCount() - tr.e.mesh.FaultCount()
+	if now <= tr.e.opts.Warmup {
+		tr.phaseHealthy = healthy
 		return
 	}
-	if now >= st.horizon {
+	if now >= tr.horizon {
 		return
 	}
-	if now == st.phaseStart {
+	if now == tr.phaseStart {
 		// A second churn event on the same tick: merge the boundaries — the
 		// next phase starts from the combined post-event state instead of
 		// recording a zero-length phase.
-		st.phaseHealthy = healthy
+		tr.phaseHealthy = healthy
 		return
 	}
-	st.phases = append(st.phases, PhaseStat{
-		Start: st.phaseStart, End: now, Healthy: st.phaseHealthy,
-		Delivered: st.phaseDelivered, LatencySum: st.phaseLatSum,
+	del, lat := tr.drainPhaseTallies()
+	tr.phases = append(tr.phases, PhaseStat{
+		Start: tr.phaseStart, End: now, Healthy: tr.phaseHealthy,
+		Delivered: del, LatencySum: lat,
 	})
-	st.phaseStart = now
-	st.phaseHealthy = healthy
-	st.phaseDelivered = 0
-	st.phaseLatSum = 0
+	tr.phaseStart = now
+	tr.phaseHealthy = healthy
+}
+
+// drainPhaseTallies sums and resets the states' open-phase accumulators.
+func (tr *trial) drainPhaseTallies() (del int, lat int64) {
+	for _, st := range tr.states {
+		del += st.phaseDelivered
+		lat += st.phaseLatSum
+		st.phaseDelivered, st.phaseLatSum = 0, 0
+	}
+	return del, lat
 }
 
 // Init implements simnet.Handler: every healthy node schedules its first
@@ -627,33 +721,28 @@ func (st *run) inject(ctx *simnet.Context) {
 // node IDs end to end with no ID→Point→ID round-trip; for built-in providers
 // it is one CandidateMaskID call — an epoch compare plus at most three bit
 // probes into the destination's memoised field while the fault epoch is
-// stable — with CandidateDirsID (per-direction AllowedID) and the Point-based
-// CandidateDirs as the fallbacks for third-party providers.
+// stable — with the Point-based CandidateDirs as the fallback for
+// third-party providers.
 func (st *run) forward(ctx *simnet.Context, ref int32) {
 	pk := &st.pool[ref]
 	pe := &st.provs[pk.orient.Index()]
 	if pe.prov == nil {
 		pe.prov = st.model.Provider(pk.orient)
-		pe.id, pe.fast = pe.prov.(routing.IDProvider)
 		pe.dec, pe.masked = pe.prov.(routing.DecisionProvider)
 	}
 	self := ctx.Self()
 	// Hop-source classification is gated on the packet being traced, so the
 	// untraced hot path pays nothing beyond the traceIdx compare.
 	traced := st.trace != nil && pk.traceIdx >= 0
-	var hits0, builds0, dhits0 int64
+	var builds0, dhits0 int64
 	if traced {
-		hits0 = st.tel.Get(telemetry.FieldHits)
 		builds0 = st.tel.Get(telemetry.FieldColdBuilds) + st.tel.Get(telemetry.FieldRebuilds) + st.tel.Get(telemetry.DecisionBuilds)
 		dhits0 = st.tel.Get(telemetry.DecisionHits)
 	}
-	switch {
-	case pe.masked:
+	if pe.masked {
 		mk := pe.dec.CandidateMaskID(ctx.Mesh(), ctx.SelfID(), self, pk.dstID, pk.dst)
 		st.dirs = routing.AppendMaskDirs(st.dirs[:0], mk)
-	case pe.fast:
-		st.dirs = routing.CandidateDirsID(ctx.Mesh(), pe.id, pk.orient, ctx.SelfID(), self, pk.dstID, pk.dst, st.dirs[:0])
-	default:
+	} else {
 		st.dirs = routing.CandidateDirs(ctx.Mesh(), pe.prov, pk.orient, self, pk.dst, st.dirs[:0])
 	}
 	if len(st.dirs) == 0 {
@@ -669,14 +758,12 @@ func (st *run) forward(ctx *simnet.Context, ref int32) {
 	if traced {
 		src := telemetry.HopDirect
 		switch {
-		case !pe.fast && !pe.masked:
+		case !pe.masked:
 			src = telemetry.HopFallback
 		case st.tel.Get(telemetry.DecisionHits) > dhits0:
 			src = telemetry.HopDecisionHit
 		case st.tel.Get(telemetry.FieldColdBuilds)+st.tel.Get(telemetry.FieldRebuilds)+st.tel.Get(telemetry.DecisionBuilds) > builds0:
 			src = telemetry.HopColdBuild
-		case st.tel.Get(telemetry.FieldHits) > hits0:
-			src = telemetry.HopCacheHit
 		}
 		st.trace.Hop(pk.traceIdx, pk.id, ctx.SelfID(), src)
 	}
@@ -695,7 +782,7 @@ func (st *run) deliver(ctx *simnet.Context, ref int32) {
 		lat := ctx.Time() - pk.inject
 		st.res.Latency.Add(int(lat))
 		st.res.Hops.Add(pk.hops)
-		if st.phases != nil {
+		if st.phased {
 			st.phaseDelivered++
 			st.phaseLatSum += int64(lat)
 		}

@@ -3,300 +3,97 @@ package traffic
 import (
 	"fmt"
 
-	"mccmesh/internal/fault"
-	"mccmesh/internal/grid"
 	"mccmesh/internal/mesh"
-	"mccmesh/internal/rng"
-	"mccmesh/internal/routing"
 	"mccmesh/internal/simnet"
 	"mccmesh/internal/telemetry"
 )
 
-// Sharded execution of one trial. The mesh splits into contiguous slab shards
-// (mesh.SlabPartition); each shard gets a private run state — its own packet
-// pool, Result accumulators, provider cache and information-model instance —
-// over a shared node RNG table, and a simnet.ShardedNetwork drives them under
-// the per-tick barrier. Bit-identical parity with the sequential engine
-// follows from three facts:
+// Shard selection of one trial. A trial runs one run state per slab of
+// mesh.SlabPartition: a single state on a plain simnet.Network when the trial
+// does not shard, one state per slab — each with its own packet pool, Result
+// accumulators, provider cache and information-model instance, over a shared
+// node RNG table — on a simnet.ShardedNetwork driving them under the per-tick
+// barrier when it does. The trial coordinator (engine.go) is the same either
+// way; a sequential run is the partition with one part. Bit-identical parity
+// between the two follows from three facts:
 //
 //   - every stream of randomness is per-node (injection gaps, destinations)
 //     or stateless (the Seeded policy), and a node lives in exactly one
-//     shard, so each stream is consumed in the same order as sequentially;
+//     shard, so each stream is consumed in the same order at any shard count;
 //   - the measured aggregates (counters, latency/hops histograms, per-phase
 //     tallies) are order-independent sums over per-packet facts that depend
 //     only on per-node event order, which the barrier protocol preserves;
 //   - churn and fault callbacks run on the coordinator at the tick barrier,
 //     before that tick's deliveries — the same "control first" order the
-//     sequential queue gives setup-enqueued control events — so every shard
+//     single queue gives setup-enqueued control events — so every shard
 //     observes fault state change at identical points of the timeline.
 //
 // What is NOT preserved: packet ids (per-shard counters; only traces read
-// them, and tracing pins the sequential path) and the queue-shape telemetry
+// them, and tracing pins the single state) and the queue-shape telemetry
 // counters (each shard has its own calendar; sums differ from one big one).
 
-// shardedRun is the coordinator state of one sharded trial: churn bookkeeping
-// and the open measurement phase, mirroring the coordinator-owned subset of
-// run. Phase delivery tallies stay distributed — each shard's deliver()
-// accumulates its own phaseDelivered/phaseLatSum — and are summed (and reset)
-// here when a phase closes.
-type shardedRun struct {
-	e       *Engine
-	sn      *simnet.ShardedNetwork
-	states  []*run
-	res     *Result
-	horizon simnet.Time
-
-	groups [][]grid.Point
-
-	phases       []PhaseStat
-	phaseStart   simnet.Time
-	phaseHealthy int
+// network is the event loop under a trial: *simnet.Network for one state,
+// *simnet.ShardedNetwork for several.
+type network interface {
+	Kind(name string) simnet.KindID
+	At(t simnet.Time, fn func())
+	Now() simnet.Time
+	ContextOf(id int32) *simnet.Context
+	Run() (simnet.Stats, error)
 }
 
-// runSharded executes one trial across shards. It returns nil when the mesh
-// has too few layers to split at least two ways — the caller falls back to
-// the sequential path.
-func (e *Engine) runSharded(seed uint64) *Result {
-	slabs := mesh.SlabPartition(e.mesh, e.opts.Shards)
-	if len(slabs) < 2 {
-		return nil
-	}
-	res := &Result{
-		Model:        e.model.Name(),
-		Pattern:      e.pattern.Name(),
-		Rate:         e.opts.Rate,
-		HealthyNodes: e.mesh.NodeCount() - e.mesh.FaultCount(),
-		Warmup:       e.opts.Warmup,
-		Window:       e.opts.Window,
-	}
-	// The shared randomness: one RNG stream per node (only that node's shard
-	// draws from it) and one stateless policy — seeded exactly as the
-	// sequential path seeds them.
-	nodeRng := make([]rng.Rand, e.mesh.NodeCount())
-	for i := range nodeRng {
-		nodeRng[i].Seed(rng.Derive(seed, uint64(i)))
-	}
-	policy := e.opts.Policy
-	if policy == nil {
-		policy = routing.Seeded{Seed: rng.Derive(seed, 1<<40)}
-	}
-	var nextInject []simnet.Time
-	if e.opts.Timeline != nil {
-		nextInject = make([]simnet.Time, e.mesh.NodeCount())
-	}
-	states := make([]*run, len(slabs))
-	handlers := make([]simnet.Handler, len(slabs))
-	var sinks []*telemetry.Sink
-	if e.opts.Telemetry {
-		sinks = make([]*telemetry.Sink, len(slabs))
-	}
-	for s := range slabs {
-		model, err := e.opts.ShardModel()
-		if err != nil {
-			res.Err = fmt.Errorf("traffic: building shard %d information model: %w", s, err)
-			return res
-		}
-		st := &run{
-			e:          e,
-			model:      model,
-			res:        &Result{},
-			nodeRng:    nodeRng,
-			policy:     policy,
-			horizon:    e.opts.Warmup + e.opts.Window,
-			pool:       make([]packet, 0, 1024),
-			dirs:       make([]grid.Direction, 0, 6),
-			nextInject: nextInject,
-		}
-		if e.opts.Timeline != nil {
-			// Non-nil sentinel: deliver() gates its per-phase tallies on it.
-			// The slices themselves stay coordinator-owned (sr.phases).
-			st.phases = make([]PhaseStat, 0)
-		}
-		if sinks != nil {
-			sinks[s] = telemetry.NewSink()
-			st.tel = sinks[s]
-			if inst, ok := model.(telemetry.Instrumentable); ok {
-				inst.SetTelemetry(sinks[s])
+// partition picks the trial's slabs and the information model each routes
+// against. With Options.Shards > 1, a ShardModel and tracing off, a mesh that
+// splits at least two ways gets one slab per shard and one ShardModel call per
+// slab; anything else runs as the single slab routed on e.model.
+func (e *Engine) partition() ([]InfoModel, []mesh.IDRange, error) {
+	if e.opts.Shards > 1 && e.opts.ShardModel != nil && e.opts.TraceEvery == 0 {
+		if slabs := mesh.SlabPartition(e.mesh, e.opts.Shards); len(slabs) >= 2 {
+			models := make([]InfoModel, len(slabs))
+			for s := range slabs {
+				model, err := e.opts.ShardModel()
+				if err != nil {
+					return nil, nil, fmt.Errorf("traffic: building shard %d information model: %w", s, err)
+				}
+				models[s] = model
 			}
+			return models, slabs, nil
 		}
-		states[s] = st
-		handlers[s] = st
 	}
-	sn := simnet.NewSharded(e.mesh, handlers, slabs, simnet.ShardedOptions{
-		LinkDelay: e.opts.LinkDelay,
-		MaxEvents: e.opts.MaxEvents,
+	return []InfoModel{e.model}, mesh.SlabPartition(e.mesh, 1), nil
+}
+
+// newNetwork builds the event loop over the trial's states.
+func (tr *trial) newNetwork() network {
+	opts := tr.e.opts
+	if len(tr.states) == 1 {
+		st := tr.states[0]
+		return simnet.New(tr.e.mesh, st, simnet.Options{LinkDelay: opts.LinkDelay, MaxEvents: opts.MaxEvents, Telemetry: st.tel})
+	}
+	handlers := make([]simnet.Handler, len(tr.states))
+	var sinks []*telemetry.Sink
+	if tr.states[0].tel != nil {
+		sinks = make([]*telemetry.Sink, len(tr.states))
+	}
+	for s, st := range tr.states {
+		handlers[s] = st
+		if sinks != nil {
+			sinks[s] = st.tel
+		}
+	}
+	return simnet.NewSharded(tr.e.mesh, handlers, tr.slabs, simnet.ShardedOptions{
+		LinkDelay: opts.LinkDelay,
+		MaxEvents: opts.MaxEvents,
 		Telemetry: sinks,
 		// A packet crossing a slab boundary moves between pools at the
 		// barrier: copy the value into the destination pool, release the
 		// source slot. Single-threaded on the coordinator.
 		MigrateRef: func(from, to int, kind simnet.KindID, ref int32) int32 {
-			src, dst := states[from], states[to]
+			src, dst := tr.states[from], tr.states[to]
 			nref := dst.alloc()
 			dst.pool[nref] = src.pool[ref]
 			src.release(ref)
 			return nref
 		},
 	})
-	injectID, packetID := sn.Kind(kindInject), sn.Kind(kindPacket)
-	for _, st := range states {
-		st.injectID, st.packetID = injectID, packetID
-	}
-	sr := &shardedRun{e: e, sn: sn, states: states, res: res, horizon: e.opts.Warmup + e.opts.Window}
-	for i := range e.opts.Faults {
-		ev := e.opts.Faults[i]
-		evRng := rng.New(rng.Derive(seed, uint64(1)<<32+uint64(i)))
-		sn.At(ev.At, func() {
-			placed := ev.Inject.Inject(e.mesh, evRng)
-			for _, st := range states {
-				st.applyFaults(placed)
-			}
-			if sr.phases != nil && len(placed) > 0 {
-				sr.closePhase(sn.Now())
-			}
-		})
-	}
-	if tl := e.opts.Timeline; tl != nil {
-		steps := tl.Program(rng.New(rng.Derive(seed, churnProgramSalt)))
-		sr.groups = make([][]grid.Point, fault.Groups(steps))
-		sr.phases = make([]PhaseStat, 0, len(steps)+1)
-		sr.phaseStart = e.opts.Warmup
-		sr.phaseHealthy = res.HealthyNodes
-		for i := range steps {
-			stp := steps[i]
-			var placeRng *rng.Rand
-			if !stp.Repair {
-				placeRng = rng.New(rng.Derive(seed, churnPlaceSalt+uint64(stp.Group)))
-			}
-			sn.At(simnet.Time(stp.At), func() { sr.churnStep(stp, placeRng) })
-		}
-	}
-	sim, err := sn.Run()
-	res.Err = err
-	res.FinalTime = sim.FinalTime
-	res.Events = sim.Events
-	for _, st := range states {
-		sres := st.res
-		res.Offered += sres.Offered
-		res.Skipped += sres.Skipped
-		res.Injected += sres.Injected
-		res.Delivered += sres.Delivered
-		res.Stuck += sres.Stuck
-		res.MeasuredInjected += sres.MeasuredInjected
-		res.MeasuredDelivered += sres.MeasuredDelivered
-		res.Latency.Merge(&sres.Latency)
-		res.Hops.Merge(&sres.Hops)
-	}
-	// Injected-in-A-lost-in-B is only visible globally: Lost must come from
-	// the merged totals, never from per-shard differences.
-	res.Lost = res.Injected - res.Delivered - res.Stuck
-	if sr.phases != nil {
-		end := sr.horizon
-		if end < sr.phaseStart {
-			end = sr.phaseStart
-		}
-		del, lat := sr.drainPhaseTallies()
-		res.Phases = append(sr.phases, PhaseStat{
-			Start: sr.phaseStart, End: end, Healthy: sr.phaseHealthy,
-			Delivered: del, LatencySum: lat,
-		})
-	}
-	if sinks != nil {
-		merged := telemetry.NewSink()
-		for _, sink := range sinks {
-			merged.Merge(sink)
-		}
-		merged.Add(telemetry.PacketsInjected, int64(res.Injected))
-		merged.Add(telemetry.PacketsDelivered, int64(res.Delivered))
-		merged.Add(telemetry.PacketsStuck, int64(res.Stuck))
-		merged.Add(telemetry.PacketsLost, int64(res.Lost))
-		merged.Add(telemetry.ChurnFailures, int64(res.Failures))
-		merged.Add(telemetry.ChurnRepairs, int64(res.Repairs))
-		merged.Add(telemetry.ChurnFailedNodes, int64(res.FailedNodes))
-		merged.Add(telemetry.ChurnRepairedNodes, int64(res.RepairedNodes))
-		res.Telemetry = merged
-	}
-	return res
-}
-
-// churnStep is the coordinator counterpart of run.churnStep: same mesh
-// mutation and counter updates, with the model change fanned out to every
-// shard's private instance and the repaired nodes re-armed through their
-// owning shard's context.
-func (sr *shardedRun) churnStep(stp fault.Step, placeRng *rng.Rand) {
-	now := sr.sn.Now()
-	if stp.Repair {
-		pts := sr.groups[stp.Group]
-		if len(pts) == 0 {
-			return // the failure placed nothing (saturated mesh)
-		}
-		sr.groups[stp.Group] = nil
-		sr.e.mesh.RemoveFaults(pts...)
-		for _, st := range sr.states {
-			if fr, ok := st.model.(FaultRepairer); ok {
-				fr.RepairFaults(pts)
-			} else {
-				st.model.Invalidate()
-			}
-			st.provs = [8]provEntry{}
-		}
-		sr.res.Repairs++
-		sr.res.RepairedNodes += len(pts)
-		// Same strict comparison as the sequential path: a timer delivering on
-		// the repair tick itself survives (control runs before the tick's
-		// deliveries in both modes), so only strictly-past timers re-arm.
-		for _, p := range pts {
-			id := sr.e.mesh.ID(p)
-			st := sr.states[sr.sn.ShardOf(id)]
-			if st.nextInject[id] < now {
-				st.scheduleInjection(sr.sn.ContextOf(id))
-			}
-		}
-	} else {
-		placed := stp.Inject.Inject(sr.e.mesh, placeRng)
-		if len(placed) == 0 {
-			return
-		}
-		sr.groups[stp.Group] = placed
-		for _, st := range sr.states {
-			st.applyFaults(placed)
-		}
-		sr.res.Failures++
-		sr.res.FailedNodes += len(placed)
-	}
-	sr.closePhase(now)
-}
-
-// closePhase mirrors run.closePhase branch for branch; the only difference is
-// where the open phase's delivery tally lives (summed across shards, reset
-// only when a PhaseStat is actually appended).
-func (sr *shardedRun) closePhase(now simnet.Time) {
-	healthy := sr.e.mesh.NodeCount() - sr.e.mesh.FaultCount()
-	if now <= sr.e.opts.Warmup {
-		sr.phaseHealthy = healthy
-		return
-	}
-	if now >= sr.horizon {
-		return
-	}
-	if now == sr.phaseStart {
-		sr.phaseHealthy = healthy
-		return
-	}
-	del, lat := sr.drainPhaseTallies()
-	sr.phases = append(sr.phases, PhaseStat{
-		Start: sr.phaseStart, End: now, Healthy: sr.phaseHealthy,
-		Delivered: del, LatencySum: lat,
-	})
-	sr.phaseStart = now
-	sr.phaseHealthy = healthy
-}
-
-// drainPhaseTallies sums and resets the per-shard open-phase accumulators.
-func (sr *shardedRun) drainPhaseTallies() (del int, lat int64) {
-	for _, st := range sr.states {
-		del += st.phaseDelivered
-		lat += st.phaseLatSum
-		st.phaseDelivered, st.phaseLatSum = 0, 0
-	}
-	return del, lat
 }

@@ -150,31 +150,53 @@ func TestShardedSemanticTelemetry(t *testing.T) {
 	}
 }
 
-// TestShardedFallsBackSequential checks the guard rails: a mesh with a single
-// layer cannot split, and tracing pins the sequential path, so both must
-// produce the sequential result (and actually run — no nil Result escapes).
+// TestShardedFallsBackSequential checks the guard rails: Shards 1, a mesh
+// with a single layer (it cannot split) and tracing all pin the single-shard
+// path, so each must produce a real result without ever calling ShardModel;
+// a mesh that does split calls ShardModel exactly once per slab.
 func TestShardedFallsBackSequential(t *testing.T) {
-	m := mesh.New2D(16, 1) // one row: SlabPartition yields a single slab
-	im, err := ModelByName("mcc", core.NewModel(m))
-	if err != nil {
-		t.Fatal(err)
+	cases := []struct {
+		name       string
+		m          *mesh.Mesh
+		shards     int
+		traceEvery int
+		wantCalls  int
+	}{
+		{"shards=1", mesh.NewCube(6), 1, 0, 0},
+		{"single-layer", mesh.New2D(16, 1), 8, 0, 0}, // SlabPartition yields one slab
+		{"traced", mesh.NewCube(6), 4, 5, 0},
+		{"split", mesh.NewCube(6), 4, 0, len(mesh.SlabPartition(mesh.NewCube(6), 4))},
 	}
-	p, err := PatternByName("uniform", m, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	e := NewEngine(m, im, p, Options{
-		Rate: 0.05, Warmup: 10, Window: 100,
-		Shards: 8,
-		ShardModel: func() (InfoModel, error) {
-			return ModelByName("mcc", core.NewModel(m))
-		},
-	})
-	res := e.Run(3)
-	if res == nil || res.Err != nil {
-		t.Fatalf("single-layer fallback failed: %+v", res)
-	}
-	if res.Injected == 0 {
-		t.Fatal("fallback run injected nothing")
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			im, err := ModelByName("mcc", core.NewModel(tc.m))
+			if err != nil {
+				t.Fatal(err)
+			}
+			p, err := PatternByName("uniform", tc.m, 0)
+			if err != nil {
+				t.Fatal(err)
+			}
+			calls := 0
+			e := NewEngine(tc.m, im, p, Options{
+				Rate: 0.05, Warmup: 10, Window: 100,
+				Shards:     tc.shards,
+				TraceEvery: tc.traceEvery,
+				ShardModel: func() (InfoModel, error) {
+					calls++
+					return ModelByName("mcc", core.NewModel(tc.m))
+				},
+			})
+			res := e.Run(3)
+			if res == nil || res.Err != nil {
+				t.Fatalf("run failed: %+v", res)
+			}
+			if res.Injected == 0 {
+				t.Fatal("run injected nothing")
+			}
+			if calls != tc.wantCalls {
+				t.Errorf("ShardModel called %d times, want %d", calls, tc.wantCalls)
+			}
+		})
 	}
 }
