@@ -2,14 +2,16 @@ package mccmesh
 
 // Benchmarks regenerating every figure and evaluation table of the paper, one
 // benchmark per artifact of the DESIGN.md §4 index. The table benchmarks
-// (BenchmarkTableE*) run reduced sweeps; `mcc bench` runs the full ones.
+// (BenchmarkTableE*) run reduced sweeps of the checked-in specs/eN.json;
+// `mcc run -spec specs/eN.json` runs the full ones.
 
 import (
+	"context"
+	"os"
 	"testing"
 
 	"mccmesh/internal/block"
 	"mccmesh/internal/core"
-	"mccmesh/internal/experiments"
 	"mccmesh/internal/fault"
 	"mccmesh/internal/feasibility"
 	"mccmesh/internal/grid"
@@ -19,6 +21,7 @@ import (
 	"mccmesh/internal/region"
 	"mccmesh/internal/rng"
 	"mccmesh/internal/routing"
+	"mccmesh/internal/scenario"
 	"mccmesh/internal/traffic"
 )
 
@@ -164,70 +167,58 @@ func BenchmarkBlockBaseline3D(b *testing.B) {
 
 // --- Evaluation-table benchmarks ---------------------------------------------
 
-func benchConfig() experiments.Config {
-	cfg := experiments.DefaultConfig()
-	cfg.Dim = 8
-	cfg.FaultCounts = []int{10, 30}
-	cfg.Trials = 3
-	cfg.Pairs = 3
-	return cfg
+// benchTable runs the table spec specs/<exp>.json on a reduced sweep: an 8³
+// mesh, 3 trials of 3 pairs, fault counts {10, 30} (30 alone for the
+// single-count tables E3 and E6).
+func benchTable(b *testing.B, exp string) {
+	f, err := os.Open("specs/" + exp + ".json")
+	if err != nil {
+		b.Fatal(err)
+	}
+	sc, err := scenario.Load(f)
+	f.Close()
+	if err != nil {
+		b.Fatal(err)
+	}
+	spec := sc.Spec()
+	spec.Mesh = scenario.Cube(8)
+	spec.Trials = 3
+	spec.Measure.Pairs = 3
+	spec.Faults.Counts = []int{10, 30}
+	if exp == "e3" || exp == "e6" {
+		spec.Faults.Counts = []int{30}
+	}
+	if sc, err = scenario.New(spec); err != nil {
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := sc.Run(context.Background()); err != nil {
+			b.Fatal(err)
+		}
+	}
 }
 
 // BenchmarkTableE1 regenerates table E1 (healthy nodes absorbed by fault
-// regions, MCC vs RFB) on a reduced sweep.
-func BenchmarkTableE1(b *testing.B) {
-	cfg := benchConfig()
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		experiments.E1NonFaultyInclusion(cfg)
-	}
-}
+// regions, MCC vs RFB).
+func BenchmarkTableE1(b *testing.B) { benchTable(b, "e1") }
 
 // BenchmarkTableE2 regenerates table E2 (minimal-routing success rate per
-// information model) on a reduced sweep.
-func BenchmarkTableE2(b *testing.B) {
-	cfg := benchConfig()
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		experiments.E2SuccessRate(cfg)
-	}
-}
+// information model).
+func BenchmarkTableE2(b *testing.B) { benchTable(b, "e2") }
 
 // BenchmarkTableE3 regenerates table E3 (success rate vs distance).
-func BenchmarkTableE3(b *testing.B) {
-	cfg := benchConfig()
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		experiments.E3SuccessByDistance(cfg, 30)
-	}
-}
+func BenchmarkTableE3(b *testing.B) { benchTable(b, "e3") }
 
 // BenchmarkTableE4 regenerates table E4 (information-model message overhead).
-func BenchmarkTableE4(b *testing.B) {
-	cfg := benchConfig()
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		experiments.E4MessageOverhead(cfg)
-	}
-}
+func BenchmarkTableE4(b *testing.B) { benchTable(b, "e4") }
 
 // BenchmarkTableE5 regenerates table E5 (region-size ablation).
-func BenchmarkTableE5(b *testing.B) {
-	cfg := benchConfig()
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		experiments.E5RegionAblation(cfg)
-	}
-}
+func BenchmarkTableE5(b *testing.B) { benchTable(b, "e5") }
 
 // BenchmarkTableE6 regenerates table E6 (routing adaptivity).
-func BenchmarkTableE6(b *testing.B) {
-	cfg := benchConfig()
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		experiments.E6Adaptivity(cfg, 30)
-	}
-}
+func BenchmarkTableE6(b *testing.B) { benchTable(b, "e6") }
 
 // --- Continuous-traffic benchmarks -------------------------------------------
 

@@ -1,7 +1,8 @@
 // sweep runs a miniature version of the paper's evaluation — the two
 // headline tables (healthy-node absorption and minimal-routing success rate)
 // on a small mesh — expressed as two declarative scenarios that differ only
-// in their measure. cmd/mcc bench runs the full sweeps.
+// in their measure. `mcc run -spec specs/e1.json` (and e2.json) runs the
+// full sweeps.
 package main
 
 import (

@@ -8,45 +8,34 @@ import (
 	"sort"
 	"strings"
 
-	"mccmesh/internal/experiments"
 	"mccmesh/internal/scenario"
 	"mccmesh/internal/server"
 	"mccmesh/internal/stats"
 )
 
-// cmdBench regenerates the evaluation tables E1–E7 (the old mccbench). It
-// keeps the historical per-experiment seed streams, so tables produced before
-// the scenario redesign still reproduce. With -dump-spec it emits the
-// declarative spec of one experiment; with -spec it runs a spec file like
-// `mcc run`. With -json it runs the event-core benchmark (the "bench"
-// measure) and writes BENCH_traffic.json; -cpuprofile/-memprofile capture
-// pprof profiles of whatever the invocation runs.
+// cmdBench runs the event-core benchmark (the "bench" measure) and writes
+// its cells as machine-readable JSON, e.g. BENCH_traffic.json. Without -spec
+// it runs the default suite; -baseline gates the fresh cells against a
+// committed file, and -cpuprofile/-memprofile capture pprof profiles of the
+// run. The evaluation tables E1–E7 are spec files run by `mcc run -spec`.
 func cmdBench(args []string) int {
 	fs := flag.NewFlagSet("mcc bench", flag.ContinueOnError)
 	fs.SetOutput(stderr)
 	var (
-		exps      = fs.String("exp", "all", "comma separated experiments to run: e1..e7 or all")
-		dim       = fs.Int("dim", 10, "mesh edge length")
-		twoD      = fs.Bool("2d", false, "use a 2-D mesh instead of 3-D")
-		trials    = fs.Int("trials", 30, "fault configurations per data point")
-		pairs     = fs.Int("pairs", 10, "source/destination pairs per configuration")
-		seed      = fs.Uint64("seed", 20050500, "random seed")
-		faultsF   = fs.String("faults", "", "comma separated fault counts (default depends on the mesh size)")
-		csv       = fs.Bool("csv", false, "emit CSV instead of aligned text")
-		clustered = fs.Bool("clustered", false, "inject clustered faults instead of uniform random faults")
-		csize     = fs.Int("clustersize", 5, "faults per cluster when -clustered is set")
-		workers   = fs.Int("workers", 0, "parallel trial workers for e7 (0 = GOMAXPROCS)")
-		shards    = fs.Int("shards", 0, "with -spec: spatial shards per trial (0/1 = sequential); any value gives identical tables")
-		specPath  = fs.String("spec", "", "run a scenario spec file instead (- = stdin)")
-		dump      = fs.Bool("dump-spec", false, "print the spec of the selected experiment (requires exactly one -exp) and exit")
-		jsonPath  = fs.String("json", "", "run the event-core benchmark (measure \"bench\") and write machine-readable results to this file, e.g. BENCH_traffic.json")
-		baseline  = fs.String("baseline", "", "with -json: print per-cell events/sec and allocs/packet deltas against this committed BENCH_traffic.json")
-		metrics   = fs.String("metrics", "", "with -json or -spec: write per-cell telemetry counter snapshots to this JSON file")
-		verbose   = fs.Bool("v", false, "with -json or -spec: print a telemetry counter summary table after the run")
+		jsonPath = fs.String("json", "", "write the benchmark cells to this file, e.g. BENCH_traffic.json (required)")
+		specPath = fs.String("spec", "", "run this \"bench\"-measure spec file (- = stdin) instead of the default suite")
+		baseline = fs.String("baseline", "", "print per-cell events/sec and allocs/packet deltas against this committed BENCH_traffic.json")
+		metrics  = fs.String("metrics", "", "write per-cell telemetry counter snapshots to this JSON file")
+		verbose  = fs.Bool("v", false, "print a telemetry counter summary table after the run")
+		csv      = fs.Bool("csv", false, "emit CSV instead of aligned text")
 	)
 	prof := addProfileFlags(fs)
 	if err := fs.Parse(args); err != nil {
 		return 2
+	}
+	if *jsonPath == "" {
+		return fail("bench", fmt.Errorf("-json is required (mcc bench runs the event-core benchmark only); "+
+			"for the evaluation tables E1..E7 use `mcc run -spec specs/eN.json`"))
 	}
 
 	stopProf, err := prof.start("bench")
@@ -55,226 +44,78 @@ func cmdBench(args []string) int {
 	}
 	defer stopProf()
 
-	if *jsonPath != "" {
-		// The benchmark is defined by the (default or loaded) spec alone;
-		// silently ignoring a table flag like -dim would misreport what ran.
-		if err := rejectFlagClash(fs, "json", "benchmark settings come from -spec",
-			"spec", "cpuprofile", "memprofile", "csv", "dump-spec", "baseline", "metrics", "v"); err != nil {
+	// Without -spec the default suite runs: the churn-free reference
+	// workload plus the fault-churn workload, merged into one cell list.
+	var scs []*scenario.Scenario
+	if *specPath != "" {
+		sc, err := loadSpec(*specPath)
+		if err != nil {
 			return fail("bench", err)
 		}
-		// Without -spec the default suite runs: the churn-free reference
-		// workload plus the fault-churn workload, merged into one cell list.
-		var scs []*scenario.Scenario
-		if *specPath != "" {
-			sc, err := loadSpec(*specPath)
+		scs = append(scs, sc)
+	} else {
+		for _, spec := range scenario.BenchSpecs() {
+			sc, err := newScenario(spec)
 			if err != nil {
 				return fail("bench", err)
 			}
 			scs = append(scs, sc)
-		} else {
-			for _, spec := range scenario.BenchSpecs() {
-				sc, err := newScenario(spec)
-				if err != nil {
-					return fail("bench", err)
-				}
-				scs = append(scs, sc)
-			}
 		}
-		// Fail fast on a non-bench spec: running a full traffic sweep only to
-		// discover there are no benchmark results would waste the whole run
-		// (and truncate the output file).
-		for _, sc := range scs {
-			if e, err := scenario.Measures.Lookup(sc.Spec().Measure.Kind); err != nil || e.Name != scenario.MeasureBench {
-				return fail("bench", fmt.Errorf("-json needs a %q-measure spec, got measure %q", scenario.MeasureBench, sc.Spec().Measure.Kind))
-			}
-		}
-		if *dump {
-			// A dumped spec must load back via -spec, and a spec file is one
-			// JSON document — so dumping the multi-spec default suite would
-			// produce output nothing accepts.
-			if len(scs) > 1 {
-				return fail("bench", fmt.Errorf("-dump-spec emits exactly one spec, but the default -json suite runs %d (%s); pass -spec to dump a single spec",
-					len(scs), suiteNames(scs)))
-			}
-			return dumpSpec(scs[0])
-		}
-		var cells []scenario.BenchResult
-		var reps []*scenario.Report
-		for _, sc := range scs {
-			rep, err := sc.Run(context.Background())
-			if err != nil {
-				return fail("bench", err)
-			}
-			printTable(rep.Table, *csv)
-			reps = append(reps, rep)
-			cells = append(cells, rep.BenchResults()...)
-		}
-		// The default suite also prices the serving pipeline: jobs/s for cold
-		// vs cached submissions through an in-process `mcc serve` (scenario
-		// keys "serve-cold"/"serve-cached"; informational in baseline deltas).
-		if *specPath == "" {
-			serveCells, serveTable, err := server.BenchServe(server.Config{}, 0, 0)
-			if err != nil {
-				return fail("bench", err)
-			}
-			printTable(serveTable, *csv)
-			cells = append(cells, serveCells...)
-		}
-		f, err := os.Create(*jsonPath)
-		if err != nil {
-			return fail("bench", err)
-		}
-		defer f.Close()
-		if err := scenario.WriteBenchCellsJSON(f, cells); err != nil {
-			return fail("bench", err)
-		}
-		fmt.Fprintf(stderr, "mcc bench: wrote %s\n", *jsonPath)
-		if *verbose {
-			fmt.Fprintln(stdout, counterTable(reps...).Render())
-		}
-		if *metrics != "" {
-			if err := writeMetrics(*metrics, reps...); err != nil {
-				return fail("bench", err)
-			}
-			fmt.Fprintf(stderr, "mcc bench: wrote %s\n", *metrics)
-		}
-		if *baseline != "" {
-			if err := printBenchDelta(cells, *baseline); err != nil {
-				return fail("bench", err)
-			}
-		}
-		return 0
 	}
-	if *baseline != "" {
-		return fail("bench", fmt.Errorf("-baseline requires -json (it compares event-core benchmark cells)"))
+	// Fail fast on a non-bench spec: running a full traffic sweep only to
+	// discover there are no benchmark results would waste the whole run
+	// (and truncate the output file).
+	for _, sc := range scs {
+		if e, err := scenario.Measures.Lookup(sc.Spec().Measure.Kind); err != nil || e.Name != scenario.MeasureBench {
+			return fail("bench", fmt.Errorf("-json needs a %q-measure spec, got measure %q", scenario.MeasureBench, sc.Spec().Measure.Kind))
+		}
 	}
-
-	if *specPath != "" {
-		if err := rejectFlagSpecClash(fs, "dump-spec", "workers", "shards", "csv",
-			"cpuprofile", "memprofile", "metrics", "v"); err != nil {
-			return fail("bench", err)
-		}
-		sc, err := loadSpecWithExec(*specPath, fs, *workers, *shards)
-		if err != nil {
-			return fail("bench", err)
-		}
-		if *dump {
-			return dumpSpec(sc)
-		}
-		if *metrics != "" || *verbose {
-			sc.EnableTelemetry()
-		}
+	var cells []scenario.BenchResult
+	var reps []*scenario.Report
+	for _, sc := range scs {
 		rep, err := sc.Run(context.Background())
 		if err != nil {
 			return fail("bench", err)
 		}
 		printTable(rep.Table, *csv)
-		if *verbose {
-			fmt.Fprintln(stdout, counterTable(rep).Render())
-		}
-		if *metrics != "" {
-			if err := writeMetrics(*metrics, rep); err != nil {
-				return fail("bench", err)
-			}
-			fmt.Fprintf(stderr, "mcc bench: wrote %s\n", *metrics)
-		}
-		return 0
+		reps = append(reps, rep)
+		cells = append(cells, rep.BenchResults()...)
 	}
-	if *metrics != "" || *verbose {
-		return fail("bench", fmt.Errorf("-metrics and -v need -json or -spec (the historical tables carry no telemetry)"))
-	}
-
-	cfg := experiments.DefaultConfig()
-	cfg.Dim = *dim
-	cfg.TwoD = *twoD
-	cfg.Trials = *trials
-	cfg.Pairs = *pairs
-	cfg.Seed = *seed
-	cfg.Clustered = *clustered
-	cfg.ClusterSize = *csize
-	if *faultsF != "" {
-		counts, err := parseInts(*faultsF)
-		if err != nil || len(counts) == 0 {
-			return fail("bench", fmt.Errorf("invalid -faults %q", *faultsF))
-		}
-		cfg.FaultCounts = counts
-	}
-
-	mid := cfg.FaultCounts[len(cfg.FaultCounts)/2]
-	trafficCfg := func() experiments.TrafficConfig {
-		tc := experiments.DefaultTrafficConfig()
-		tc.Faults = mid
-		tc.Trials = cfg.Trials
-		tc.Workers = *workers
-		return tc
-	}
-	run := map[string]func() (*stats.Table, error){
-		"e1": func() (*stats.Table, error) { return experiments.E1NonFaultyInclusion(cfg), nil },
-		"e2": func() (*stats.Table, error) { return experiments.E2SuccessRate(cfg), nil },
-		"e3": func() (*stats.Table, error) { return experiments.E3SuccessByDistance(cfg, mid), nil },
-		"e4": func() (*stats.Table, error) { return experiments.E4MessageOverhead(cfg), nil },
-		"e5": func() (*stats.Table, error) { return experiments.E5RegionAblation(cfg), nil },
-		"e6": func() (*stats.Table, error) { return experiments.E6Adaptivity(cfg, mid), nil },
-		"e7": func() (*stats.Table, error) { return experiments.E7Throughput(cfg, trafficCfg()) },
-	}
-	order := []string{"e1", "e2", "e3", "e4", "e5", "e6", "e7"}
-
-	want := map[string]bool{}
-	if *exps == "all" {
-		for _, k := range order {
-			want[k] = true
-		}
-	} else {
-		for _, part := range splitList(*exps) {
-			k := strings.ToLower(part)
-			if _, ok := run[k]; !ok {
-				return fail("bench", fmt.Errorf("unknown experiment %q (want e1..e7 or all)", part))
-			}
-			want[k] = true
-		}
-	}
-
-	if *dump {
-		if len(want) != 1 {
-			return fail("bench", fmt.Errorf("-dump-spec needs exactly one experiment, got -exp %q", *exps))
-		}
-		for k := range want {
-			spec, err := experiments.SpecFor(k, cfg, trafficCfg())
-			if err != nil {
-				return fail("bench", err)
-			}
-			sc, err := newScenario(spec)
-			if err != nil {
-				return fail("bench", err)
-			}
-			return dumpSpec(sc)
-		}
-	}
-
-	for _, k := range order {
-		if !want[k] {
-			continue
-		}
-		table, err := run[k]()
+	// The default suite also prices the serving pipeline: jobs/s for cold
+	// vs cached submissions through an in-process `mcc serve` (scenario
+	// keys "serve-cold"/"serve-cached"; informational in baseline deltas).
+	if *specPath == "" {
+		serveCells, serveTable, err := server.BenchServe(server.Config{}, 0, 0)
 		if err != nil {
 			return fail("bench", err)
 		}
-		printTable(table, *csv)
+		printTable(serveTable, *csv)
+		cells = append(cells, serveCells...)
 	}
-	return 0
-}
-
-// suiteNames renders the spec names of a benchmark suite for error messages;
-// the unnamed default workload reads as "default".
-func suiteNames(scs []*scenario.Scenario) string {
-	names := make([]string, len(scs))
-	for i, sc := range scs {
-		names[i] = sc.Spec().Name
-		if names[i] == "" {
-			names[i] = "default"
+	f, err := os.Create(*jsonPath)
+	if err != nil {
+		return fail("bench", err)
+	}
+	defer f.Close()
+	if err := scenario.WriteBenchCellsJSON(f, cells); err != nil {
+		return fail("bench", err)
+	}
+	fmt.Fprintf(stderr, "mcc bench: wrote %s\n", *jsonPath)
+	if *verbose {
+		fmt.Fprintln(stdout, counterTable(reps...).Render())
+	}
+	if *metrics != "" {
+		if err := writeMetrics(*metrics, reps...); err != nil {
+			return fail("bench", err)
+		}
+		fmt.Fprintf(stderr, "mcc bench: wrote %s\n", *metrics)
+	}
+	if *baseline != "" {
+		if err := printBenchDelta(cells, *baseline); err != nil {
+			return fail("bench", err)
 		}
 	}
-	return strings.Join(names, ", ")
+	return 0
 }
 
 // printBenchDelta prints, per benchmark cell, how the fresh run compares to a

@@ -1,11 +1,11 @@
 // Package cli implements the `mcc` command line: one binary, one scenario
 // spec format, subcommands for every workflow that used to be a separate
-// binary. Every subcommand can load a declarative scenario spec (-spec
-// file.json) and emit one (-dump-spec), so any run is reproducible from a
-// checked-in JSON file.
+// binary. Every run is reproducible from a checked-in JSON spec file: run
+// and the inspectors load one (-spec file.json) and emit one (-dump-spec),
+// and the evaluation tables E1–E7 are the files specs/e1.json…e7.json.
 //
 //	mcc run    — run a scenario (traffic sweep or any e1..e7 measure)
-//	mcc bench  — the evaluation tables E1–E7 (mccbench)
+//	mcc bench  — the event-core benchmark behind BENCH_traffic.json
 //	mcc sim    — one routing scenario end to end (mccsim)
 //	mcc proto  — message costs of the distributed protocols (mccproto)
 //	mcc viz    — ASCII rendering of fault configurations (mccviz)
@@ -75,7 +75,8 @@ Usage:
 
 Subcommands:
   run     run a scenario: a traffic sweep or any measure, from flags or -spec
-  bench   regenerate the evaluation tables E1..E7
+          (evaluation tables E1..E7: mcc run -spec specs/eN.json)
+  bench   run the event-core benchmark and write BENCH_traffic.json (-json)
   sim     route one fault configuration end to end, model by model
   proto   message costs of the distributed protocols
   viz     render a fault configuration (and a route) as ASCII art
@@ -84,8 +85,8 @@ Subcommands:
   submit  send a spec to a running daemon and print its report
   jobs    list a running daemon's jobs
 
-Every subcommand accepts -spec file.json to load a declarative scenario spec
-("-" reads stdin) and -dump-spec to print the equivalent spec instead of
+run, sim, proto and viz accept -spec file.json to load a declarative scenario
+spec ("-" reads stdin) and -dump-spec to print the equivalent spec instead of
 running. Run 'mcc <subcommand> -h' for flags.
 `)
 }

@@ -45,36 +45,6 @@ func TestListShowsRegistries(t *testing.T) {
 	}
 }
 
-// TestBenchDumpSpecRoundTrip is the CLI half of the reproducibility
-// guarantee: `bench -exp e7 -dump-spec` piped into `run -spec` yields the
-// same table as running the experiment directly, at any worker count.
-func TestBenchDumpSpecRoundTrip(t *testing.T) {
-	benchArgs := []string{"bench", "-exp", "e7", "-dim", "6", "-trials", "2", "-faults", "8", "-csv"}
-	code, direct, errOut := capture(t, benchArgs...)
-	if code != 0 {
-		t.Fatalf("bench failed: %s", errOut)
-	}
-
-	code, spec, errOut := capture(t, "bench", "-exp", "e7", "-dim", "6", "-trials", "2", "-faults", "8", "-dump-spec")
-	if code != 0 {
-		t.Fatalf("dump-spec failed: %s", errOut)
-	}
-	path := filepath.Join(t.TempDir(), "e7.json")
-	if err := os.WriteFile(path, []byte(spec), 0o644); err != nil {
-		t.Fatal(err)
-	}
-
-	for _, workers := range []string{"1", "5"} {
-		code, out, errOut := capture(t, "run", "-spec", path, "-csv", "-workers", workers)
-		if code != 0 {
-			t.Fatalf("run -spec (workers=%s) failed: %s", workers, errOut)
-		}
-		if out != direct {
-			t.Errorf("run -spec (workers=%s) differs from bench:\n--- bench\n%s\n--- run\n%s", workers, direct, out)
-		}
-	}
-}
-
 func TestRunFromFlags(t *testing.T) {
 	code, out, errOut := capture(t, "run",
 		"-measure", "absorption", "-dim", "6", "-faults", "4,10", "-trials", "2", "-csv")
@@ -107,15 +77,9 @@ func TestRunRejectsFlagSpecConflict(t *testing.T) {
 	if code != 2 || !strings.Contains(errOut, "cannot be combined with -spec") {
 		t.Errorf("run conflict not rejected: %d %q", code, errOut)
 	}
-	// bench must hold the same line: a silently ignored -trials would
-	// misreport what ran.
-	code, _, errOut = capture(t, "bench", "-spec", path, "-trials", "100")
-	if code != 2 || !strings.Contains(errOut, "cannot be combined with -spec") {
-		t.Errorf("bench conflict not rejected: %d %q", code, errOut)
-	}
 	// -workers/-csv are execution knobs, not scenario content: allowed.
-	if code, _, errOut = capture(t, "bench", "-spec", path, "-workers", "2", "-csv"); code != 0 {
-		t.Errorf("bench -spec -workers should run: %d %q", code, errOut)
+	if code, _, errOut = capture(t, "run", "-spec", path, "-workers", "2", "-csv"); code != 0 {
+		t.Errorf("run -spec -workers should run: %d %q", code, errOut)
 	}
 }
 
@@ -347,9 +311,14 @@ func TestBenchBaselineGatesEventsRate(t *testing.T) {
 	}
 }
 
-func TestBenchJSONRejectsTableFlags(t *testing.T) {
-	code, _, errOut := capture(t, "bench", "-json", filepath.Join(t.TempDir(), "b.json"), "-dim", "12")
-	if code == 0 || !strings.Contains(errOut, "-dim") {
-		t.Errorf("bench -json -dim should be rejected: code=%d err=%q", code, errOut)
+// TestBenchWithoutJSONPointsAtRunSpec: mcc bench is the event-core
+// benchmark only; without -json it exits 2 and names the spec-file path
+// that regenerates the evaluation tables.
+func TestBenchWithoutJSONPointsAtRunSpec(t *testing.T) {
+	for _, args := range [][]string{{"bench"}, {"bench", "-csv"}} {
+		code, _, errOut := capture(t, args...)
+		if code != 2 || !strings.Contains(errOut, "mcc run -spec specs/eN.json") {
+			t.Errorf("%v: code=%d err=%q, want exit 2 naming mcc run -spec", args, code, errOut)
+		}
 	}
 }

@@ -33,12 +33,11 @@ func loadSpec(path string) (*scenario.Scenario, error) {
 	return sc, nil
 }
 
-// rejectFlagClash errors when any flag outside the allowed set was given
-// together with the named driving flag (-spec, -json): the run is defined by
-// that flag's input, and silently ignoring another flag would misreport what
-// ran. The driving flag itself is always allowed.
-func rejectFlagClash(fs *flag.FlagSet, driver, hint string, allowed ...string) error {
-	ok := map[string]bool{driver: true}
+// rejectFlagSpecClash errors when any flag outside the allowed set was given
+// together with -spec: the run is defined by the spec file, and silently
+// ignoring another flag would misreport what ran.
+func rejectFlagSpecClash(fs *flag.FlagSet, allowed ...string) error {
+	ok := map[string]bool{"spec": true}
 	for _, a := range allowed {
 		ok[a] = true
 	}
@@ -49,14 +48,9 @@ func rejectFlagClash(fs *flag.FlagSet, driver, hint string, allowed ...string) e
 		}
 	})
 	if len(clash) > 0 {
-		return fmt.Errorf("%s cannot be combined with -%s (%s)", strings.Join(clash, ", "), driver, hint)
+		return fmt.Errorf("%s cannot be combined with -spec (edit the spec file instead)", strings.Join(clash, ", "))
 	}
 	return nil
-}
-
-// rejectFlagSpecClash is rejectFlagClash for the -spec driving flag.
-func rejectFlagSpecClash(fs *flag.FlagSet, allowed ...string) error {
-	return rejectFlagClash(fs, "spec", "edit the spec file instead", allowed...)
 }
 
 // loadSpecWithExec loads a spec file and applies the -workers / -shards

@@ -52,9 +52,7 @@ func listSpec(path string) int {
 	fmt.Fprintf(stdout, "measure: %s\n", spec.Measure.Kind)
 	fmt.Fprintf(stdout, "mesh:    %s\n", spec.Mesh.New().Dims())
 	fmt.Fprintf(stdout, "trials:  %d (seed %d)\n", spec.Trials, spec.Seed)
-	// The resolved execution block (digest-excluded): legacy top-level
-	// workers/timeout fields fold into it, so this line shows what actually
-	// runs regardless of which spelling the file used.
+	// The resolved execution block (digest-excluded).
 	fmt.Fprintf(stdout, "exec:    workers=%d shards=%d timeout=%gs\n",
 		spec.WorkerCount(), spec.ShardCount(), spec.TimeoutSeconds())
 	return 0

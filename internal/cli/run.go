@@ -101,19 +101,11 @@ func cmdRun(args []string) int {
 	if err != nil {
 		if rep != nil && errors.Is(err, context.DeadlineExceeded) {
 			// Salvage the completed prefix before reporting the timeout.
-			if *csv {
-				fmt.Fprint(stdout, rep.Table.CSV())
-			} else {
-				fmt.Fprintln(stdout, rep.Table.Render())
-			}
+			printTable(rep.Table, *csv)
 		}
 		return fail("run", err)
 	}
-	if *csv {
-		fmt.Fprint(stdout, rep.Table.CSV())
-	} else {
-		fmt.Fprintln(stdout, rep.Table.Render())
-	}
+	printTable(rep.Table, *csv)
 	if *verbose {
 		fmt.Fprintln(stdout, counterTable(rep).Render())
 	}

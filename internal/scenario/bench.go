@@ -30,7 +30,7 @@ func init() {
 // alloc counts come from runtime.MemStats deltas around the timed runs, so a
 // benchmark process should keep concurrent allocation noise (parallel
 // workers, other goroutines) out of the measurement — the measure therefore
-// always runs its trials sequentially, ignoring Spec.Workers.
+// always runs its trials sequentially, ignoring the exec block's workers.
 type BenchResult struct {
 	// Scenario names the benchmark spec the cell came from; empty for the
 	// default reference workload, "churn" for the fault-churn workload. It

@@ -21,16 +21,7 @@ func TestChurnGoldenOutput(t *testing.T) {
 	// churn ordering against the sequential golden too.
 	for _, workers := range []int{1, 8} {
 		for _, shards := range []int{1, 2, 8} {
-			f, err := os.Open("../../specs/churn.json")
-			if err != nil {
-				t.Fatal(err)
-			}
-			sc, err := Load(f)
-			f.Close()
-			if err != nil {
-				t.Fatal(err)
-			}
-			spec := sc.Spec()
+			spec := loadSpecFile(t, "churn.json")
 			spec.SetWorkers(workers)
 			spec.SetShards(shards)
 			rep := mustRun(t, mustNew(t, spec))

@@ -23,13 +23,10 @@ func (s Spec) Digest() string {
 	return hexSHA256(canonicalDump(s))
 }
 
-// execExcluded strips every execution-resource knob — the exec block and its
-// deprecated top-level spellings — from a copy of the spec. It is the single
-// definition of "digest-excluded": anything an ExecSpec carries is out.
+// execExcluded strips the exec block from a copy of the spec. It is the
+// single definition of "digest-excluded": anything an ExecSpec carries is out.
 func execExcluded(s Spec) Spec {
 	s.Exec = nil
-	s.Workers = 0
-	s.Timeout = 0
 	return s
 }
 

@@ -4,7 +4,6 @@ import (
 	"context"
 	"encoding/json"
 	"errors"
-	"os"
 	"strings"
 	"sync"
 	"testing"
@@ -19,21 +18,18 @@ import (
 // record and these constants together.
 func TestCheckedInSpecDigests(t *testing.T) {
 	want := map[string]string{
+		"e1.json":    "c27e2d4874d52d75d91f904128e988aa073dfc2fc1edce8a0e749c7ce0e75dc9",
+		"e2.json":    "4d9e30dab8099e92a634e00c5c534b4c7ea84601f0e62e4265edb1bd88e501eb",
+		"e3.json":    "4b39198fbb2eb44797f1024db8738f6de5f039736704d023fd5f1b2d83c4f6ef",
+		"e4.json":    "5a3f35b4e6aeb2be7426685e2f8b8ec708803bfd35a9b92d4b3039a2d8aebe24",
+		"e5.json":    "6571ad29de5b812ee04655f55d98144e5667895084fe86402b0d5c07c2b0cee8",
+		"e6.json":    "475a9812e3d102c3ad28da023ca3f7d0cd164eacaaeb5e0357df3e325769d691",
 		"e7.json":    "8b97ad38a4487ab154bba61b6569345ec01ee528368097810c4d274c5e84ce3e",
 		"churn.json": "d9844167b114667720d27a682d77f42c60203db94ef4e616d1a8e31504d3b106",
 		"smoke.json": "ff23801c8abcd402c0d3e82c757bd4482ed2e78e8b22a4e1d837a8ebef12e788",
 	}
 	for file, digest := range want {
-		fh, err := os.Open("../../specs/" + file)
-		if err != nil {
-			t.Fatal(err)
-		}
-		sc, err := Load(fh)
-		fh.Close()
-		if err != nil {
-			t.Fatalf("%s: %v", file, err)
-		}
-		if got := sc.Digest(); got != digest {
+		if got := loadSpecFile(t, file).Digest(); got != digest {
 			t.Errorf("%s: digest %s, want %s (canonical dump changed?)", file, got, digest)
 		}
 	}
@@ -42,7 +38,7 @@ func TestCheckedInSpecDigests(t *testing.T) {
 func TestDigestIgnoresWorkers(t *testing.T) {
 	a := tinySpec()
 	b := tinySpec()
-	b.Workers = 16
+	b.SetWorkers(16)
 	if a.Digest() != b.Digest() {
 		t.Error("digests differ across worker counts: the cache would miss on an execution knob")
 	}
@@ -145,7 +141,7 @@ func TestConcurrentRunsOverSharedTopology(t *testing.T) {
 	for i := range specs {
 		specs[i] = tinySpec()
 		specs[i].Seed = uint64(100 + i) // distinct experiments, same topology
-		specs[i].Workers = 2            // parallel trials inside each run too
+		specs[i].SetWorkers(2)          // parallel trials inside each run too
 	}
 
 	// Sequential reference: each spec run in isolation, building its own mesh.

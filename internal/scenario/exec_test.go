@@ -23,54 +23,20 @@ func dumpJSON(t *testing.T, sc *Scenario) map[string]any {
 	return doc
 }
 
-// TestExecFoldsLegacyFields: the deprecated top-level workers/timeout fields
-// still parse, but normalisation moves them into the exec block — the dump
-// carries exec only, and the accessors resolve the same values either way.
-func TestExecFoldsLegacyFields(t *testing.T) {
-	raw := `{"mesh": {"x": 7, "y": 7, "z": 7}, "seed": 1, "trials": 1, "workers": 6, "timeout": 2.5}`
-	sc, err := Load(strings.NewReader(raw))
-	if err != nil {
-		t.Fatal(err)
-	}
-	spec := sc.Spec()
-	if spec.Workers != 0 || spec.Timeout != 0 {
-		t.Errorf("legacy fields survived normalisation: workers=%d timeout=%v", spec.Workers, spec.Timeout)
-	}
-	if got := spec.WorkerCount(); got != 6 {
-		t.Errorf("WorkerCount = %d, want 6", got)
-	}
-	if got := spec.TimeoutSeconds(); got != 2.5 {
-		t.Errorf("TimeoutSeconds = %v, want 2.5", got)
-	}
-	doc := dumpJSON(t, sc)
-	if _, ok := doc["workers"]; ok {
-		t.Error("dump still carries the deprecated top-level workers field")
-	}
-	if _, ok := doc["timeout"]; ok {
-		t.Error("dump still carries the deprecated top-level timeout field")
-	}
-	exec, ok := doc["exec"].(map[string]any)
-	if !ok {
-		t.Fatalf("dump carries no exec block: %v", doc)
-	}
-	if exec["workers"] != 6.0 || exec["timeout"] != 2.5 {
-		t.Errorf("exec block = %v, want workers=6 timeout=2.5", exec)
-	}
-}
-
-// TestExecWinsOverLegacy: when a spec carries both spellings, the exec block
-// is authoritative.
-func TestExecWinsOverLegacy(t *testing.T) {
-	spec := tinySpec()
-	spec.Exec = &ExecSpec{Workers: 2, Timeout: 9}
-	spec.Workers = 8
-	spec.Timeout = 1
-	norm := spec.withDefaults()
-	if got := norm.WorkerCount(); got != 2 {
-		t.Errorf("WorkerCount = %d, want 2 (exec over legacy)", got)
-	}
-	if got := norm.TimeoutSeconds(); got != 9 {
-		t.Errorf("TimeoutSeconds = %v, want 9 (exec over legacy)", got)
+// TestLoadRejectsLegacyExecFields: the retired top-level workers/timeout
+// spellings fail to load with an error pointing at the exec block, alone or
+// next to an exec block.
+func TestLoadRejectsLegacyExecFields(t *testing.T) {
+	for _, extra := range []string{
+		`"workers": 6`,
+		`"timeout": 2.5`,
+		`"exec": {"workers": 2}, "workers": 8`,
+	} {
+		raw := `{"mesh": {"x": 7, "y": 7, "z": 7}, "seed": 1, "trials": 1, ` + extra + `}`
+		_, err := Load(strings.NewReader(raw))
+		if err == nil || !strings.Contains(err.Error(), `"exec" block`) {
+			t.Errorf("%s: error %v, want a rejection naming the exec block", extra, err)
+		}
 	}
 }
 
@@ -126,8 +92,8 @@ func TestExecRoundTrip(t *testing.T) {
 }
 
 // TestDigestIgnoresExecBlock extends the workers-invariance digest contract
-// to the whole exec block, in both spellings: execution resources never
-// change a scenario's identity (or the `mcc serve` cache key).
+// to the whole exec block: execution resources never change a scenario's
+// identity (or the `mcc serve` cache key).
 func TestDigestIgnoresExecBlock(t *testing.T) {
 	base := tinySpec().Digest()
 	viaSetters := tinySpec()
@@ -136,12 +102,6 @@ func TestDigestIgnoresExecBlock(t *testing.T) {
 	viaSetters.SetTimeout(30)
 	if viaSetters.Digest() != base {
 		t.Error("exec block changes the digest; the result cache would miss on an execution knob")
-	}
-	viaLegacy := tinySpec()
-	viaLegacy.Workers = 16
-	viaLegacy.Timeout = 30
-	if viaLegacy.Digest() != base {
-		t.Error("legacy workers/timeout spelling changes the digest")
 	}
 }
 

@@ -49,7 +49,7 @@ func panickySpec() Spec {
 		Measure: MeasureSpec{Kind: MeasureTraffic, Warmup: 5, Window: 30},
 		Seed:    17,
 		Trials:  2,
-		Workers: 2,
+		Exec:    &ExecSpec{Workers: 2},
 	}
 }
 

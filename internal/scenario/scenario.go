@@ -111,8 +111,14 @@ func Build(opts ...Option) (*Scenario, error) { return New(Spec{}, opts...) }
 func Load(r io.Reader) (*Scenario, error) {
 	dec := json.NewDecoder(r)
 	dec.DisallowUnknownFields()
-	var spec Spec
-	if err := dec.Decode(&spec); err != nil {
+	// The retired top-level spellings of exec.workers and exec.timeout are
+	// decoded only to reject them with an error naming their replacement.
+	var doc struct {
+		Spec
+		Workers json.RawMessage `json:"workers"`
+		Timeout json.RawMessage `json:"timeout"`
+	}
+	if err := dec.Decode(&doc); err != nil {
 		return nil, fmt.Errorf("scenario: decoding spec: %w", err)
 	}
 	// A spec file is exactly one JSON document. Silently ignoring trailing
@@ -120,7 +126,10 @@ func Load(r io.Reader) (*Scenario, error) {
 	if dec.More() {
 		return nil, fmt.Errorf("scenario: spec carries trailing content after the first JSON document (one spec per file)")
 	}
-	return New(spec)
+	if doc.Workers != nil || doc.Timeout != nil {
+		return nil, fmt.Errorf(`scenario: top-level "workers" and "timeout" are no longer accepted; set them in the "exec" block, e.g. {"exec": {"workers": 4, "timeout": 30}}`)
+	}
+	return New(doc.Spec)
 }
 
 // Spec returns the normalised spec (defaults filled in).

@@ -43,17 +43,9 @@ type Spec struct {
 	// Exec groups the execution-resource knobs: workers, shards and timeout.
 	// None of them affects the measured result — results are bit-identical
 	// for any values — so the whole block is digest-excluded (execExcluded).
-	// Normalisation (withDefaults, hence New, Load and every dump) folds the
-	// deprecated top-level fields below into this block; read the resolved
-	// values through WorkerCount, ShardCount and TimeoutSeconds.
+	// Read the resolved values through WorkerCount, ShardCount and
+	// TimeoutSeconds; set them through SetWorkers, SetShards and SetTimeout.
 	Exec *ExecSpec `json:"exec,omitempty"`
-	// Workers is the deprecated top-level spelling of Exec.Workers; it still
-	// parses and canonicalises into the exec block on dump. When both are
-	// set, the exec block wins.
-	Workers int `json:"workers,omitempty"`
-	// Timeout is the deprecated top-level spelling of Exec.Timeout, with the
-	// same fold-into-exec behaviour as Workers.
-	Timeout float64 `json:"timeout,omitempty"`
 }
 
 // ExecSpec is the execution-resource block of a spec: how a scenario runs,
@@ -81,13 +73,12 @@ func (e *ExecSpec) zero() bool {
 	return e == nil || (e.Workers == 0 && e.Shards == 0 && e.Timeout == 0)
 }
 
-// WorkerCount returns the resolved worker count, honouring both the exec
-// block and the deprecated top-level field (exec wins).
+// WorkerCount returns the resolved worker count (<= 0 = GOMAXPROCS).
 func (s *Spec) WorkerCount() int {
-	if s.Exec != nil && s.Exec.Workers != 0 {
+	if s.Exec != nil {
 		return s.Exec.Workers
 	}
-	return s.Workers
+	return 0
 }
 
 // ShardCount returns the resolved per-trial shard count (0 = sequential).
@@ -99,20 +90,22 @@ func (s *Spec) ShardCount() int {
 }
 
 // TimeoutSeconds returns the resolved wall-clock budget in seconds
-// (0 = unbounded), honouring both spellings (exec wins).
+// (0 = unbounded).
 func (s *Spec) TimeoutSeconds() float64 {
-	if s.Exec != nil && s.Exec.Timeout != 0 {
+	if s.Exec != nil {
 		return s.Exec.Timeout
 	}
-	return s.Timeout
+	return 0
 }
 
-// execPatch applies fn to a copy of the exec block and installs it, clearing
-// the deprecated spellings so there is exactly one place the value lives.
+// execPatch applies fn to a copy of the exec block and installs it; an
+// all-zero block normalises away.
 func (s *Spec) execPatch(fn func(*ExecSpec)) {
-	e := ExecSpec{Workers: s.WorkerCount(), Shards: s.ShardCount(), Timeout: s.TimeoutSeconds()}
+	var e ExecSpec
+	if s.Exec != nil {
+		e = *s.Exec
+	}
 	fn(&e)
-	s.Workers, s.Timeout = 0, 0
 	if e.zero() {
 		s.Exec = nil
 		return
@@ -443,9 +436,8 @@ type MeasureSpec struct {
 // withDefaults returns a copy of the spec with every defaultable field
 // filled, so a minimal hand-written spec runs and a dumped spec is explicit.
 func (s Spec) withDefaults() Spec {
-	// Canonicalise the execution knobs: the deprecated top-level spellings
-	// fold into the exec block (exec wins on conflict), and an all-zero block
-	// normalises away so minimal specs dump without an empty "exec": {}.
+	// An all-zero exec block normalises away so minimal specs dump without
+	// an empty "exec": {}.
 	s.execPatch(func(*ExecSpec) {})
 	if s.Measure.Kind == "" {
 		s.Measure.Kind = MeasureTraffic

@@ -70,7 +70,7 @@ func TestJobTimeout(t *testing.T) {
 	spec.Workload.Rates = []float64{0.01, 0.02, 0.03, 0.04, 0.05, 0.06}
 	spec.Measure.Window = 2000
 	spec.Trials = 8
-	spec.Timeout = 0.25
+	spec.SetTimeout(0.25)
 
 	info, _ := submitSpec(t, ts, specJSON(t, spec))
 	done := waitTerminal(t, ts, info.ID)
@@ -94,7 +94,7 @@ func TestJobTimeout(t *testing.T) {
 	// The timeout knob is an execution detail: it must not split the digest
 	// (and therefore the result cache) from the untimed spec.
 	untimed := spec
-	untimed.Timeout = 0
+	untimed.SetTimeout(0)
 	if spec.Digest() != untimed.Digest() {
 		t.Error("timeout changes the spec digest; cache sharing is broken")
 	}
@@ -109,7 +109,7 @@ func TestServerJobTimeoutCapsSpec(t *testing.T) {
 	spec.Measure.Window = 2000
 	spec.Trials = 8
 	// The spec asks for an hour; the server cap wins.
-	spec.Timeout = 3600
+	spec.SetTimeout(3600)
 
 	info, _ := submitSpec(t, ts, specJSON(t, spec))
 	done := waitTerminal(t, ts, info.ID)

@@ -31,7 +31,7 @@ func testSpec() scenario.Spec {
 		Measure: scenario.MeasureSpec{Kind: scenario.MeasureTraffic, Warmup: 5, Window: 30},
 		Seed:    11,
 		Trials:  2,
-		Workers: 2,
+		Exec:    &scenario.ExecSpec{Workers: 2},
 	}
 }
 
@@ -163,7 +163,7 @@ func TestResubmissionHitsCache(t *testing.T) {
 	// Resubmit with a different worker count: the digest ignores the
 	// execution knob, so this must still hit.
 	spec := testSpec()
-	spec.Workers = 7
+	spec.SetWorkers(7)
 	second, resp := submitSpec(t, ts, specJSON(t, spec))
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("cached submission: status %d, want 200", resp.StatusCode)
@@ -354,7 +354,7 @@ func TestEventStreamMatchesDirectRun(t *testing.T) {
 	}
 
 	spec := testSpec()
-	spec.Workers = 4
+	spec.SetWorkers(4)
 	var direct []JobEvent
 	dsc, err := scenario.New(spec, scenario.WithObserver(func(ev scenario.Event) {
 		direct = append(direct, wireEvent(ev))
