@@ -27,16 +27,25 @@ func dumpJSON(t *testing.T, sc *Scenario) map[string]any {
 // spellings fail to load with an error pointing at the exec block, alone or
 // next to an exec block.
 func TestLoadRejectsLegacyExecFields(t *testing.T) {
-	for _, extra := range []string{
-		`"workers": 6`,
-		`"timeout": 2.5`,
-		`"exec": {"workers": 2}, "workers": 8`,
+	for _, tc := range []struct {
+		name   string
+		extras []string
+	}{
+		{"legacy-alone", []string{`"workers": 6`, `"timeout": 2.5`}},
+		{"legacy-beside-exec", []string{
+			`"exec": {"workers": 2}, "workers": 8`,
+			`"exec": {"timeout": 1}, "timeout": 3`,
+		}},
 	} {
-		raw := `{"mesh": {"x": 7, "y": 7, "z": 7}, "seed": 1, "trials": 1, ` + extra + `}`
-		_, err := Load(strings.NewReader(raw))
-		if err == nil || !strings.Contains(err.Error(), `"exec" block`) {
-			t.Errorf("%s: error %v, want a rejection naming the exec block", extra, err)
-		}
+		t.Run(tc.name, func(t *testing.T) {
+			for _, extra := range tc.extras {
+				raw := `{"mesh": {"x": 7, "y": 7, "z": 7}, "seed": 1, "trials": 1, ` + extra + `}`
+				_, err := Load(strings.NewReader(raw))
+				if err == nil || !strings.Contains(err.Error(), `"exec" block`) {
+					t.Errorf("%s: error %v, want a rejection naming the exec block", extra, err)
+				}
+			}
+		})
 	}
 }
 

@@ -63,22 +63,26 @@ func TestTrafficReportShape(t *testing.T) {
 		if c.Index != i || c.Pattern == "" || c.Model == "" || c.Rate == 0 {
 			t.Errorf("cell %d incomplete: %+v", i, c)
 		}
-		// E7 sanity: traffic flowed, accepted throughput stays plausible for
-		// the offered rate, and the latency percentiles are monotone.
-		v := c.Values
-		if v["throughput"] <= 0 || v["throughput"] > c.Rate*1.5 {
-			t.Errorf("cell %d: throughput %v implausible for rate %v", i, v["throughput"], c.Rate)
-		}
-		if v["delivered"] <= 0 || v["delivered"] > 1 {
-			t.Errorf("cell %d: delivered ratio %v out of range", i, v["delivered"])
-		}
-		if v["p50"] > v["p95"] || v["p95"] > v["p99"] {
-			t.Errorf("cell %d: percentiles not monotone: %v %v %v", i, v["p50"], v["p95"], v["p99"])
-		}
 		if len(c.Row) != len(rep.Table.Columns) {
 			t.Errorf("cell %d: row width %d != %d columns", i, len(c.Row), len(rep.Table.Columns))
 		}
 	}
+	// E7 sanity: traffic flowed, accepted throughput stays plausible for the
+	// offered rate, and the latency percentiles are monotone.
+	t.Run("e7-sanity", func(t *testing.T) {
+		for i, c := range rep.Cells {
+			v := c.Values
+			if v["throughput"] <= 0 || v["throughput"] > c.Rate*1.5 {
+				t.Errorf("cell %d: throughput %v implausible for rate %v", i, v["throughput"], c.Rate)
+			}
+			if v["delivered"] <= 0 || v["delivered"] > 1 {
+				t.Errorf("cell %d: delivered ratio %v out of range", i, v["delivered"])
+			}
+			if v["p50"] > v["p95"] || v["p95"] > v["p99"] {
+				t.Errorf("cell %d: percentiles not monotone: %v %v %v", i, v["p50"], v["p95"], v["p99"])
+			}
+		}
+	})
 }
 
 // TestJSONRoundTripIdenticalReport is the scenario-API contract: a spec
