@@ -110,3 +110,17 @@ func BenchmarkFarTimerMigration(b *testing.B) {
 		}
 	}
 }
+
+// BenchmarkCalendarBurst runs the synthetic 32³-shaped load of
+// TestCalendarStorageBounded (2000 ticks of burstBase±50% deliveries plus
+// scattered timers) through a bare calendar queue: the event core's B/op
+// without a full 32³ traffic trial.
+func BenchmarkCalendarBurst(b *testing.B) {
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		var q calendarQueue
+		q.init()
+		burstLoad(&q, 2000, nil)
+		b.ReportMetric(float64(q.storage), "storage-events/op")
+	}
+}

@@ -1,6 +1,10 @@
 package simnet
 
-import "mccmesh/internal/telemetry"
+import (
+	"math/bits"
+
+	"mccmesh/internal/telemetry"
+)
 
 // The event queue of the simulator: a calendar queue (timing wheel) of
 // per-tick buckets for the near future, with a plain binary heap of events as
@@ -23,43 +27,78 @@ import "mccmesh/internal/telemetry"
 //     seq) and bucket order stays seq-sorted. The target slots are free at
 //     migration time: they correspond to ticks that were drained before t.
 //   - Drained buckets are reset to length zero but keep their backing arrays
-//     (the free-list), so steady-state enqueue/dequeue allocates nothing.
+//     (the free-lists), so steady-state enqueue/dequeue allocates nothing.
+//
+// Bucket storage is bounded by design, not by the length of the run. Each
+// tick has one big bucket, the next tick's deliveries (the traffic frontier;
+// at 32³ it holds 10–21k events and fills while the current tick drains), and
+// many timer buckets that fill slowly over the ticks before theirs. Every
+// bucket array has a power-of-two size class, capacity 8<<k, and a full bucket
+// only ever moves up to a larger class:
+//
+//   - Small classes (capacity < bigBucketCap) are carved from arena chunks and
+//     parked on per-class free-lists, never dropped. A class allocates only
+//     when its free-list is empty, i.e. when every array of the class sits in
+//     a live slot, so it holds at most L arrays, L being the peak number of
+//     non-empty ring slots (≤ wheelSize).
+//   - Big arrays are allocated on their own: an arena sub-slice would pin its
+//     whole chunk, so a dropped big array would never be freed. A bucket of
+//     the frontier (the current or the next tick) that outgrows its array
+//     adopts the best-fitting parked big array — the smallest that holds more
+//     than it does — so it jumps straight onto the array the last drained
+//     tick returned instead of re-climbing the doubling ladder. Any other
+//     bucket takes exactly the next class, so its capacity stays at most
+//     twice its length. Only when nothing parked fits is a doubled array
+//     allocated, so no big array reaches 2P, P being the peak bucket length
+//     (simnet.bucket_peak).
+//   - Each big class parks at most maxSpareBig arrays; a further one is
+//     dropped to the GC.
+//
+// With O the peak ring occupancy, the retained storage — arena chunks plus
+// big arrays, live or parked — therefore stays within
+//
+//	2·O + (4 + 4·maxSpareBig)·P + bigBucketCap·L + arenaChunk   events:
+//
+// twice the occupancy for the exactly-sized buckets, 2P for each of the two
+// frontier buckets, under 4P per parking place across the big classes, and
+// the small classes (248·L) with the arena's carving slack and current chunk.
+// None of the terms grows with the tick count; TestCalendarStorageBounded
+// asserts the bound and simnet.bucket_storage_peak reports the peak. Storage
+// choice never affects event order: a bucket keeps its events, in order,
+// whichever array backs it.
 type calendarQueue struct {
 	ring  [][]event
 	count int // events resident in the ring
 	far   farHeap
-	// spare and spareBig are the free-lists of drained bucket arrays, split at
-	// bigBucketCap. A run shorter than one ring revolution touches every slot
-	// at most once, so in-place slot reuse alone would allocate a fresh array
-	// per tick; handing drained arrays to the next tick that needs one keeps
-	// the working set at roughly the number of simultaneously non-empty
-	// buckets. The size split matters because bucket sizes are bimodal: each
-	// tick has one big delivery bucket and dozens of near-empty timer buckets.
-	// A single mixed free-list hands the delivery bucket a tiny array and lets
-	// append realloc-and-discard its way up the doubling ladder every tick;
-	// keeping the big arrays apart lets growth jump straight onto one.
-	spare    [][]event
-	spareBig [][]event
-	// arena is the current storage chunk bucket growth carves from. The spare
-	// free-lists bound the steady state, but the ramp-up still used to pay one
-	// allocator round trip per doubling of every bucket that grows before the
-	// spare population catches up — a couple of thousand small allocations per
-	// run. Carving doubled arrays out of chunk-sized slabs instead collapses
-	// the ramp to a handful of chunk allocations; outgrown fragments are
-	// parked on the free-lists and serve other slots, so the waste is bounded
-	// by roughly twice the peak ring occupancy for the lifetime of the run.
+	// spare holds the parked bucket arrays, one free-list per size class:
+	// spare[k] holds arrays of capacity 8<<k.
+	spare [numClasses][][]event
+	// arena is the current chunk small arrays are carved from.
 	arena []event
+	// storage is the retained bucket capacity in events: every arena chunk
+	// plus every big array, live or parked. It moves only when a chunk or a
+	// big array is allocated or a big array is dropped.
+	storage int
 	// tel receives queue counters (heap fallbacks, migrations, bucket reuse,
-	// peak occupancy); nil — the default — costs one predicted branch per hook.
+	// peak occupancy and storage); nil — the default — costs one predicted
+	// branch per hook.
 	tel *telemetry.Sink
 }
 
 const (
-	// bigBucketCap splits the spare free-lists: drained arrays at or beyond it
-	// are parked separately so bucket growth can adopt one directly.
+	// bigBucketCap is the first big size class: arrays at or beyond it are
+	// allocated on their own and their free-lists are bounded.
 	bigBucketCap = 256
 
-	// arenaChunk is the carving granularity of the bucket-storage arena, in
+	// maxSpareBig bounds the arrays parked per big class. The frontier needs
+	// one: the array the last drained tick returned, which the next tick's
+	// bucket adopts while the current one still drains.
+	maxSpareBig = 2
+
+	// numClasses covers every capacity a bucket can reach (8<<47 events).
+	numClasses = 48
+
+	// arenaChunk is the carving granularity of the small-class arena, in
 	// events: large enough that a run's ramp-up costs a handful of chunk
 	// allocations, small enough that the last partially-used chunk wastes
 	// little.
@@ -105,45 +144,19 @@ func (q *calendarQueue) pending() bool { return q.count > 0 || len(q.far) > 0 }
 // it to force heap traffic; it never exceeds wheelSize).
 func (q *calendarQueue) push(ev event, now, threshold Time) {
 	if ev.time < now+threshold {
-		q.append(ev.time&wheelMask, ev)
+		q.append(ev.time&wheelMask, ev, ev.time <= now+1)
 	} else {
 		q.tel.Inc(telemetry.SimHeapEvents)
 		q.far.push(ev)
 	}
 }
 
-// append adds an event to a ring slot, seeding empty slots from the spare
-// free-list and switching a slot that outgrows a small array onto a drained
-// big one (parking the small array back) so the per-tick delivery bucket
-// never realloc-discards its way up the append doubling ladder. Growth the
-// free-lists cannot serve carves a doubled array from the arena instead of
-// going to the allocator.
-func (q *calendarQueue) append(slot Time, ev event) {
+// append adds an event to a ring slot, first moving a full (or empty) slot
+// onto a larger array; frontier marks a slot of the current or the next tick.
+func (q *calendarQueue) append(slot Time, ev event, frontier bool) {
 	b := q.ring[slot]
-	if b == nil {
-		if k := len(q.spare); k > 0 {
-			b = q.spare[k-1]
-			q.spare = q.spare[:k-1]
-			q.tel.Inc(telemetry.SimBucketReuses)
-		}
-	}
 	if len(b) == cap(b) {
-		if cap(b) < bigBucketCap {
-			if k := len(q.spareBig); k > 0 {
-				nb := q.spareBig[k-1][:len(b)]
-				q.spareBig = q.spareBig[:k-1]
-				copy(nb, b)
-				q.park(b)
-				b = nb
-				q.tel.Inc(telemetry.SimBucketReuses)
-			}
-		}
-		if len(b) == cap(b) {
-			nb := q.carve(growCap(cap(b)))[:len(b)]
-			copy(nb, b)
-			q.park(b)
-			b = nb
-		}
+		b = q.grow(b, frontier)
 	}
 	b = append(b, ev)
 	q.ring[slot] = b
@@ -151,39 +164,81 @@ func (q *calendarQueue) append(slot Time, ev event) {
 	q.tel.Max(telemetry.SimBucketPeak, int64(len(b)))
 }
 
-// growCap doubles a bucket capacity, seeding empty buckets at a size that
-// holds a slot's typical timer population without an immediate regrow.
-func growCap(c int) int {
-	if c == 0 {
-		return 8
+// grow copies the full bucket b onto an array of the next size class (8 for an
+// empty slot) — or, on the frontier, onto the best-fitting parked big array —
+// and parks b. Small arrays are carved from the arena, big ones allocated.
+func (q *calendarQueue) grow(b []event, frontier bool) []event {
+	n := 8
+	if cap(b) > 0 {
+		n = 2 * cap(b)
 	}
-	return 2 * c
+	k := class(n)
+	nb := q.pop(k)
+	if nb == nil && n < bigBucketCap {
+		nb = q.carve(n)
+	}
+	for j := k + 1; nb == nil && frontier && j < numClasses; j++ {
+		nb = q.pop(j)
+	}
+	if nb == nil {
+		nb = make([]event, 0, n)
+		q.addStorage(n)
+	}
+	nb = nb[:copy(nb[:len(b)], b)]
+	q.park(b)
+	return nb
 }
 
-// carve cuts an n-event array out of the arena, starting a fresh chunk when
-// the current one cannot fit it. The three-index slice caps the result at
+// class returns the size class of a bucket capacity (8<<k is class k).
+func class(c int) int { return bits.Len(uint(c)) - 4 }
+
+// pop takes the last parked array of class k, or returns nil. The vacated
+// free-list entry is cleared so it cannot keep a later-dropped array alive.
+func (q *calendarQueue) pop(k int) []event {
+	l := q.spare[k]
+	if len(l) == 0 {
+		return nil
+	}
+	b := l[len(l)-1]
+	l[len(l)-1] = nil
+	q.spare[k] = l[:len(l)-1]
+	q.tel.Inc(telemetry.SimBucketReuses)
+	return b
+}
+
+// carve cuts a small n-event array out of the arena, starting a fresh chunk
+// when the current one cannot fit it. The three-index slice caps the result at
 // exactly n, so a bucket appending at capacity can never spill into storage
 // carved for another slot.
 func (q *calendarQueue) carve(n int) []event {
 	if len(q.arena)+n > cap(q.arena) {
-		size := arenaChunk
-		if n > size {
-			size = n
-		}
-		q.arena = make([]event, 0, size)
+		q.arena = make([]event, 0, arenaChunk)
+		q.addStorage(arenaChunk)
 	}
 	off := len(q.arena)
 	q.arena = q.arena[:off+n]
 	return q.arena[off : off : off+n]
 }
 
-// park returns a drained (or outgrown) backing array to its free-list.
+// park returns a drained (or outgrown) backing array to its class free-list,
+// dropping a big one to the GC when its class already parks maxSpareBig.
 func (q *calendarQueue) park(b []event) {
-	if cap(b) >= bigBucketCap {
-		q.spareBig = append(q.spareBig, b[:0])
-	} else if cap(b) > 0 {
-		q.spare = append(q.spare, b[:0])
+	if cap(b) == 0 {
+		return
 	}
+	k := class(cap(b))
+	if cap(b) >= bigBucketCap && len(q.spare[k]) == maxSpareBig {
+		q.addStorage(-cap(b))
+		return
+	}
+	q.spare[k] = append(q.spare[k], b[:0])
+}
+
+// addStorage moves the retained-storage total by delta events and raises the
+// storage gauge.
+func (q *calendarQueue) addStorage(delta int) {
+	q.storage += delta
+	q.tel.Max(telemetry.SimBucketStoragePeak, int64(q.storage))
 }
 
 // nextTime returns the tick of the earliest queued event. The caller
@@ -208,7 +263,7 @@ func (q *calendarQueue) migrate(t, threshold Time) {
 	for len(q.far) > 0 && q.far[0].time < t+threshold {
 		ev := q.far.pop()
 		q.tel.Inc(telemetry.SimHeapMigrations)
-		q.append(ev.time&wheelMask, ev)
+		q.append(ev.time&wheelMask, ev, false)
 	}
 }
 
@@ -222,8 +277,9 @@ func (q *calendarQueue) consume(bucket *[]event, n int) {
 		*bucket = nil
 		return
 	}
-	// Partial consumption only happens on event-budget abort.
-	*bucket = (*bucket)[n:]
+	// Partial consumption only happens on event-budget abort. The rest moves
+	// to the front so the array keeps its size class.
+	*bucket = (*bucket)[:copy(*bucket, (*bucket)[n:])]
 }
 
 // farHeap is a binary min-heap of events ordered by (time, seq), implemented

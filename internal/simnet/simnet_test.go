@@ -8,6 +8,7 @@ import (
 
 	"mccmesh/internal/grid"
 	"mccmesh/internal/mesh"
+	"mccmesh/internal/rng"
 	"mccmesh/internal/telemetry"
 )
 
@@ -297,23 +298,86 @@ func runMix(t *testing.T, opts Options) []order {
 	return log
 }
 
+// burstHandler makes every tick's bucket cross bigBucketCap by a varying
+// amount: the one "drive" event of each tick schedules 128–2175 events for the
+// next tick, link sends and one-tick timers alternating, a quarter as many
+// timers spread over the three ticks after, and now and then one beyond the
+// calendar window. The later buckets climb the big classes exactly, the
+// frontier bucket adopts best-fitting parked arrays and regrows past them, and
+// the parking of each class overflows, so every storage path runs under the
+// order check.
+type burstHandler struct {
+	log         *[]order
+	r           *rng.Rand
+	drive, fill KindID
+	ticks       Time
+}
+
+func (h *burstHandler) Init(ctx *Context) {}
+
+func (h *burstHandler) Receive(ctx *Context, env *Envelope) {
+	*h.log = append(*h.log, order{T: ctx.Time(), Kind: env.Kind, Node: ctx.Self(), Seq: int(env.Ref)})
+	if env.KindID != h.drive || ctx.Time() >= h.ticks {
+		return
+	}
+	n := bigBucketCap/2 + h.r.Intn(8*bigBucketCap)
+	for i := int32(0); i < int32(n); i++ {
+		if i%2 == 1 || !ctx.SendRef(grid.Direction(i%4), h.fill, i) {
+			ctx.AfterRef(1, h.fill, i)
+		}
+	}
+	for i := int32(0); i < int32(n/4); i++ {
+		ctx.AfterRef(Time(2+i%3), h.fill, i)
+	}
+	ctx.AfterRef(1, h.drive, int32(n))
+	if n%5 == 0 {
+		ctx.AfterRef(wheelSize+Time(n%300), h.fill, int32(n))
+	}
+}
+
+// runBurst drives the burst workload for 60 ticks and returns the recorded
+// event order.
+func runBurst(t *testing.T, opts Options) []order {
+	t.Helper()
+	var log []order
+	h := &burstHandler{log: &log, r: rng.New(7), ticks: 60}
+	net := New(mesh.New2D(4, 4), h, opts)
+	h.drive, h.fill = net.Kind("drive"), net.Kind("fill")
+	net.Post(grid.Point{X: 1, Y: 2}, "drive", nil)
+	mustRun(t, net)
+	if opts.farThreshold == 0 && net.queue.storage >= int(opts.Telemetry.Get(telemetry.SimBucketStoragePeak)) {
+		t.Errorf("bucket storage never fell from its peak %d: the drop path did not run", net.queue.storage)
+	}
+	return log
+}
+
 // TestCalendarMatchesHeapOrder is the scheduler-equivalence regression test:
 // the calendar queue must reproduce, event for event, the order produced by
 // the pure binary-heap scheduler (farThreshold: 1 sends every event through
 // the heap fallback, which pops in exactly the old heap's (time, seq) order).
 func TestCalendarMatchesHeapOrder(t *testing.T) {
-	calendar := runMix(t, Options{})
-	heap := runMix(t, Options{farThreshold: 1})
-	if len(calendar) == 0 {
-		t.Fatal("workload recorded no events")
-	}
-	if !reflect.DeepEqual(calendar, heap) {
-		for i := range calendar {
-			if i >= len(heap) || calendar[i] != heap[i] {
-				t.Fatalf("event %d diverges: calendar=%+v heap=%+v", i, calendar[i], heap[i])
+	for _, tc := range []struct {
+		name string
+		run  func(*testing.T, Options) []order
+	}{
+		{"mix", runMix},
+		{"burst", runBurst},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			calendar := tc.run(t, Options{Telemetry: telemetry.NewSink()})
+			heap := tc.run(t, Options{farThreshold: 1})
+			if len(calendar) == 0 {
+				t.Fatal("workload recorded no events")
 			}
-		}
-		t.Fatalf("calendar recorded %d events, heap %d", len(calendar), len(heap))
+			if !reflect.DeepEqual(calendar, heap) {
+				for i := range calendar {
+					if i >= len(heap) || calendar[i] != heap[i] {
+						t.Fatalf("event %d diverges: calendar=%+v heap=%+v", i, calendar[i], heap[i])
+					}
+				}
+				t.Fatalf("calendar recorded %d events, heap %d", len(calendar), len(heap))
+			}
+		})
 	}
 }
 
@@ -456,5 +520,10 @@ func TestQueueTelemetryCounters(t *testing.T) {
 	}
 	if sink.Get(telemetry.SimBucketPeak) < 1 {
 		t.Error("SimBucketPeak gauge never recorded an occupied bucket")
+	}
+	// Bucket storage starts with the first arena chunk and the gauge tracks
+	// its running total, so the peak covers at least what is retained now.
+	if got := sink.Get(telemetry.SimBucketStoragePeak); got < arenaChunk || got < int64(net.queue.storage) {
+		t.Errorf("SimBucketStoragePeak = %d, want >= max(arenaChunk, retained %d)", got, net.queue.storage)
 	}
 }

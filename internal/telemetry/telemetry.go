@@ -38,6 +38,9 @@ const (
 	SimBucketReuses
 	// SimBucketPeak is a gauge: the maximum per-tick bucket occupancy seen.
 	SimBucketPeak
+	// SimBucketStoragePeak is a gauge: the peak retained bucket storage of
+	// the calendar queue (arena chunks plus big bucket arrays), in events.
+	SimBucketStoragePeak
 
 	// FieldHits counts reachability-field cache hits on the per-hop path.
 	FieldHits
@@ -123,36 +126,37 @@ const (
 // counterNames are the stable external names, indexed by CounterID; they key
 // every JSON snapshot and counter table.
 var counterNames = [NumCounters]string{
-	SimHeapEvents:       "simnet.heap_events",
-	SimHeapMigrations:   "simnet.heap_migrations",
-	SimBucketReuses:     "simnet.bucket_reuses",
-	SimBucketPeak:       "simnet.bucket_peak",
-	FieldHits:           "routing.field_hits",
-	FieldColdBuilds:     "routing.field_cold_builds",
-	FieldRebuilds:       "routing.field_rebuilds",
-	FieldEvictions:      "routing.field_evictions",
-	FieldEpochBumps:     "routing.epoch_bumps",
-	DecisionHits:        "routing.decision_hits",
-	DecisionBuilds:      "routing.decision_builds",
-	RelabelAddNodes:     "labeling.relabel_add_nodes",
-	RelabelRemoveNodes:  "labeling.relabel_remove_nodes",
-	PacketsInjected:     "traffic.injected",
-	PacketsDelivered:    "traffic.delivered",
-	PacketsStuck:        "traffic.stuck",
-	PacketsLost:         "traffic.lost",
-	ChurnFailures:       "churn.failures",
-	ChurnRepairs:        "churn.repairs",
-	ChurnFailedNodes:    "churn.failed_nodes",
-	ChurnRepairedNodes:  "churn.repaired_nodes",
-	TracesSampled:       "trace.sampled",
-	TracesEvicted:       "trace.evicted",
-	ServerJobsSubmitted: "server.jobs_submitted",
-	ServerJobsCompleted: "server.jobs_completed",
-	ServerJobsFailed:    "server.jobs_failed",
-	ServerJobsCancelled: "server.jobs_cancelled",
-	ServerCacheHits:     "server.cache_hits",
-	ServerQueueDepth:    "server.queue_depth",
-	ServerTopoClones:    "server.topo_clones",
+	SimHeapEvents:        "simnet.heap_events",
+	SimHeapMigrations:    "simnet.heap_migrations",
+	SimBucketReuses:      "simnet.bucket_reuses",
+	SimBucketPeak:        "simnet.bucket_peak",
+	SimBucketStoragePeak: "simnet.bucket_storage_peak",
+	FieldHits:            "routing.field_hits",
+	FieldColdBuilds:      "routing.field_cold_builds",
+	FieldRebuilds:        "routing.field_rebuilds",
+	FieldEvictions:       "routing.field_evictions",
+	FieldEpochBumps:      "routing.epoch_bumps",
+	DecisionHits:         "routing.decision_hits",
+	DecisionBuilds:       "routing.decision_builds",
+	RelabelAddNodes:      "labeling.relabel_add_nodes",
+	RelabelRemoveNodes:   "labeling.relabel_remove_nodes",
+	PacketsInjected:      "traffic.injected",
+	PacketsDelivered:     "traffic.delivered",
+	PacketsStuck:         "traffic.stuck",
+	PacketsLost:          "traffic.lost",
+	ChurnFailures:        "churn.failures",
+	ChurnRepairs:         "churn.repairs",
+	ChurnFailedNodes:     "churn.failed_nodes",
+	ChurnRepairedNodes:   "churn.repaired_nodes",
+	TracesSampled:        "trace.sampled",
+	TracesEvicted:        "trace.evicted",
+	ServerJobsSubmitted:  "server.jobs_submitted",
+	ServerJobsCompleted:  "server.jobs_completed",
+	ServerJobsFailed:     "server.jobs_failed",
+	ServerJobsCancelled:  "server.jobs_cancelled",
+	ServerCacheHits:      "server.cache_hits",
+	ServerQueueDepth:     "server.queue_depth",
+	ServerTopoClones:     "server.topo_clones",
 
 	ServerPanics:          "server.panics",
 	ServerTimeouts:        "server.timeouts",
@@ -170,7 +174,9 @@ func (id CounterID) String() string {
 }
 
 // gauge reports whether the slot merges by max instead of by sum.
-func (id CounterID) gauge() bool { return id == SimBucketPeak || id == ServerQueueDepth }
+func (id CounterID) gauge() bool {
+	return id == SimBucketPeak || id == SimBucketStoragePeak || id == ServerQueueDepth
+}
 
 // Sink is one trial's counter slice. The zero value is ready to use; a nil
 // *Sink is the disabled state — every method nil-checks and returns, so
