@@ -7,6 +7,7 @@ import (
 	"mccmesh/internal/fault"
 	"mccmesh/internal/grid"
 	"mccmesh/internal/mesh"
+	"mccmesh/internal/meshtest"
 	"mccmesh/internal/rng"
 )
 
@@ -198,5 +199,52 @@ func TestModelRepairFaultsMatchesInvalidate(t *testing.T) {
 	}
 	if mo.Labeling(grid.PositiveOrientation) != lab0 || mo.Regions(grid.PositiveOrientation) != cs0 {
 		t.Error("churn updates must mutate the cached labelling/region objects in place, not replace them")
+	}
+}
+
+// TestBoundaryRecordsMatchDistributedRouting: the boundary-records provider
+// behind RouteWith(ProviderBoundary) and the message-level routing of
+// RouteDistributed implement the same decision — node-local records carried
+// along the path, largest-offset selection — so on every pair they must agree
+// on the outcome and, when delivered, on the path.
+func TestBoundaryRecordsMatchDistributedRouting(t *testing.T) {
+	r := rng.New(5)
+	delivered := 0
+	for trial := 0; trial < 300; trial++ {
+		var m *mesh.Mesh
+		if trial%2 == 0 {
+			m = meshtest.Random2D(r, 10, 5+r.Intn(25))
+		} else {
+			m = meshtest.Random3D(r, 7, 10+r.Intn(50))
+		}
+		s, d, ok := meshtest.SafePair(r, m, 4)
+		if !ok {
+			continue
+		}
+		mo := NewModel(m)
+		tr, err := mo.RouteWith(ProviderBoundary, s, d)
+		if err != nil {
+			t.Fatalf("trial %d: %v", trial, err)
+		}
+		dist := mo.RouteDistributed(s, d)
+		if tr.Succeeded() != dist.Delivered {
+			t.Fatalf("trial %d %v->%v: records provider succeeded=%v (%v), distributed delivered=%v",
+				trial, s, d, tr.Succeeded(), tr.Err, dist.Delivered)
+		}
+		if !dist.Delivered {
+			continue
+		}
+		delivered++
+		if len(tr.Path) != len(dist.Path) {
+			t.Fatalf("trial %d %v->%v: path lengths %d vs %d", trial, s, d, len(tr.Path), len(dist.Path))
+		}
+		for i := range tr.Path {
+			if tr.Path[i] != dist.Path[i] {
+				t.Fatalf("trial %d %v->%v: paths diverge at hop %d: %v vs %v", trial, s, d, i, tr.Path[i], dist.Path[i])
+			}
+		}
+	}
+	if delivered < 100 {
+		t.Fatalf("only %d delivered pairs compared; generator too restrictive", delivered)
 	}
 }
