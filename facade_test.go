@@ -3,8 +3,11 @@ package mccmesh
 import (
 	"bytes"
 	"context"
+	"errors"
 	"strings"
 	"testing"
+
+	"mccmesh/internal/routing"
 )
 
 // The facade tests exercise the public API exactly as the examples do.
@@ -69,6 +72,27 @@ func TestFacadeRouteHelper(t *testing.T) {
 	}
 	if !tr.Succeeded() {
 		t.Fatalf("route failed: %v", tr.Err)
+	}
+}
+
+// TestFacadeRouteEndpointOutsideMesh: an endpoint outside the mesh is a
+// routing error, not a panic and not a delivered path.
+func TestFacadeRouteEndpointOutsideMesh(t *testing.T) {
+	m := NewCube(4)
+	for _, pair := range [][2]Point{
+		{At(0, 0, 0), At(9, 9, 9)},
+		{At(-1, 0, 0), At(3, 3, 3)},
+	} {
+		tr, err := Route(m, pair[0], pair[1])
+		if err != nil {
+			t.Fatalf("Route(%v, %v): %v", pair[0], pair[1], err)
+		}
+		if !errors.Is(tr.Err, routing.ErrEndpointOutOfMesh) {
+			t.Errorf("Route(%v, %v): err = %v, want ErrEndpointOutOfMesh", pair[0], pair[1], tr.Err)
+		}
+		if tr.Succeeded() || tr.Hops() != 0 {
+			t.Errorf("Route(%v, %v) delivered a %d-hop path outside the mesh", pair[0], pair[1], tr.Hops())
+		}
 	}
 }
 

@@ -34,7 +34,6 @@ type benchState struct {
 	d     []int32
 	oi    []uint8 // orientation index of each query
 	uP    []grid.Point
-	vP    []grid.Point
 	dP    []grid.Point
 }
 
@@ -74,7 +73,6 @@ func newBenchState(tb testing.TB) *benchState {
 		st.d = append(st.d, di)
 		st.oi = append(st.oi, uint8(orient.Index()))
 		st.uP = append(st.uP, uP)
-		st.vP = append(st.vP, m.Point(int(vi)))
 		st.dP = append(st.dP, dP)
 	}
 	return st
@@ -100,19 +98,8 @@ func (st *benchState) churn(r *rng.Rand) {
 	}
 }
 
-// BenchmarkMCCAllowed16 is the Point-addressed decision on a static fault set.
-func BenchmarkMCCAllowed16(b *testing.B) {
-	st := newBenchState(b)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		k := i & 4095
-		st.prov.Allowed(st.uP[k], st.vP[k], st.dP[k])
-	}
-}
-
-// BenchmarkMCCAllowedID16 is the dense-ID decision on a static fault set —
-// the path the traffic engine's per-hop loop takes.
+// BenchmarkMCCAllowedID16 is the per-direction reference decision on a
+// static fault set.
 func BenchmarkMCCAllowedID16(b *testing.B) {
 	st := newBenchState(b)
 	b.ReportAllocs()

@@ -27,7 +27,7 @@ func TestFieldCacheEpochInvalidation(t *testing.T) {
 	prov := &MCC{Set: set}
 
 	// Warm the cache over a query set.
-	type q struct{ u, v, d grid.Point }
+	type q struct{ u, v, d int32 }
 	var queries []q
 	r := rng.New(9)
 	for len(queries) < 200 {
@@ -42,33 +42,33 @@ func TestFieldCacheEpochInvalidation(t *testing.T) {
 				continue
 			}
 			if v, ok := m.Neighbor(u, orient.Forward(a)); ok && !m.IsFaulty(v) {
-				queries = append(queries, q{u, v, d})
+				queries = append(queries, q{m.ID(u), m.ID(v), m.ID(d)})
 			}
 		}
 	}
 	for _, qq := range queries {
-		prov.Allowed(qq.u, qq.v, qq.d)
+		prov.AllowedID(qq.u, qq.v, qq.d)
 	}
 
 	// Remember the field pointer of a destination we know is cached.
 	probe := queries[0]
-	probeID := m.ID(probe.d)
+	probeID := probe.d
 	before := prov.cache.slots[probeID].field
 	if before == nil {
 		t.Fatal("probe destination not cached after warmup")
 	}
 
 	// Inject a fault and push it through the incremental path.
-	var injected grid.Point
+	var injected int32
 	for {
 		idx := r.Intn(m.NodeCount())
 		if !m.FaultyAt(idx) {
-			injected = m.Point(idx)
-			m.SetFaulty(injected, true)
+			injected = int32(idx)
+			m.SetFaulty(m.Point(idx), true)
 			break
 		}
 	}
-	lab.AddFaults([]grid.Point{injected})
+	lab.AddFaults([]grid.Point{m.Point(int(injected))})
 	set.Refresh()
 	prov.InvalidateCache()
 
@@ -79,10 +79,10 @@ func TestFieldCacheEpochInvalidation(t *testing.T) {
 		if qq.v == injected || qq.u == injected || qq.d == injected {
 			continue // the query premise (healthy endpoints) changed
 		}
-		got := prov.Allowed(qq.u, qq.v, qq.d)
-		want := fresh.Allowed(qq.u, qq.v, qq.d)
+		got := prov.AllowedID(qq.u, qq.v, qq.d)
+		want := fresh.AllowedID(qq.u, qq.v, qq.d)
 		if got != want {
-			t.Fatalf("after epoch invalidation: Allowed(%v, %v, %v) = %v, fresh provider says %v",
+			t.Fatalf("after epoch invalidation: AllowedID(%v, %v, %v) = %v, fresh provider says %v",
 				qq.u, qq.v, qq.d, got, want)
 		}
 	}
@@ -121,8 +121,8 @@ func TestFieldCacheEvictsOneEntry(t *testing.T) {
 		if !ok {
 			u, _ = m.Neighbor(d, grid.XNeg)
 		}
-		if !o.Allowed(u, u, d) {
-			t.Fatalf("fault-free mesh: Allowed(%v, %v, %v) must hold", u, u, d)
+		if uID := m.ID(u); !o.AllowedID(uID, uID, int32(idx)) {
+			t.Fatalf("fault-free mesh: AllowedID(%v, %v, %v) must hold", u, u, d)
 		}
 	}
 	live := 0
@@ -145,7 +145,7 @@ func TestFieldCacheEvictsOneEntry(t *testing.T) {
 	// An evicted destination still answers, and re-caches.
 	d := m.Point(0)
 	u, _ := m.Neighbor(d, grid.XPos)
-	if !o.Allowed(u, u, d) {
+	if uID := m.ID(u); !o.AllowedID(uID, uID, 0) {
 		t.Fatalf("evicted destination answers wrong after rebuild")
 	}
 	if o.cache.slots[0].field == nil {
@@ -166,7 +166,7 @@ func TestFieldCacheEpochInvalidationOnRepair(t *testing.T) {
 	set := region.FindMCCs(lab)
 	prov := &MCC{Set: set}
 
-	type q struct{ u, v, d grid.Point }
+	type q struct{ u, v, d int32 }
 	var queries []q
 	r := rng.New(17)
 	for len(queries) < 200 {
@@ -181,12 +181,12 @@ func TestFieldCacheEpochInvalidationOnRepair(t *testing.T) {
 				continue
 			}
 			if v, ok := m.Neighbor(u, orient.Forward(a)); ok && !m.IsFaulty(v) {
-				queries = append(queries, q{u, v, d})
+				queries = append(queries, q{m.ID(u), m.ID(v), m.ID(d)})
 			}
 		}
 	}
 	for _, qq := range queries {
-		prov.Allowed(qq.u, qq.v, qq.d)
+		prov.AllowedID(qq.u, qq.v, qq.d)
 	}
 
 	// Repair a third of the faults through the incremental path.
@@ -199,10 +199,10 @@ func TestFieldCacheEpochInvalidationOnRepair(t *testing.T) {
 	freshSet := region.FindMCCs(labeling.Compute(m, grid.PositiveOrientation))
 	fresh := &MCC{Set: freshSet}
 	for _, qq := range queries {
-		got := prov.Allowed(qq.u, qq.v, qq.d)
-		want := fresh.Allowed(qq.u, qq.v, qq.d)
+		got := prov.AllowedID(qq.u, qq.v, qq.d)
+		want := fresh.AllowedID(qq.u, qq.v, qq.d)
 		if got != want {
-			t.Fatalf("after repair invalidation: Allowed(%v, %v, %v) = %v, fresh provider says %v",
+			t.Fatalf("after repair invalidation: AllowedID(%v, %v, %v) = %v, fresh provider says %v",
 				qq.u, qq.v, qq.d, got, want)
 		}
 	}
@@ -211,14 +211,14 @@ func TestFieldCacheEpochInvalidationOnRepair(t *testing.T) {
 	// oracle over the repaired mesh (the live mesh is its source of truth).
 	o := &Oracle{Mesh: m}
 	for _, qq := range queries {
-		o.Allowed(qq.u, qq.v, qq.d)
+		o.AllowedID(qq.u, qq.v, qq.d)
 	}
 	m.RemoveFaults(placed[len(placed)/3 : 2*len(placed)/3]...)
 	o.InvalidateCache()
 	freshO := &Oracle{Mesh: m}
 	for _, qq := range queries {
-		if got, want := o.Allowed(qq.u, qq.v, qq.d), freshO.Allowed(qq.u, qq.v, qq.d); got != want {
-			t.Fatalf("oracle after repair: Allowed(%v, %v, %v) = %v, fresh oracle says %v", qq.u, qq.v, qq.d, got, want)
+		if got, want := o.AllowedID(qq.u, qq.v, qq.d), freshO.AllowedID(qq.u, qq.v, qq.d); got != want {
+			t.Fatalf("oracle after repair: AllowedID(%v, %v, %v) = %v, fresh oracle says %v", qq.u, qq.v, qq.d, got, want)
 		}
 	}
 }

@@ -1,7 +1,7 @@
 package routing_test
 
 // Parity tests for the packed-decision fast path: for every built-in
-// DecisionProvider, CandidateMaskID must agree bit for bit with the reference
+// provider, CandidateMaskID must agree bit for bit with the reference
 // decision assembled from per-direction AllowedID consultations — on fresh
 // fault sets, after incremental fault additions and after repairs, at every
 // point of the epoch lifecycle (cold slot, warm slot, stale slot).
@@ -21,11 +21,11 @@ import (
 	"mccmesh/internal/routing"
 )
 
-// parityProvider is a DecisionProvider with the dense-ID per-direction
-// AllowedID every built-in one carries: the reference its masks are checked
-// against.
+// parityProvider is a Provider with the dense-ID per-direction AllowedID
+// every caching or label-based built-in one carries: the reference its masks
+// are checked against.
 type parityProvider interface {
-	routing.DecisionProvider
+	routing.Provider
 	AllowedID(u, v, d int32) bool
 }
 
@@ -74,11 +74,12 @@ func checkParity(t *testing.T, m *mesh.Mesh, prov parityProvider, r *rng.Rand, c
 	}
 }
 
-// TestDecisionMaskParity runs every built-in DecisionProvider through fresh,
-// post-addition and post-repair fault states over several random seeds. The
-// caching providers take the same incremental update path the traffic engine
-// uses (AddFaults/RemoveFaults + Refresh + InvalidateCache); the Block
-// provider, whose snapshot has no in-place refresh, is rebuilt wholesale.
+// TestDecisionMaskParity runs every built-in provider that carries AllowedID
+// through fresh, post-addition and post-repair fault states over several
+// random seeds. The caching providers take the same incremental update path
+// the traffic engine uses (AddFaults/RemoveFaults + Refresh +
+// InvalidateCache); the Block provider, whose snapshot has no in-place
+// refresh, is rebuilt wholesale.
 func TestDecisionMaskParity(t *testing.T) {
 	for _, seed := range []uint64{2, 19, 101} {
 		t.Run(fmt.Sprintf("seed=%d", seed), func(t *testing.T) {
@@ -133,5 +134,34 @@ func TestDecisionMaskParity(t *testing.T) {
 			routing.InvalidateCaches(oracle, mcc)
 			stageAll("after-repair", append(all, blockProvs()...)...)
 		})
+	}
+}
+
+// TestRecordsMaskWithoutRecords: a Records provider whose nodes hold no
+// records knows only the labelling, so its mask must equal the labels-only
+// provider's on every hop, carried records or not.
+func TestRecordsMaskWithoutRecords(t *testing.T) {
+	m := mesh.NewCube(8)
+	fault.Uniform{Count: 100}.Inject(m, rng.New(4))
+	lab := labeling.Compute(m, grid.PositiveOrientation)
+	if lab.NonFaultyUnsafeCount() == 0 {
+		t.Fatal("fault set absorbs no healthy node; the unsafe-neighbour rule goes untested")
+	}
+	labeled := &routing.Labeled{Labeling: lab}
+	r := rng.New(8)
+	for _, carry := range []bool{false, true} {
+		rec := &routing.Records{Set: region.FindMCCs(lab), CarryAlong: carry}
+		for n := 0; n < 500; n++ {
+			u := int32(r.Intn(m.NodeCount()))
+			d := int32(r.Intn(m.NodeCount()))
+			if u == d || m.FaultyAt(int(u)) || m.FaultyAt(int(d)) {
+				continue
+			}
+			uPt, dPt := m.Point(int(u)), m.Point(int(d))
+			got := rec.CandidateMaskID(m, u, uPt, d, dPt)
+			if want := labeled.CandidateMaskID(m, u, uPt, d, dPt); got != want {
+				t.Fatalf("carry=%v: Records mask (%v -> %v) = %06b, labels-only gives %06b", carry, uPt, dPt, got, want)
+			}
+		}
 	}
 }

@@ -1,6 +1,8 @@
 package routing
 
 import (
+	"math/bits"
+
 	"mccmesh/internal/block"
 	"mccmesh/internal/grid"
 	"mccmesh/internal/labeling"
@@ -25,7 +27,7 @@ import (
 // a Block provider's cache alone is not sufficient.
 type CacheInvalidator interface {
 	// InvalidateCache marks every memoised reachability field stale so the
-	// next Allowed call recomputes it from the current fault information.
+	// next decision recomputes it from the current fault information.
 	InvalidateCache()
 }
 
@@ -230,8 +232,8 @@ func (c *fieldCache) decisionMask(m *mesh.Mesh, uPt grid.Point, d int32, dPt gri
 }
 
 // covered returns the live field for destination dID when it covers v, nil
-// otherwise — the branch the per-hop fast path takes on a cache hit, with no
-// closure and no second box check (CanReachCovered pairs with it).
+// otherwise — the branch AllowedID takes on a cache hit, with no closure and
+// no second box check (CanReachCovered pairs with it).
 func (c *fieldCache) covered(dID int32, v grid.Point) *minimal.Field {
 	if c.slots == nil {
 		return nil
@@ -380,17 +382,9 @@ func (o *Oracle) field(u, v, d grid.Point, dID int32) *minimal.Field {
 	})
 }
 
-// Allowed implements Provider.
-func (o *Oracle) Allowed(u, v, d grid.Point) bool {
-	dID := o.Mesh.ID(d)
-	if f := o.cache.covered(dID, v); f != nil {
-		return f.CanReachCovered(v)
-	}
-	return o.field(u, v, d, dID).CanReach(v)
-}
-
-// AllowedID is Allowed addressed by dense node IDs: the per-direction
-// reference the decision-parity tests check CandidateMaskID against.
+// AllowedID reports whether forwarding from u to its preferred neighbour v
+// is permitted toward d: the per-direction reference the decision-parity
+// tests check CandidateMaskID against.
 func (o *Oracle) AllowedID(u, v, d int32) bool {
 	m := o.Mesh
 	vP := m.Point(int(v))
@@ -400,7 +394,7 @@ func (o *Oracle) AllowedID(u, v, d int32) bool {
 	return o.field(m.Point(int(u)), vP, m.Point(int(d)), d).CanReach(vP)
 }
 
-// CandidateMaskID implements DecisionProvider.
+// CandidateMaskID implements Provider.
 func (o *Oracle) CandidateMaskID(_ *mesh.Mesh, _ int32, uPt grid.Point, d int32, dPt grid.Point) uint8 {
 	if b, ok := o.cache.decision(uPt, dPt, d); ok {
 		return b
@@ -440,25 +434,11 @@ func (p *MCC) field(u, v, d grid.Point, dID int32) *minimal.Field {
 	})
 }
 
-// Allowed implements Provider.
-func (p *MCC) Allowed(u, v, d grid.Point) bool {
-	if p.Set.Labeling != nil && p.Set.Labeling.Unsafe(v) {
-		// v is inside a fault region; the paper never forwards into an MCC.
-		// The destination itself is permitted so that routes can terminate
-		// even if the destination is a labelled (healthy) node.
-		if v != d {
-			return false
-		}
-	}
-	dID := p.Set.Mesh.ID(d)
-	if f := p.cache.covered(dID, v); f != nil {
-		return f.CanReachCovered(v)
-	}
-	return p.field(u, v, d, dID).CanReach(v)
-}
-
-// AllowedID is Allowed addressed by dense node IDs (see Oracle.AllowedID).
+// AllowedID is the per-direction reference decision (see Oracle.AllowedID).
 func (p *MCC) AllowedID(u, v, d int32) bool {
+	// v inside a fault region is excluded: the paper never forwards into an
+	// MCC. The destination itself is permitted so that routes can terminate
+	// even if the destination is a labelled (healthy) node.
 	if v != d && p.Set.Labeling != nil && p.Set.Labeling.UnsafeAt(int(v)) {
 		return false
 	}
@@ -470,7 +450,7 @@ func (p *MCC) AllowedID(u, v, d int32) bool {
 	return p.field(m.Point(int(u)), vP, m.Point(int(d)), d).CanReach(vP)
 }
 
-// CandidateMaskID implements DecisionProvider. The unsafe-node pre-check of
+// CandidateMaskID implements Provider. The unsafe-node pre-check of
 // AllowedID is subsumed by the field: the union reachability field is built
 // over the unsafe set, so an unsafe neighbour's bit is already clear.
 func (p *MCC) CandidateMaskID(_ *mesh.Mesh, _ int32, uPt grid.Point, d int32, dPt grid.Point) uint8 {
@@ -505,17 +485,16 @@ func (p *Records) Name() string { return "mcc-boundary" }
 // Reset clears the record set carried by the current message.
 func (p *Records) Reset() { p.carried = nil }
 
-// Allowed implements Provider.
-func (p *Records) Allowed(u, v, d grid.Point) bool {
-	if p.Set.Labeling != nil && p.Set.Labeling.Unsafe(v) && v != d {
-		return false
-	}
-	if p.carried == nil {
-		p.carried = make(map[int]bool)
-	}
-	uIdx := p.Set.Mesh.Index(u)
-	known := p.PerNode[uIdx]
+// CandidateMaskID implements Provider: the safe forward set (see
+// safeForwardMask) minus neighbours from which the records known at u block
+// every monotone path to d. With CarryAlong, u's records first join the set
+// the message carries.
+func (p *Records) CandidateMaskID(m *mesh.Mesh, u int32, uPt grid.Point, d int32, dPt grid.Point) uint8 {
+	known := p.PerNode[int(u)]
 	if p.CarryAlong {
+		if p.carried == nil {
+			p.carried = make(map[int]bool)
+		}
 		for _, id := range known {
 			p.carried[id] = true
 		}
@@ -524,22 +503,28 @@ func (p *Records) Allowed(u, v, d grid.Point) bool {
 			known = append(known, id)
 		}
 	}
+	mk := safeForwardMask(m, p.Set.Labeling, u, uPt, d, dPt)
 	if len(known) == 0 {
-		return true
+		return mk
 	}
 	// The records known here act together, exactly like the merged forbidden
-	// regions the boundary construction produces: v is excluded when the union
-	// of the known regions blocks every monotone v→d path.
+	// regions the boundary construction produces.
 	avoid := func(q grid.Point) bool {
 		for _, id := range known {
 			c := p.Set.Components[id]
-			if c.Has(q) && !c.Has(d) {
+			if c.Has(q) && !c.Has(dPt) {
 				return true
 			}
 		}
 		return false
 	}
-	return minimal.Exists(p.Set.Mesh, avoid, v, d)
+	for rest := mk; rest != 0; rest &= rest - 1 {
+		dir := grid.Direction(bits.TrailingZeros8(rest))
+		if !minimal.Exists(m, avoid, m.Point(int(m.NeighborID(u, dir))), dPt) {
+			mk &^= 1 << uint(dir)
+		}
+	}
+	return mk
 }
 
 // Block is the rectangular-faulty-block baseline provider: the routing avoids
@@ -584,19 +569,7 @@ func (p *Block) field(u, v, d grid.Point, dID int32) *minimal.Field {
 	})
 }
 
-// Allowed implements Provider.
-func (p *Block) Allowed(u, v, d grid.Point) bool {
-	if p.Regions.Contains(v) && v != d {
-		return false
-	}
-	dID := p.Regions.Mesh.ID(d)
-	if f := p.cache.covered(dID, v); f != nil {
-		return f.CanReachCovered(v)
-	}
-	return p.field(u, v, d, dID).CanReach(v)
-}
-
-// AllowedID is Allowed addressed by dense node IDs (see Oracle.AllowedID).
+// AllowedID is the per-direction reference decision (see Oracle.AllowedID).
 func (p *Block) AllowedID(u, v, d int32) bool {
 	if v != d && p.Regions.ContainsID(v) {
 		return false
@@ -609,7 +582,7 @@ func (p *Block) AllowedID(u, v, d int32) bool {
 	return p.field(m.Point(int(u)), vP, m.Point(int(d)), d).CanReach(vP)
 }
 
-// CandidateMaskID implements DecisionProvider. As with MCC, the
+// CandidateMaskID implements Provider. As with MCC, the
 // inside-a-block pre-check is subsumed by the avoid set the field is built
 // over (with the same destination carve-out as AllowedID's v == d escape).
 func (p *Block) CandidateMaskID(_ *mesh.Mesh, _ int32, uPt grid.Point, d int32, dPt grid.Point) uint8 {
@@ -629,13 +602,10 @@ type LocalGreedy struct{}
 // Name implements Provider.
 func (LocalGreedy) Name() string { return "local-greedy" }
 
-// Allowed implements Provider.
-func (LocalGreedy) Allowed(_, _, _ grid.Point) bool { return true }
-
-// AllowedID is Allowed addressed by dense node IDs (see Oracle.AllowedID).
+// AllowedID is the per-direction reference decision (see Oracle.AllowedID).
 func (LocalGreedy) AllowedID(_, _, _ int32) bool { return true }
 
-// CandidateMaskID implements DecisionProvider: with no fault information
+// CandidateMaskID implements Provider: with no fault information
 // beyond the neighbours, the decision is exactly the healthy forward set.
 func (LocalGreedy) CandidateMaskID(m *mesh.Mesh, u int32, uPt grid.Point, _ int32, dPt grid.Point) uint8 {
 	return healthyForwardMask(m, u, uPt, dPt)
@@ -650,35 +620,14 @@ type Labeled struct {
 // Name implements Provider.
 func (p *Labeled) Name() string { return "labels-only" }
 
-// Allowed implements Provider.
-func (p *Labeled) Allowed(_, v, d grid.Point) bool {
-	return v == d || !p.Labeling.Unsafe(v)
-}
-
-// AllowedID is Allowed addressed by dense node IDs (see Oracle.AllowedID).
+// AllowedID is the per-direction reference decision (see Oracle.AllowedID).
 func (p *Labeled) AllowedID(_, v, d int32) bool {
 	return v == d || !p.Labeling.UnsafeAt(int(v))
 }
 
-// CandidateMaskID implements DecisionProvider: the healthy forward set minus
+// CandidateMaskID implements Provider: the healthy forward set minus
 // unsafe neighbours (the destination excepted), computed on the fly — the
 // labelling carries no per-destination state worth memoising.
 func (p *Labeled) CandidateMaskID(m *mesh.Mesh, u int32, uPt grid.Point, d int32, dPt grid.Point) uint8 {
-	var mk uint8
-	for _, a := range m.Axes() {
-		delta := dPt.Axis(a) - uPt.Axis(a)
-		if delta == 0 {
-			continue
-		}
-		dir := grid.DirectionOf(a, grid.Sign(delta))
-		v := m.NeighborID(u, dir)
-		if v == mesh.NoNeighbor || m.FaultyAt(int(v)) {
-			continue
-		}
-		if v != d && p.Labeling.UnsafeAt(int(v)) {
-			continue
-		}
-		mk |= 1 << uint(dir)
-	}
-	return mk
+	return safeForwardMask(m, p.Labeling, u, uPt, d, dPt)
 }

@@ -2,12 +2,13 @@
 // paper (Algorithm 3 step 2 in 2-D, Algorithm 6 step 2 in 3-D) on top of
 // pluggable fault-information providers.
 //
-// At every node the engine computes the preferred (forward) directions, asks
-// the information provider which of them must be excluded — in the paper's
-// terms, directions whose neighbour lies in the forbidden region of an MCC
-// whose critical region contains the destination — and then applies a
-// selection policy ("any fully adaptive and minimal routing process") to pick
-// one of the remaining candidates.
+// At every node the engine asks the information provider one question: which
+// preferred (forward) directions remain once the excluded ones are removed —
+// in the paper's terms, directions whose neighbour lies in the forbidden
+// region of an MCC whose critical region contains the destination. The answer
+// is a packed direction mask (Provider.CandidateMaskID); a selection policy
+// ("any fully adaptive and minimal routing process") then picks one of the
+// remaining candidates.
 //
 // Providers range from the omniscient oracle, through the per-MCC model
 // (the paper's contribution), the rectangular-faulty-block baselines, down to
@@ -21,48 +22,32 @@ import (
 	"math/bits"
 
 	"mccmesh/internal/grid"
+	"mccmesh/internal/labeling"
 	"mccmesh/internal/mesh"
 )
 
 // Provider supplies the fault information consulted at each routing step.
+// One call answers the whole hop, addressed by dense mesh node IDs.
+//
+// The field-cache providers (Oracle, MCC, Block) answer from the memoised
+// reachability field of the destination: while the fault epoch is stable, a
+// hop is one slot read plus at most three bit probes. The other providers
+// compute the mask on the fly.
 type Provider interface {
-	// Allowed reports whether forwarding from u to its neighbour v is
-	// permitted when routing toward d. v is always a preferred (forward)
-	// neighbour of u.
-	Allowed(u, v, d grid.Point) bool
+	// CandidateMaskID returns the packed candidate-direction mask for a hop
+	// from u toward d: bit i is set exactly when grid.Direction(i) is a
+	// preferred (forward) direction whose neighbour is healthy and not
+	// excluded by the provider's fault information. m is the routing mesh
+	// (used by stateless providers for the neighbour and fault tables;
+	// caching providers consult their own snapshot's mesh). u/uPt and d/dPt
+	// name the same nodes in both addressings.
+	CandidateMaskID(m *mesh.Mesh, u int32, uPt grid.Point, d int32, dPt grid.Point) uint8
 	// Name identifies the provider in tables and traces.
 	Name() string
 }
 
-// DecisionProvider is the packed-decision fast path of Provider: one call
-// answers the entire hop, addressed by dense mesh node IDs. The returned mask
-// has bit i set exactly when grid.Direction(i) is an allowed candidate
-// forwarding direction from u toward d — the same set CandidateDirs collects
-// from per-direction Allowed consultations, folded into one byte.
-//
-// The field-cache providers (Oracle, MCC, Block) answer from the memoised
-// reachability field of the destination: while the fault epoch is stable, a
-// hop is one slot read plus at most three bit probes, with no per-direction
-// interface calls. Stateless providers (LocalGreedy, Labeled) compute it on
-// the fly, which still collapses the per-direction interface calls into one.
-// Every built-in
-// provider except Records implements it; the traffic engine type-asserts once
-// per provider and falls back to CandidateDirs for third-party providers
-// that don't.
-type DecisionProvider interface {
-	Provider
-	// CandidateMaskID returns the packed candidate-direction mask for a hop
-	// from u toward d. m is the routing mesh (used by stateless providers for
-	// the neighbour and fault tables; caching providers consult their own
-	// snapshot's mesh). u/uPt and d/dPt name the same nodes in both
-	// addressings.
-	CandidateMaskID(m *mesh.Mesh, u int32, uPt grid.Point, d int32, dPt grid.Point) uint8
-}
-
 // AppendMaskDirs appends the directions set in mask to dst, in direction-enum
-// order — the order CandidateDirs produces (at most one direction per axis,
-// axes in X, Y, Z order), so selection policies see identical candidate
-// slices on either path.
+// order: at most one direction per axis, axes in X, Y, Z order.
 func AppendMaskDirs(dst []grid.Direction, mask uint8) []grid.Direction {
 	for mask != 0 {
 		d := bits.TrailingZeros8(mask)
@@ -92,6 +77,23 @@ func healthyForwardMask(m *mesh.Mesh, u int32, uPt, dPt grid.Point) uint8 {
 	return mk
 }
 
+// safeForwardMask is healthyForwardMask minus the neighbours lab marks
+// unsafe, the destination excepted so that a route can always terminate. A
+// nil labelling excludes nothing.
+func safeForwardMask(m *mesh.Mesh, lab *labeling.Labeling, u int32, uPt grid.Point, d int32, dPt grid.Point) uint8 {
+	mk := healthyForwardMask(m, u, uPt, dPt)
+	if lab == nil {
+		return mk
+	}
+	for rest := mk; rest != 0; rest &= rest - 1 {
+		dir := grid.Direction(bits.TrailingZeros8(rest))
+		if v := m.NeighborID(u, dir); v != d && lab.UnsafeAt(int(v)) {
+			mk &^= 1 << uint(dir)
+		}
+	}
+	return mk
+}
+
 // Policy picks one direction among the allowed candidate directions.
 type Policy interface {
 	// Pick returns the index of the chosen candidate in dirs. dirs is never
@@ -108,6 +110,9 @@ var (
 	ErrNoCandidate = errors.New("routing: no candidate forwarding direction")
 	// ErrEndpointFaulty is returned when the source or destination is faulty.
 	ErrEndpointFaulty = errors.New("routing: source or destination is faulty")
+	// ErrEndpointOutOfMesh is returned when the source or destination lies
+	// outside the mesh.
+	ErrEndpointOutOfMesh = errors.New("routing: source or destination is outside the mesh")
 	// ErrTooManyHops guards against livelock bugs.
 	ErrTooManyHops = errors.New("routing: exceeded the minimal hop budget")
 )
@@ -166,14 +171,21 @@ func New(m *mesh.Mesh, p Provider, policy Policy) *Router {
 	return &Router{Mesh: m, Provider: p, Policy: policy}
 }
 
-// Route attempts to deliver a message from s to d along a minimal path.
+// Route attempts to deliver a message from s to d along a minimal path. Each
+// hop is one CandidateMaskID call, expanded into the candidate directions the
+// policy picks from.
 func (r *Router) Route(s, d grid.Point) *Trace {
+	m := r.Mesh
 	t := &Trace{Path: []grid.Point{s}}
-	if r.Mesh.IsFaulty(s) || r.Mesh.IsFaulty(d) {
+	if !m.InBounds(s) || !m.InBounds(d) {
+		t.Err = ErrEndpointOutOfMesh
+		return t
+	}
+	if m.IsFaulty(s) || m.IsFaulty(d) {
 		t.Err = ErrEndpointFaulty
 		return t
 	}
-	orient := grid.OrientationOf(s, d)
+	dID := m.ID(d)
 	cur := s
 	budget := grid.Manhattan(s, d)
 	var dirs []grid.Direction
@@ -182,7 +194,7 @@ func (r *Router) Route(s, d grid.Point) *Trace {
 			t.Err = ErrTooManyHops
 			return t
 		}
-		dirs = CandidateDirs(r.Mesh, r.Provider, orient, cur, d, dirs[:0])
+		dirs = AppendMaskDirs(dirs[:0], r.Provider.CandidateMaskID(m, m.ID(cur), cur, dID, d))
 		t.Candidates = append(t.Candidates, len(dirs))
 		if len(dirs) == 0 {
 			t.Err = fmt.Errorf("%w at %v toward %v (provider %s)", ErrNoCandidate, cur, d, r.Provider.Name())
@@ -193,28 +205,6 @@ func (r *Router) Route(s, d grid.Point) *Trace {
 		t.Path = append(t.Path, cur)
 	}
 	return t
-}
-
-// CandidateDirs appends to dst the allowed forwarding directions from cur
-// toward d: the preferred (forward) directions of the orientation whose
-// neighbour is in bounds, healthy and permitted by the provider. It is the
-// per-hop core of Route, shared with the continuous-traffic engine, which
-// forwards packets hop by hop without a Router.
-func CandidateDirs(m *mesh.Mesh, prov Provider, orient grid.Orientation, cur, d grid.Point, dst []grid.Direction) []grid.Direction {
-	for _, a := range m.Axes() {
-		if cur.Axis(a) == d.Axis(a) {
-			continue
-		}
-		dir := orient.Forward(a)
-		v := grid.Step(cur, dir)
-		if !m.InBounds(v) || m.IsFaulty(v) {
-			continue
-		}
-		if prov.Allowed(cur, v, d) {
-			dst = append(dst, dir)
-		}
-	}
-	return dst
 }
 
 // --- Selection policies -----------------------------------------------------

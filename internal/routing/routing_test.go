@@ -2,6 +2,7 @@ package routing
 
 import (
 	"errors"
+	"slices"
 	"testing"
 
 	"mccmesh/internal/block"
@@ -44,24 +45,62 @@ func TestCandidateDirsMatchesRouteDecisions(t *testing.T) {
 	m := mesh.New3D(6, 6, 6)
 	m.AddFaults(grid.Point{X: 1, Y: 0, Z: 0}, grid.Point{X: 2, Y: 1, Z: 1})
 	s, d := grid.Point{}, grid.Point{X: 5, Y: 5, Z: 5}
-	orient := grid.OrientationOf(s, d)
 	p, _ := mccProvider(m, s, d)
 	tr := New(m, p, nil).Route(s, d)
 	if !tr.Succeeded() {
 		t.Fatalf("route failed: %v", tr.Err)
 	}
-	// Replaying CandidateDirs along the delivered path must reproduce the
-	// candidate counts the Router recorded.
+	// Replaying the decision mask along the delivered path on a fresh
+	// provider must reproduce the candidate counts the Router recorded.
 	replay := &MCC{Set: p.Set}
+	dID := m.ID(d)
 	for i, u := range tr.Path[:len(tr.Path)-1] {
-		dirs := CandidateDirs(m, replay, orient, u, d, nil)
+		dirs := AppendMaskDirs(nil, replay.CandidateMaskID(m, m.ID(u), u, dID, d))
 		if len(dirs) != tr.Candidates[i] {
-			t.Fatalf("hop %d at %v: CandidateDirs found %d candidates, trace recorded %d", i, u, len(dirs), tr.Candidates[i])
+			t.Fatalf("hop %d at %v: the mask has %d candidates, trace recorded %d", i, u, len(dirs), tr.Candidates[i])
+		}
+		next := tr.Path[i+1]
+		if !slices.ContainsFunc(dirs, func(dir grid.Direction) bool { return grid.Step(u, dir) == next }) {
+			t.Fatalf("hop %d at %v: the route stepped to %v, outside the mask's candidates %v", i, u, next, dirs)
 		}
 	}
 	// At the destination there is nothing left to do.
-	if dirs := CandidateDirs(m, replay, orient, d, d, nil); len(dirs) != 0 {
-		t.Errorf("CandidateDirs at the destination = %v, want none", dirs)
+	if mk := replay.CandidateMaskID(m, dID, d, dID, d); mk != 0 {
+		t.Errorf("decision mask at the destination = %06b, want none", mk)
+	}
+}
+
+// TestRouteRejectsEndpointsOutsideTheMesh: an endpoint outside the mesh is
+// reported before any provider is consulted, for every provider.
+func TestRouteRejectsEndpointsOutsideTheMesh(t *testing.T) {
+	m := mesh.NewCube(4)
+	lab := labeling.Compute(m, grid.PositiveOrientation)
+	set := region.FindMCCs(lab)
+	provs := []Provider{
+		&Oracle{Mesh: m},
+		&MCC{Set: set},
+		&Records{Set: set, CarryAlong: true},
+		&Block{Regions: block.Build(m, block.BoundingBox)},
+		&Labeled{Labeling: lab},
+		LocalGreedy{},
+	}
+	for _, tc := range []struct {
+		name string
+		s, d grid.Point
+	}{
+		{"destination beyond the far corner", grid.Point{}, grid.Point{X: 9, Y: 9, Z: 9}},
+		{"source below the near corner", grid.Point{X: -1}, grid.Point{X: 3, Y: 3, Z: 3}},
+		{"destination one past an edge", grid.Point{X: 1, Y: 1, Z: 1}, grid.Point{X: 1, Y: 4, Z: 1}},
+	} {
+		for _, p := range provs {
+			tr := New(m, p, nil).Route(tc.s, tc.d)
+			if !errors.Is(tr.Err, ErrEndpointOutOfMesh) {
+				t.Errorf("%s, provider %s: err = %v, want ErrEndpointOutOfMesh", tc.name, p.Name(), tr.Err)
+			}
+			if tr.Hops() != 0 {
+				t.Errorf("%s, provider %s: took %d hops", tc.name, p.Name(), tr.Hops())
+			}
+		}
 	}
 }
 
@@ -70,7 +109,8 @@ func TestInvalidateCachesDropsStaleFields(t *testing.T) {
 	s, d := grid.Point{}, grid.Point{X: 4, Y: 4, Z: 4}
 	o := &Oracle{Mesh: m}
 	v := grid.Point{X: 1}
-	if !o.Allowed(s, v, d) {
+	sID, vID, dID := m.ID(s), m.ID(v), m.ID(d)
+	if !o.AllowedID(sID, vID, dID) {
 		t.Fatal("fault-free step should be allowed")
 	}
 	// Wall off the destination's approach through (1,0,0) region: make every
@@ -78,7 +118,7 @@ func TestInvalidateCachesDropsStaleFields(t *testing.T) {
 	m.AddFaults(grid.Point{X: 2}, grid.Point{X: 1, Y: 1}, grid.Point{X: 1, Z: 1})
 	// The stale cached field still says yes; stateless providers are immune.
 	InvalidateCaches(o, LocalGreedy{})
-	if o.Allowed(s, v, d) {
+	if o.AllowedID(sID, vID, dID) {
 		t.Error("after invalidation the oracle must see the new faults")
 	}
 }

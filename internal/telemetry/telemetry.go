@@ -271,28 +271,18 @@ const (
 	// HopDirect is a decision that needed no reachability field (stateless
 	// providers, label lookups).
 	HopDirect HopSource = iota
-	// HopCacheHit consulted a memoised reachability field.
-	HopCacheHit
 	// HopColdBuild built or rebuilt a reachability field for the decision.
 	HopColdBuild
-	// HopFallback took the Point-based provider fallback (a provider without
-	// the dense-ID fast path).
-	HopFallback
 	// HopDecisionHit answered the whole hop with decision probes into the
-	// memoised reachability field — no per-direction provider consultation
-	// at all.
+	// memoised reachability field.
 	HopDecisionHit
 )
 
 // String returns the stable external name of the hop source.
 func (h HopSource) String() string {
 	switch h {
-	case HopCacheHit:
-		return "cache-hit"
 	case HopColdBuild:
 		return "cold-build"
-	case HopFallback:
-		return "fallback"
 	case HopDecisionHit:
 		return "decision-hit"
 	default:
@@ -312,7 +302,7 @@ func (h *HopSource) UnmarshalJSON(data []byte) error {
 	if err := json.Unmarshal(data, &name); err != nil {
 		return err
 	}
-	for _, s := range []HopSource{HopDirect, HopCacheHit, HopColdBuild, HopFallback, HopDecisionHit} {
+	for _, s := range []HopSource{HopDirect, HopColdBuild, HopDecisionHit} {
 		if s.String() == name {
 			*h = s
 			return nil

@@ -105,7 +105,7 @@ func TestTraceRingRecordsAndEvicts(t *testing.T) {
 	// Packet 0: full life cycle.
 	slot0 := ts.Begin(0, 5, 9, 10)
 	ts.Hop(slot0, 0, 5, HopColdBuild)
-	ts.Hop(slot0, 0, 6, HopCacheHit)
+	ts.Hop(slot0, 0, 6, HopDecisionHit)
 	ts.Finish(slot0, 0, 14, StatusDelivered)
 	// Packets 1 and 2 overflow the 2-slot ring: packet 2 recycles packet 0's
 	// slot (finished, so nothing counts as evicted) and packet 1 never
@@ -113,7 +113,7 @@ func TestTraceRingRecordsAndEvicts(t *testing.T) {
 	slot1 := ts.Begin(1, 7, 9, 11)
 	slot2 := ts.Begin(2, 8, 9, 12)
 	ts.Hop(slot1, 1, 7, HopDirect)
-	ts.Hop(slot2, 2, 8, HopFallback)
+	ts.Hop(slot2, 2, 8, HopColdBuild)
 	ts.Finish(slot2, 2, 15, StatusStuck)
 	if got := s.Get(TracesSampled); got != 3 {
 		t.Errorf("TracesSampled = %d, want 3", got)
@@ -151,21 +151,33 @@ func TestTraceStaleSlotGuard(t *testing.T) {
 }
 
 func TestHopSourceJSON(t *testing.T) {
-	out, err := json.Marshal(Hop{Node: 3, Source: HopCacheHit})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if string(out) != `{"node":3,"source":"cache-hit"}` {
-		t.Errorf("hop JSON = %s", out)
+	for _, tc := range []struct {
+		src  HopSource
+		json string
+	}{
+		{HopDirect, `{"node":3,"source":"direct"}`},
+		{HopColdBuild, `{"node":3,"source":"cold-build"}`},
+		{HopDecisionHit, `{"node":3,"source":"decision-hit"}`},
+	} {
+		out, err := json.Marshal(Hop{Node: 3, Source: tc.src})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if string(out) != tc.json {
+			t.Errorf("hop JSON = %s, want %s", out, tc.json)
+		}
+		var h Hop
+		if err := json.Unmarshal(out, &h); err != nil {
+			t.Fatal(err)
+		}
+		if h.Node != 3 || h.Source != tc.src {
+			t.Errorf("round-trip = %+v, want source %v", h, tc.src)
+		}
 	}
 	var h Hop
-	if err := json.Unmarshal(out, &h); err != nil {
-		t.Fatal(err)
-	}
-	if h.Node != 3 || h.Source != HopCacheHit {
-		t.Errorf("round-trip = %+v", h)
-	}
-	if err := json.Unmarshal([]byte(`{"source":"warp"}`), &h); err == nil {
-		t.Error("unknown hop source must fail to decode")
+	for _, gone := range []string{"warp", "cache-hit", "fallback"} {
+		if err := json.Unmarshal([]byte(`{"source":"`+gone+`"}`), &h); err == nil {
+			t.Errorf("hop source %q must fail to decode", gone)
+		}
 	}
 }

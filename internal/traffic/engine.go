@@ -243,11 +243,10 @@ type run struct {
 	// kinds are interned once per run so the hot path never touches strings.
 	injectID, packetID simnet.KindID
 
-	// provs caches the per-orientation provider and its one-time
-	// DecisionProvider type assertion, so the per-hop loop neither re-asks the
-	// model nor re-asserts. Fault events flush it (models may hand out new
+	// provs caches the per-orientation provider, so the per-hop loop does not
+	// re-ask the model. Fault events flush it (models may hand out new
 	// providers).
-	provs [8]provEntry
+	provs [8]routing.Provider
 
 	// pool holds every in-flight packet by value; envelopes carry pool
 	// indices (simnet's Ref fast path) instead of boxed copies. free is the
@@ -257,7 +256,7 @@ type run struct {
 	pool []packet
 	free []int32
 
-	dirs []grid.Direction // scratch for CandidateDirs, cap 6
+	dirs []grid.Direction // scratch for the expanded decision mask, cap 6
 
 	// tel and trace are the run's telemetry sink and trace ring, both nil
 	// unless enabled in Options.
@@ -276,17 +275,8 @@ type run struct {
 	phaseLatSum    int64
 }
 
-// provEntry is one cached per-orientation provider; masked selects the
-// packed-decision CandidateMaskID path (every built-in provider), and the
-// Provider field is the Point fallback for third-party providers without it.
-type provEntry struct {
-	prov   routing.Provider
-	dec    routing.DecisionProvider
-	masked bool
-}
-
 // packet is the typed, pooled payload of one in-flight packet; the
-// orientation is fixed at the source exactly as in Router.Route.
+// orientation is fixed at the source and selects the provider every hop.
 type packet struct {
 	id     int
 	src    grid.Point
@@ -533,7 +523,7 @@ func (tr *trial) faultsChanged(pts []grid.Point, repaired bool) {
 		if !incremental {
 			st.model.Invalidate()
 		}
-		st.provs = [8]provEntry{}
+		st.provs = [8]routing.Provider{}
 	}
 }
 
@@ -718,17 +708,16 @@ func (st *run) inject(ctx *simnet.Context) {
 
 // forward advances a packet one hop using the information model, or records it
 // as stuck when every preferred direction is excluded. The hop runs on dense
-// node IDs end to end with no ID→Point→ID round-trip; for built-in providers
-// it is one CandidateMaskID call — an epoch compare plus at most three bit
+// node IDs end to end with no ID→Point→ID round-trip: one CandidateMaskID
+// call — for the caching providers an epoch compare plus at most three bit
 // probes into the destination's memoised field while the fault epoch is
-// stable — with the Point-based CandidateDirs as the fallback for
-// third-party providers.
+// stable.
 func (st *run) forward(ctx *simnet.Context, ref int32) {
 	pk := &st.pool[ref]
-	pe := &st.provs[pk.orient.Index()]
-	if pe.prov == nil {
-		pe.prov = st.model.Provider(pk.orient)
-		pe.dec, pe.masked = pe.prov.(routing.DecisionProvider)
+	prov := st.provs[pk.orient.Index()]
+	if prov == nil {
+		prov = st.model.Provider(pk.orient)
+		st.provs[pk.orient.Index()] = prov
 	}
 	self := ctx.Self()
 	// Hop-source classification is gated on the packet being traced, so the
@@ -739,12 +728,8 @@ func (st *run) forward(ctx *simnet.Context, ref int32) {
 		builds0 = st.tel.Get(telemetry.FieldColdBuilds) + st.tel.Get(telemetry.FieldRebuilds) + st.tel.Get(telemetry.DecisionBuilds)
 		dhits0 = st.tel.Get(telemetry.DecisionHits)
 	}
-	if pe.masked {
-		mk := pe.dec.CandidateMaskID(ctx.Mesh(), ctx.SelfID(), self, pk.dstID, pk.dst)
-		st.dirs = routing.AppendMaskDirs(st.dirs[:0], mk)
-	} else {
-		st.dirs = routing.CandidateDirs(ctx.Mesh(), pe.prov, pk.orient, self, pk.dst, st.dirs[:0])
-	}
+	mk := prov.CandidateMaskID(ctx.Mesh(), ctx.SelfID(), self, pk.dstID, pk.dst)
+	st.dirs = routing.AppendMaskDirs(st.dirs[:0], mk)
 	if len(st.dirs) == 0 {
 		st.res.Stuck++
 		if traced {
@@ -758,8 +743,6 @@ func (st *run) forward(ctx *simnet.Context, ref int32) {
 	if traced {
 		src := telemetry.HopDirect
 		switch {
-		case !pe.masked:
-			src = telemetry.HopFallback
 		case st.tel.Get(telemetry.DecisionHits) > dhits0:
 			src = telemetry.HopDecisionHit
 		case st.tel.Get(telemetry.FieldColdBuilds)+st.tel.Get(telemetry.FieldRebuilds)+st.tel.Get(telemetry.DecisionBuilds) > builds0:
