@@ -3,8 +3,9 @@ package minimal_test
 // Benchmarks for the reachability-field sweep, the kernel under every
 // field-backed routing provider. The corner-to-corner 16^3 case is the
 // worst-case box of the PERFORMANCE.md reference mesh; the Into variant
-// measures the storage-reuse path the routing epoch caches take when they
-// rebuild a field after a fault injection.
+// measures the storage-reuse path the routing caches take when they rebuild
+// a field in place. The 32^3 pair compares a full rebuild with the row
+// re-sweep the caches run after a fault change.
 
 import (
 	"testing"
@@ -53,8 +54,8 @@ func BenchmarkReachabilityID16(b *testing.B) {
 	}
 }
 
-// BenchmarkReachabilityIDInto16 is the rebuild-in-place path the epoch caches
-// take after a fault injection: same sweep, zero allocations.
+// BenchmarkReachabilityIDInto16 is the rebuild-in-place path of the routing
+// caches: same sweep, zero allocations.
 func BenchmarkReachabilityIDInto16(b *testing.B) {
 	m, s, d := benchMesh()
 	avoid := minimal.AvoidFaultyID(m)
@@ -63,5 +64,70 @@ func BenchmarkReachabilityIDInto16(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		minimal.ReachabilityIDInto(f, m, avoid, s, d)
+	}
+}
+
+// fieldChurn32 is a 32^3 mesh with 5% random obstacles, the octant field
+// toward its centre from the origin corner, and 64 seeded 3-node regions
+// inside that box: the fault events the field-cache benchmarks replay.
+type fieldChurn32 struct {
+	m       *mesh.Mesh
+	avoid   []uint64
+	s, d    grid.Point
+	regions [64][3]grid.Point
+}
+
+func newFieldChurn32() *fieldChurn32 {
+	fc := &fieldChurn32{m: mesh.NewCube(32), s: grid.Point{}, d: grid.Point{X: 16, Y: 16, Z: 16}}
+	fc.avoid = make([]uint64, (fc.m.NodeCount()+63)/64)
+	r := rng.New(11)
+	for i := 0; i < fc.m.NodeCount()/20; i++ {
+		id := r.Intn(fc.m.NodeCount())
+		fc.avoid[id>>6] |= 1 << uint(id&63)
+	}
+	for i := range fc.regions {
+		p := grid.Point{X: r.Intn(16), Y: r.Intn(16), Z: r.Intn(16)}
+		fc.regions[i] = [3]grid.Point{p, {X: p.X + 1, Y: p.Y, Z: p.Z}, {X: p.X + 1, Y: p.Y + 1, Z: p.Z}}
+	}
+	return fc
+}
+
+// flip toggles region i's obstacles (failing or repairing it) and returns the
+// box they span.
+func (fc *fieldChurn32) flip(i int) grid.Box {
+	reg := fc.regions[i&63]
+	changed := grid.BoxOf(reg[0], reg[2])
+	for _, p := range reg {
+		id := fc.m.ID(p)
+		fc.avoid[id>>6] ^= 1 << uint(id&63)
+	}
+	return changed
+}
+
+// BenchmarkFieldBuild32 brings a 32^3 octant field up to date after each
+// 3-node region fault by a full rebuild in place: the "reachability build"
+// layer cost an epoch-wide invalidation pays per stale field.
+func BenchmarkFieldBuild32(b *testing.B) {
+	fc := newFieldChurn32()
+	f := minimal.ReachabilityWordsInto(nil, fc.m, fc.avoid, fc.s, fc.d)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		fc.flip(i)
+		minimal.ReachabilityWordsInto(f, fc.m, fc.avoid, fc.s, fc.d)
+	}
+}
+
+// BenchmarkFieldResweep32 is BenchmarkFieldBuild32 with the routing caches'
+// scoped update: only the rows the region's flips can reach are re-swept.
+func BenchmarkFieldResweep32(b *testing.B) {
+	fc := newFieldChurn32()
+	f := minimal.ReachabilityWordsInto(nil, fc.m, fc.avoid, fc.s, fc.d)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if cut, ok := f.CutOf(fc.flip(i)); ok && !f.Resweep(fc.avoid, cut) {
+			b.Fatal("32^3 octant field refused the re-sweep")
+		}
 	}
 }

@@ -16,8 +16,9 @@
 // single array access for the callers that matter (labelings, fault bitsets,
 // block tables) — and the per-hop query CanReachID goes from a node ID to a
 // bit test without constructing a Point. ReachabilityIDInto rebuilds a field
-// in place, reusing the previous bitset storage, which the routing providers'
-// epoch caches lean on under fault churn.
+// in place, reusing the previous bitset storage, and Resweep brings a field up
+// to date after an obstacle change by re-sweeping only the rows the change can
+// reach; the routing providers' field caches lean on both under fault churn.
 package minimal
 
 import (
@@ -83,7 +84,7 @@ func ReachabilityID(m *mesh.Mesh, avoid AvoidID, s, d grid.Point) *Field {
 // ReachabilityIDInto computes the field like ReachabilityID but reuses f's
 // struct and bitset storage when f is non-nil (growing it only if the new box
 // needs more words). Callers that rebuild fields under fault churn — the
-// routing providers' epoch caches — use it to keep rebuilds allocation-free.
+// routing providers' field caches — use it to keep rebuilds allocation-free.
 // The returned pointer is f when f was non-nil.
 func ReachabilityIDInto(f *Field, m *mesh.Mesh, avoid AvoidID, s, d grid.Point) *Field {
 	orient := grid.OrientationOf(s, d)
@@ -209,33 +210,109 @@ func ReachabilityWordsInto(f *Field, m *mesh.Mesh, avoid []uint64, s, d grid.Poi
 		f.words[nwords-1] &= 1<<t - 1
 	}
 
-	dims := m.Dims()
-	locDY := orient.SY * w
-	locDZ := orient.SZ * w * f.dims[1]
+	dc := orient.Canon(s, d)
+	f.sweepRows(avoid, dc.Y, dc.Z)
+	return f
+}
+
+// Cut names the rows of a field that a change of obstacles can reach: every
+// row whose canonical coordinates (distance from the source corner, so the
+// destination's row is the highest) are at most Y and at most Z. A row only
+// reads the rows nearer to the destination, so a flipped obstacle at canonical
+// (y0, z0) can change no row outside Cut{y0, z0}.
+type Cut struct{ Y, Z int }
+
+// CutOf returns the rows of f that obstacle changes confined to the box
+// changed can reach, or false when changed misses f's box (no bit of f can
+// change).
+func (f *Field) CutOf(changed grid.Box) (Cut, bool) {
+	b := f.box
+	if !b.Intersects(changed) {
+		return Cut{}, false
+	}
+	// The source corner sits at canonical 0, so the reach on an axis is the
+	// distance from the source's side of the box to the far edge of the
+	// overlap. (A flat axis has lo == hi == dv and reaches 0 either way.)
+	top := func(lo, hi, clo, chi, dv int) int {
+		if dv == hi {
+			return min(hi, chi) - lo
+		}
+		return hi - max(lo, clo)
+	}
+	return Cut{
+		Y: top(b.Min.Y, b.Max.Y, changed.Min.Y, changed.Max.Y, f.d.Y),
+		Z: top(b.Min.Z, b.Max.Z, changed.Min.Z, changed.Max.Z, f.d.Z),
+	}, true
+}
+
+// Resweep brings f up to date with the obstacle bitset avoid after a change
+// confined to cut, re-running the row sweep of ReachabilityWordsInto only over
+// the rows the change can reach; every other row is kept as it is. avoid must
+// equal the obstacle set f was built over outside the changed cells. Resweep
+// returns false, leaving f untouched, when f is wider than 64 nodes (built by
+// the per-node sweep, which has no row form); the caller rebuilds it instead.
+func (f *Field) Resweep(avoid []uint64, cut Cut) bool {
+	if f.dims[0] > 64 {
+		return false
+	}
+	dc := f.orient.Canon(f.source(), f.d)
+	f.sweepRows(avoid, min(cut.Y, dc.Y), min(cut.Z, dc.Z))
+	return true
+}
+
+// source returns the corner of f's box opposite the destination.
+func (f *Field) source() grid.Point {
+	b := f.box
+	return grid.Point{X: b.Min.X + b.Max.X - f.d.X, Y: b.Min.Y + b.Max.Y - f.d.Y, Z: b.Min.Z + b.Max.Z - f.d.Z}
+}
+
+// sweepRows runs the row-at-a-time sweep over every row of f with canonical
+// coordinates cy ≤ yTop and cz ≤ zTop, in decreasing order of remaining
+// distance to d: the forward-Y and forward-Z neighbour rows a row reads are
+// either swept before it or lie outside the range, and so already hold their
+// final bits. f's box is at most 64 wide and its storage is sized.
+func (f *Field) sweepRows(avoid []uint64, yTop, zTop int) {
+	dims := f.m.Dims()
+	orient, box, d, w, h := f.orient, f.box, f.d, f.dims[0], f.dims[1]
+	s := f.source()
+	dc := orient.Canon(s, d)
+	// Forward Y/Z steps as box-local and mesh-ID deltas; a row's start moves
+	// back by one Y step per cy.
+	locDY, locDZ := orient.SY*w, orient.SZ*w*h
+	idDY := orient.SY * dims.X
 	rowMask := ^uint64(0)
 	if w < 64 {
 		rowMask = 1<<uint(w) - 1
 	}
 	dxBit := uint64(1) << uint(d.X-box.Min.X)
-	// Rows in decreasing order of remaining distance to d, as in the per-node
-	// sweep: the forward-Y and forward-Z neighbour rows are always resolved
-	// before the rows that read them.
-	dc := orient.Canon(s, d)
-	for cz := dc.Z; cz >= 0; cz-- {
-		for cy := dc.Y; cy >= 0; cy-- {
-			p := orient.Uncanon(s, grid.Point{X: dc.X, Y: cy, Z: cz})
-			idRow := box.Min.X + dims.X*(p.Y+dims.Y*p.Z)
-			locRow := w * ((p.Y - box.Min.Y) + f.dims[1]*(p.Z-box.Min.Z))
-			free := ^bitsRange(avoid, idRow, w) & rowMask
+	// Field rows always lie inside f.words, and so do the obstacle rows of a
+	// box inside the mesh. A box reaching outside it (a caller's out-of-mesh
+	// endpoint) reads its obstacle rows through bitsRange, which zero-fills
+	// what lies outside the bitset.
+	inMesh := box.Min.X >= 0 && box.Min.Y >= 0 && box.Min.Z >= 0 &&
+		box.Max.X < dims.X && box.Max.Y < dims.Y && box.Max.Z < dims.Z
+	for cz := zTop; cz >= 0; cz-- {
+		py, pz := s.Y+yTop*orient.SY, s.Z+cz*orient.SZ
+		idRow := box.Min.X + dims.X*(py+dims.Y*pz)
+		locRow := w * ((py - box.Min.Y) + h*(pz-box.Min.Z))
+		for cy := yTop; cy >= 0; cy, idRow, locRow = cy-1, idRow-idDY, locRow-locDY {
+			var obstacles uint64
+			if inMesh {
+				obstacles = rowBits(avoid, idRow, w)
+			} else {
+				obstacles = bitsRange(avoid, idRow, w)
+			}
+			free := ^obstacles & rowMask
 			// seed(x): reachable through a forward Y or Z step (or being the
 			// destination itself); the X recurrence then extends each seed
-			// through runs of free cells toward the source side.
+			// through runs of free cells toward the source side. Bits past
+			// the row in seed are cleared by free.
 			var seed uint64
 			if cy < dc.Y {
-				seed = bitsRange(f.words, locRow+locDY, w)
+				seed = rowBits(f.words, locRow+locDY, w)
 			}
 			if cz < dc.Z {
-				seed |= bitsRange(f.words, locRow+locDZ, w)
+				seed |= rowBits(f.words, locRow+locDZ, w)
 			}
 			if cy == dc.Y && cz == dc.Z {
 				seed |= dxBit
@@ -272,7 +349,6 @@ func ReachabilityWordsInto(f *Field, m *mesh.Mesh, avoid []uint64, s, d grid.Poi
 			setBitsRange(f.words, locRow, w, r)
 		}
 	}
-	return f
 }
 
 // setBitsRange writes v's low n bits into bits [start, start+n) of the
@@ -327,10 +403,21 @@ func (f *Field) CanReachCovered(p grid.Point) bool {
 	return f.words[i>>6]&(1<<uint(i&63)) != 0
 }
 
+// rowBits returns bits [start, start+n) of a bitset in the low n bits of a
+// word, for a range wholly inside the bitset; the bits above n are garbage
+// the caller masks off. n is at most 64.
+func rowBits(words []uint64, start, n int) uint64 {
+	w, off := start>>6, uint(start&63)
+	out := words[w] >> off
+	if int(off)+n > 64 {
+		out |= words[w+1] << (64 - off)
+	}
+	return out
+}
+
 // bitsRange extracts bits [start, start+n) of a bitset as the low n bits of a
-// word, zero-filling positions outside the bitset (including negative starts,
-// which the negative-orientation neighbour shifts produce at box edges).
-// n must be at most 64.
+// word, zero-filling positions outside the bitset (including negative
+// starts). n must be at most 64.
 func bitsRange(words []uint64, start, n int) uint64 {
 	if n <= 0 {
 		return 0

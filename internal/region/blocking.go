@@ -55,22 +55,6 @@ func (s *ComponentSet) BlockedByUnion(from, to grid.Point) bool {
 	return !minimal.ReachabilityWordsInto(nil, s.Mesh, s.UnionAvoidWords(), from, to).CanReach(from)
 }
 
-// UnionField returns the monotone-reachability field toward `to` over the box
-// spanned by `from` and `to`, avoiding every unsafe node. Routing providers
-// cache it so that one field answers every step of a route.
-func (s *ComponentSet) UnionField(from, to grid.Point) *minimal.Field {
-	return s.UnionFieldInto(nil, from, to)
-}
-
-// UnionFieldInto is UnionField reusing f's storage when f is non-nil (see
-// minimal.ReachabilityIDInto); the routing providers' epoch caches use it to
-// rebuild fields without allocating after a fault injection. The obstacle set
-// is the word-level union bitset, so the sweep runs a box row at a time
-// (minimal.ReachabilityWordsInto) instead of one status read per cell.
-func (s *ComponentSet) UnionFieldInto(f *minimal.Field, from, to grid.Point) *minimal.Field {
-	return minimal.ReachabilityWordsInto(f, s.Mesh, s.UnionAvoidWords(), from, to)
-}
-
 // unionAvoidID returns (building once) the ID-addressed obstacle test for the
 // union of all fault regions. It stays valid across Refresh: the labelling is
 // updated in place and byNode is reused.

@@ -3,8 +3,9 @@ package routing_test
 // Benchmarks for the per-hop provider decision, with and without fault churn.
 // The churn variants model the traffic engine's steady state around a mid-run
 // fault injection: the labelling absorbs the new fault incrementally, the
-// component set refreshes in place, the provider takes an O(1) epoch bump,
-// and the next queries rebuild only the fields they actually touch.
+// component set refreshes in place, the provider marks stale the fields whose
+// box holds the fault, and the next queries re-sweep only the stale fields
+// they actually touch.
 
 import (
 	"testing"
@@ -79,7 +80,7 @@ func newBenchState(tb testing.TB) *benchState {
 }
 
 // churn injects one extra fault and pushes it through the incremental update
-// path the traffic engine uses: relabel, refresh, epoch bump.
+// path the traffic engine uses: relabel, refresh, scoped invalidation.
 func (st *benchState) churn(r *rng.Rand) {
 	for {
 		idx := r.Intn(st.m.NodeCount())
@@ -112,7 +113,8 @@ func BenchmarkMCCAllowedID16(b *testing.B) {
 
 // BenchmarkMCCAllowedIDChurn16 interleaves fault injections with the query
 // stream: every 2048 decisions a node dies, the model updates incrementally,
-// and the epoch cache rebuilds fields lazily as destinations are revisited.
+// and the cache re-sweeps the fields the fault reached lazily as their
+// destinations are revisited.
 func BenchmarkMCCAllowedIDChurn16(b *testing.B) {
 	st := newBenchState(b)
 	r := rng.New(31)
@@ -128,7 +130,7 @@ func BenchmarkMCCAllowedIDChurn16(b *testing.B) {
 }
 
 // BenchmarkMCCDecisionHit16 is the steady-state per-hop decision: every
-// destination's field is already built for the current epoch, so each
+// destination's field is already built and up to date, so each
 // CandidateMaskID call is the pure fast path — one slot read plus up to
 // three bit probes. This is the cost the traffic engine pays for the vast
 // majority of hops between fault events.
@@ -145,10 +147,10 @@ func BenchmarkMCCDecisionHit16(b *testing.B) {
 	}
 }
 
-// BenchmarkMCCDecisionBuild16 is the decision miss path: the epoch is bumped
-// before every call, so each decision resolves through an in-place field
-// rebuild (the first query after any fault event pays this, once per
-// destination).
+// BenchmarkMCCDecisionBuild16 is the decision miss path: the queried field is
+// marked stale over all its rows before every call, so each decision
+// resolves through a whole-field sweep in place (the most the first query
+// toward a destination pays after a fault event reaches its field).
 func BenchmarkMCCDecisionBuild16(b *testing.B) {
 	st := newBenchState(b)
 	for k := range st.u {
@@ -157,21 +159,19 @@ func BenchmarkMCCDecisionBuild16(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		for _, pr := range st.provs {
-			pr.InvalidateCache()
-		}
 		k := i & 4095
+		routing.StaleField(st.provs[st.oi[k]], st.d[k])
 		st.provs[st.oi[k]].CandidateMaskID(st.m, st.u[k], st.uP[k], st.d[k], st.dP[k])
 	}
 }
 
 // BenchmarkMCCDecisionChurn16 drives the decision path through sustained
-// fault churn: an incremental fault injection (relabel, refresh, epoch bump)
-// every 2048 decisions. The query stream cycles through 4096 distinct
-// destinations, so every revisit lands in a fresh epoch and rebuilds — this
-// measures the lazy-rebuild regime, the worst case the engine approaches
-// only around fault events (its hit ratio between events is what
-// BenchmarkMCCDecisionHit16 measures).
+// fault churn: an incremental fault injection (relabel, refresh, scoped
+// invalidation) every 2048 decisions. The query stream cycles through 4096
+// distinct destinations, so every revisit to a field the fault reached
+// re-sweeps it — this measures the lazy-rebuild regime, the worst case the
+// engine approaches only around fault events (its hit ratio between events
+// is what BenchmarkMCCDecisionHit16 measures).
 func BenchmarkMCCDecisionChurn16(b *testing.B) {
 	st := newBenchState(b)
 	r := rng.New(31)

@@ -1,6 +1,7 @@
 package routing
 
 import (
+	"math"
 	"math/bits"
 
 	"mccmesh/internal/block"
@@ -13,21 +14,25 @@ import (
 )
 
 // CacheInvalidator is implemented by providers that memoise reachability
-// fields derived from fault information. Invalidation is an O(1) epoch bump:
-// cached fields go stale lazily and are rebuilt in place (reusing their bitset
-// storage) the next time their destination is routed to.
+// fields derived from fault information. Invalidation is scoped to the fault:
+// the provider compares its obstacle bitset with the copy its fields were
+// swept over, and marks stale only the fields whose box meets the cells that
+// changed. A stale field is brought up to date in place (reusing its bitset
+// storage) the next time its destination is routed to, re-sweeping only the
+// rows the change can reach.
 //
-// For the Oracle the live mesh is the source of truth, so an epoch bump alone
-// is always correct. For MCC and Block the provider reads a snapshot (the
-// ComponentSet / Regions); bumping their cache is correct only when that
-// snapshot has itself been brought up to date — region.ComponentSet.Refresh
-// updates an MCC set in place, which is how the traffic models apply mid-run
-// faults without rebuilding providers. A Block snapshot has no in-place
-// refresh; after mesh mutations it must be rebuilt wholesale, so invalidating
-// a Block provider's cache alone is not sufficient.
+// For the Oracle the live mesh is the source of truth, so invalidating alone
+// is always correct. For MCC the provider reads a snapshot (the
+// ComponentSet); invalidating its cache is correct only when that snapshot
+// has itself been brought up to date — region.ComponentSet.Refresh updates an
+// MCC set in place, which is how the traffic models apply mid-run faults
+// without rebuilding providers. A Block snapshot has no in-place refresh;
+// after mesh mutations it must be rebuilt wholesale, so Block does not
+// implement CacheInvalidator.
 type CacheInvalidator interface {
-	// InvalidateCache marks every memoised reachability field stale so the
-	// next decision recomputes it from the current fault information.
+	// InvalidateCache marks stale every memoised reachability field the
+	// fault information changed since the last call (or since the first
+	// field was built), so the next decision brings it up to date.
 	InvalidateCache()
 }
 
@@ -54,17 +59,27 @@ const fieldCacheMax = 4096
 // from — so reusing a field across packets (and across sources) is exact, not
 // approximate.
 //
-// Invalidation is epoch-based: invalidate bumps the cache epoch, and entries
-// stamped with an older epoch are rebuilt in place — reusing their bitset
-// storage — when their destination is next looked up. A mid-run fault
-// injection therefore costs O(1) immediately and O(affected destinations)
-// over time, instead of the wholesale rebuild the map-backed cache paid.
+// Invalidation follows the fault. invalidate XORs the live obstacle bitset
+// against snap, the copy every live field was swept over, and takes the
+// bounding box of the flipped cells. Since a field's bits depend only on the
+// obstacles inside its box, only the live fields whose box meets that
+// bounding box can have changed; each of those records the rows the flips
+// can reach (minimal.Field.CutOf) as a pending cut, and every other field
+// stays live untouched. A stale field is re-swept in place over its cut when
+// its destination is next looked up, so a mid-run fault costs one bitset
+// compare immediately and, over time, a partial sweep per field that
+// actually holds the fault — the IWPP principle of processing only the
+// active wavefront.
 type fieldCache struct {
-	epoch uint32
 	slots []fieldSlot // indexed by destination node ID
 	order []int32     // FIFO of destinations holding a field
 	head  int         // consumed prefix of order
 	spare []*minimal.Field
+
+	// snap is the obstacle bitset the live fields were swept over, copied
+	// when the slot table is allocated and brought up to date by each
+	// invalidate. (Block never invalidates, so its copy goes unread.)
+	snap []uint64
 
 	// slab and arena chunk the allocation of cold builds: Field structs come
 	// from slab, their bitset words are carved from arena, so populating the
@@ -74,7 +89,7 @@ type fieldCache struct {
 	arena []uint64
 
 	// tel receives cache counters (hits, cold builds, rebuilds, evictions,
-	// epoch bumps, decision hits/builds); nil — the default — costs one
+	// invalidations, decision hits/builds); nil — the default — costs one
 	// predicted branch per hook.
 	tel *telemetry.Sink
 }
@@ -82,47 +97,76 @@ type fieldCache struct {
 // fieldSlot is one destination's cache entry: the memoised reachability field
 // plus a flattened view of it — the bitset words and the box geometry as
 // int32s — that the per-hop decision fast path reads without touching the
-// Field struct. The view is restamped on every (re)build, so it always
-// matches the live field even when a same-epoch AllowedID lookup widens the
-// box. Geometry is stored as min corner plus extents so the in-box check is
-// three subtract-and-unsigned-compare pairs whose results double as the
-// box-local coordinates of the bit probes, and as int32s so the whole slot is
-// one 64-byte cache line: a decision() hit touches exactly one line of the
-// slot array plus one to three field words.
+// Field struct. The view is restamped on every full build, so it always
+// matches the live field even when an AllowedID lookup widens the box (a
+// re-sweep keeps box and storage). Geometry is stored as min corner plus
+// extents so the in-box check is three subtract-and-unsigned-compare pairs
+// whose results double as the box-local coordinates of the bit probes, and as
+// int32s so the whole slot is one 64-byte cache line: a decision() hit
+// touches exactly one line of the slot array plus one to three field words.
+//
+// cutY, cutZ are the field's pending cut (minimal.Cut), in bytes the struct
+// would otherwise pad: the rows a fault change since the last sweep can
+// reach, saturating at math.MaxInt16 (read back as every row). noCut (-1) in
+// cutY marks the field live; any cut is non-negative, so the fast path tests
+// cutY alone. The zero slot reads as stale and has an empty box.
 type fieldSlot struct {
 	field            *minimal.Field
 	words            []uint64
-	epoch            uint32
+	cutY, cutZ       int16
 	minX, minY, minZ int32
 	boxW, boxH, boxD int32
 }
 
-// lookup returns a current-epoch field for destination d that covers v,
-// building (or rebuilding in place) one when needed. build must fill f (which
-// may be nil) with the reachability field toward dst from src and return it.
-func (c *fieldCache) lookup(m *mesh.Mesh, u, v, d grid.Point, dID int32, build func(f *minimal.Field, src, dst grid.Point) *minimal.Field) *minimal.Field {
+// noCut is the pending cut of a live field.
+const noCut = -1
+
+// pendingCut widens the slot's pending cut back to a minimal.Cut.
+func (s *fieldSlot) pendingCut() minimal.Cut {
+	unpack := func(v int16) int {
+		if v == math.MaxInt16 {
+			return math.MaxInt
+		}
+		return int(v)
+	}
+	return minimal.Cut{Y: unpack(s.cutY), Z: unpack(s.cutZ)}
+}
+
+// lookup returns an up-to-date field for destination d that covers v,
+// building, re-sweeping or rebuilding one in place when needed. avoid is the
+// provider's obstacle bitset the field is swept over.
+func (c *fieldCache) lookup(m *mesh.Mesh, u, v, d grid.Point, dID int32, avoid []uint64) *minimal.Field {
 	if c.slots == nil {
-		c.epoch = 1
 		c.slots = make([]fieldSlot, m.NodeCount())
+		c.snap = append([]uint64(nil), avoid...)
 	}
 	s := &c.slots[dID]
-	if s.field != nil && s.epoch == c.epoch && s.field.Covers(v) {
-		c.tel.Inc(telemetry.FieldHits)
-		return s.field
+	if f := s.field; f != nil && f.Covers(v) {
+		if s.cutY == noCut {
+			c.tel.Inc(telemetry.FieldHits)
+			return f
+		}
+		// Stale but covering: re-sweep the rows the fault change reaches.
+		// Box and storage stay, so the decision view stays valid.
+		if f.Resweep(avoid, s.pendingCut()) {
+			c.tel.Inc(telemetry.FieldRebuilds)
+			s.cutY, s.cutZ = noCut, noCut
+			return f
+		}
 	}
 	// Build over the whole octant behind u rather than just BoxOf(u, d):
 	// every later source approaching d from the same side is then covered by
-	// the one build, so a destination slot builds once per epoch instead of
-	// widening toward that same converged box one source at a time (each
-	// widening being a full rebuild). Enlarging the box is exact — each
-	// cell's value depends only on the cells between it and d.
+	// the one build, so a destination slot builds once instead of widening
+	// toward that same converged box one source at a time (each widening
+	// being a full rebuild). Enlarging the box is exact — each cell's value
+	// depends only on the cells between it and d.
 	src := octantSource(m.Dims(), u, d)
 	reuse := s.field
-	if reuse != nil && s.epoch == c.epoch {
-		// Live field that doesn't cover v: widen the box so the old coverage
-		// and the new source both fit, when d stays a corner of the union.
-		// This stops two sources with the same destination from rebuilding
-		// the field back and forth (e.g. axes resolved at the first build's
+	if reuse != nil {
+		// A field that doesn't cover v: widen the box so the old coverage and
+		// the new source both fit, when d stays a corner of the union. This
+		// stops two sources with the same destination from rebuilding the
+		// field back and forth (e.g. axes resolved at the first build's
 		// source that a later source approaches from either side).
 		if wide, ok := widenSource(reuse.Box(), src, d); ok {
 			src = wide
@@ -143,9 +187,9 @@ func (c *fieldCache) lookup(m *mesh.Mesh, u, v, d grid.Point, dID int32, build f
 	} else {
 		c.tel.Inc(telemetry.FieldRebuilds)
 	}
-	f := build(reuse, src, d)
+	f := minimal.ReachabilityWordsInto(reuse, m, avoid, src, d)
 	s.field = f
-	s.epoch = c.epoch
+	s.cutY, s.cutZ = noCut, noCut
 	// Restamp the decision view: the build may have widened the box or grown
 	// the bitset storage, and the probes index the live words directly.
 	box := f.Box()
@@ -158,11 +202,11 @@ func (c *fieldCache) lookup(m *mesh.Mesh, u, v, d grid.Point, dID int32, build f
 }
 
 // decision answers a hop from the memoised reachability field — the per-hop
-// fast path: one epoch compare, one box check and at most three bit probes
+// fast path: one staleness compare, one box check and at most three bit probes
 // into the field's bitset (the forward neighbour on each unresolved axis; a
 // set bit means the neighbour still reaches d, and since every provider's
 // obstacle set contains the faults, it also means the neighbour is healthy).
-// A miss (no field built this epoch, or u outside its box) falls to
+// A miss (no field, a stale one, or u outside its box) falls to
 // decisionMask. Probing the field directly instead of a precomputed byte
 // table keeps the hot working set at the fields themselves — an eighth the
 // footprint of one byte per node — which is what the per-hop latency is
@@ -172,7 +216,7 @@ func (c *fieldCache) decision(uPt, dPt grid.Point, d int32) (uint8, bool) {
 		return 0, false
 	}
 	s := &c.slots[d]
-	if s.epoch != c.epoch {
+	if s.cutY != noCut {
 		return 0, false
 	}
 	x := int32(uPt.X) - s.minX
@@ -215,14 +259,14 @@ func (s *fieldSlot) dirMask(uPt, dPt grid.Point, x, y, z int32) uint8 {
 	return mk
 }
 
-// decisionMask is the miss path of decision: resolve a current-epoch field
-// covering u through the ordinary lookup — building or rebuilding it in
+// decisionMask is the miss path of decision: resolve an up-to-date field
+// covering u through the ordinary lookup — building it, re-sweeping it in
 // place when stale, widening its box when u lies outside — which also
 // restamps the slot's decision view, then answer the hop with the same bit
 // probes the fast path uses. Every later hop toward d from inside the box is
-// then a decision() hit until the next epoch bump.
-func (c *fieldCache) decisionMask(m *mesh.Mesh, uPt grid.Point, d int32, dPt grid.Point, build func(f *minimal.Field, src, dst grid.Point) *minimal.Field) uint8 {
-	c.lookup(m, uPt, uPt, dPt, d, build)
+// then a decision() hit until a fault change reaches the field.
+func (c *fieldCache) decisionMask(m *mesh.Mesh, uPt grid.Point, d int32, dPt grid.Point, avoid []uint64) uint8 {
+	c.lookup(m, uPt, uPt, dPt, d, avoid)
 	c.tel.Inc(telemetry.DecisionBuilds)
 	s := &c.slots[d]
 	x := int32(uPt.X) - s.minX
@@ -239,7 +283,7 @@ func (c *fieldCache) covered(dID int32, v grid.Point) *minimal.Field {
 		return nil
 	}
 	s := &c.slots[dID]
-	if s.field != nil && s.epoch == c.epoch && s.field.Covers(v) {
+	if s.field != nil && s.cutY == noCut && s.field.Covers(v) {
 		c.tel.Inc(telemetry.FieldHits)
 		return s.field
 	}
@@ -273,9 +317,9 @@ func (c *fieldCache) newField(src, d grid.Point) *minimal.Field {
 }
 
 // evictOldest drops the least-recently-inserted live field, parking its
-// storage for reuse. The slot's epoch is zeroed so the decision fast path
-// cannot answer from a view whose words the parked field will overwrite for
-// another destination (epochs start at 1 and only increase).
+// storage for reuse. The slot is zeroed so the decision fast path cannot
+// answer from a view whose words the parked field will overwrite for another
+// destination.
 func (c *fieldCache) evictOldest() {
 	c.tel.Inc(telemetry.FieldEvictions)
 	for c.head < len(c.order) {
@@ -285,9 +329,7 @@ func (c *fieldCache) evictOldest() {
 			if len(c.spare) < 8 {
 				c.spare = append(c.spare, s.field)
 			}
-			s.field = nil
-			s.words = nil
-			s.epoch = 0
+			*s = fieldSlot{}
 			break
 		}
 	}
@@ -349,10 +391,36 @@ func widenSource(box grid.Box, u, d grid.Point) (grid.Point, bool) {
 	return src, true
 }
 
-// invalidate marks every cached field stale (O(1); rebuilds happen lazily).
-func (c *fieldCache) invalidate() {
+// invalidate brings snap up to live and marks stale exactly the live fields
+// whose box meets the bounding box of the cells that flipped, merging the
+// rows the flips reach into each one's pending cut.
+func (c *fieldCache) invalidate(m *mesh.Mesh, live []uint64) {
 	c.tel.Inc(telemetry.FieldEpochBumps)
-	c.epoch++
+	if c.slots == nil {
+		return // no field built yet; the first one copies live
+	}
+	flipped := grid.Box{Min: grid.Point{X: 1}} // empty
+	for i, w := range live {
+		for x := w ^ c.snap[i]; x != 0; x &= x - 1 {
+			flipped = flipped.Extend(m.Point(i<<6 | bits.TrailingZeros64(x)))
+		}
+	}
+	if flipped.Empty() {
+		return
+	}
+	copy(c.snap, live)
+	for _, id := range c.order[c.head:] {
+		s := &c.slots[id]
+		if s.field == nil {
+			continue
+		}
+		cut, ok := s.field.CutOf(flipped)
+		if !ok {
+			continue
+		}
+		s.cutY = max(s.cutY, int16(min(cut.Y, math.MaxInt16)))
+		s.cutZ = max(s.cutZ, int16(min(cut.Z, math.MaxInt16)))
+	}
 }
 
 // Oracle is the omniscient provider: it permits a step exactly when a
@@ -369,17 +437,15 @@ type Oracle struct {
 func (o *Oracle) Name() string { return "oracle" }
 
 // InvalidateCache implements CacheInvalidator.
-func (o *Oracle) InvalidateCache() { o.cache.invalidate() }
+func (o *Oracle) InvalidateCache() { o.cache.invalidate(o.Mesh, o.Mesh.FaultyWords()) }
 
 // SetTelemetry implements telemetry.Instrumentable.
 func (o *Oracle) SetTelemetry(s *telemetry.Sink) { o.cache.tel = s }
 
+// field looks up d's field. The oracle's obstacle set is exactly the mesh's
+// fault bitset, consumed word-level by the row-at-a-time sweep.
 func (o *Oracle) field(u, v, d grid.Point, dID int32) *minimal.Field {
-	// The oracle's obstacle set is exactly the mesh's fault bitset, consumed
-	// word-level by the row-at-a-time sweep.
-	return o.cache.lookup(o.Mesh, u, v, d, dID, func(f *minimal.Field, src, dst grid.Point) *minimal.Field {
-		return minimal.ReachabilityWordsInto(f, o.Mesh, o.Mesh.FaultyWords(), src, dst)
-	})
+	return o.cache.lookup(o.Mesh, u, v, d, dID, o.Mesh.FaultyWords())
 }
 
 // AllowedID reports whether forwarding from u to its preferred neighbour v
@@ -399,9 +465,7 @@ func (o *Oracle) CandidateMaskID(_ *mesh.Mesh, _ int32, uPt grid.Point, d int32,
 	if b, ok := o.cache.decision(uPt, dPt, d); ok {
 		return b
 	}
-	return o.cache.decisionMask(o.Mesh, uPt, d, dPt, func(f *minimal.Field, src, dst grid.Point) *minimal.Field {
-		return minimal.ReachabilityWordsInto(f, o.Mesh, o.Mesh.FaultyWords(), src, dst)
-	})
+	return o.cache.decisionMask(o.Mesh, uPt, d, dPt, o.Mesh.FaultyWords())
 }
 
 // MCC is the paper's fault-information provider backed by globally known MCC
@@ -423,15 +487,14 @@ func (p *MCC) Name() string { return "mcc" }
 // InvalidateCache implements CacheInvalidator. It is correct on its own only
 // when p.Set has been refreshed in place (region.ComponentSet.Refresh after
 // labeling.AddFaults); see CacheInvalidator.
-func (p *MCC) InvalidateCache() { p.cache.invalidate() }
+func (p *MCC) InvalidateCache() { p.cache.invalidate(p.Set.Mesh, p.Set.UnionAvoidWords()) }
 
 // SetTelemetry implements telemetry.Instrumentable.
 func (p *MCC) SetTelemetry(s *telemetry.Sink) { p.cache.tel = s }
 
+// field looks up d's field, swept over the union of the fault regions.
 func (p *MCC) field(u, v, d grid.Point, dID int32) *minimal.Field {
-	return p.cache.lookup(p.Set.Mesh, u, v, d, dID, func(f *minimal.Field, src, dst grid.Point) *minimal.Field {
-		return p.Set.UnionFieldInto(f, src, dst)
-	})
+	return p.cache.lookup(p.Set.Mesh, u, v, d, dID, p.Set.UnionAvoidWords())
 }
 
 // AllowedID is the per-direction reference decision (see Oracle.AllowedID).
@@ -457,9 +520,7 @@ func (p *MCC) CandidateMaskID(_ *mesh.Mesh, _ int32, uPt grid.Point, d int32, dP
 	if b, ok := p.cache.decision(uPt, dPt, d); ok {
 		return b
 	}
-	return p.cache.decisionMask(p.Set.Mesh, uPt, d, dPt, func(f *minimal.Field, src, dst grid.Point) *minimal.Field {
-		return p.Set.UnionFieldInto(f, src, dst)
-	})
+	return p.cache.decisionMask(p.Set.Mesh, uPt, d, dPt, p.Set.UnionAvoidWords())
 }
 
 // Records is the boundary-information provider: each node holds only the MCC
@@ -545,11 +606,11 @@ func (p *Block) Name() string { return "rfb-" + p.Regions.Model.String() }
 // SetTelemetry implements telemetry.Instrumentable.
 func (p *Block) SetTelemetry(s *telemetry.Sink) { p.cache.tel = s }
 
-// buildField fills f with the union reachability field over the block set.
-// When the destination sits inside a block (healthy but swallowed by the
-// coarse model), its bit is carved out of a scratch copy of the avoid bitset
-// so routes can at least try to terminate.
-func (p *Block) buildField(f *minimal.Field, src, dst grid.Point, dID int32) *minimal.Field {
+// avoidFor returns the obstacle bitset of fields toward dst: the union of the
+// blocks. When the destination sits inside a block (healthy but swallowed by
+// the coarse model), its bit is carved out of a scratch copy so routes can at
+// least try to terminate.
+func (p *Block) avoidFor(dst grid.Point, dID int32) []uint64 {
 	avoid := p.Regions.AvoidWords()
 	if p.Regions.Contains(dst) {
 		if cap(p.scratchW) < len(avoid) {
@@ -560,13 +621,11 @@ func (p *Block) buildField(f *minimal.Field, src, dst grid.Point, dID int32) *mi
 		w[dID>>6] &^= 1 << uint(dID&63)
 		avoid = w
 	}
-	return minimal.ReachabilityWordsInto(f, p.Regions.Mesh, avoid, src, dst)
+	return avoid
 }
 
 func (p *Block) field(u, v, d grid.Point, dID int32) *minimal.Field {
-	return p.cache.lookup(p.Regions.Mesh, u, v, d, dID, func(f *minimal.Field, src, dst grid.Point) *minimal.Field {
-		return p.buildField(f, src, dst, dID)
-	})
+	return p.cache.lookup(p.Regions.Mesh, u, v, d, dID, p.avoidFor(d, dID))
 }
 
 // AllowedID is the per-direction reference decision (see Oracle.AllowedID).
@@ -589,9 +648,7 @@ func (p *Block) CandidateMaskID(_ *mesh.Mesh, _ int32, uPt grid.Point, d int32, 
 	if b, ok := p.cache.decision(uPt, dPt, d); ok {
 		return b
 	}
-	return p.cache.decisionMask(p.Regions.Mesh, uPt, d, dPt, func(f *minimal.Field, src, dst grid.Point) *minimal.Field {
-		return p.buildField(f, src, dst, d)
-	})
+	return p.cache.decisionMask(p.Regions.Mesh, uPt, d, dPt, p.avoidFor(dPt, d))
 }
 
 // LocalGreedy is the floor baseline: it only knows the fault status of the

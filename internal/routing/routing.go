@@ -30,8 +30,8 @@ import (
 // One call answers the whole hop, addressed by dense mesh node IDs.
 //
 // The field-cache providers (Oracle, MCC, Block) answer from the memoised
-// reachability field of the destination: while the fault epoch is stable, a
-// hop is one slot read plus at most three bit probes. The other providers
+// reachability field of the destination: while no fault change reaches that
+// field, a hop is one slot read plus at most three bit probes. The other providers
 // compute the mask on the fly.
 type Provider interface {
 	// CandidateMaskID returns the packed candidate-direction mask for a hop

@@ -166,7 +166,7 @@ func TestMCCRoutingAlwaysMinimalWhenFeasible(t *testing.T) {
 		}
 		routed++
 		for _, policy := range policies {
-			provider.cache.invalidate() // reset cache between policies
+			provider.cache = fieldCache{} // cold cache for each policy
 			tr := New(m, provider, policy).Route(s, d)
 			if !tr.Succeeded() {
 				t.Fatalf("trial %d policy %s: route failed despite feasibility: %v", trial, policy.Name(), tr.Err)

@@ -279,8 +279,8 @@ func BenchSpec() Spec {
 // ChurnBenchSpec returns the fault-churn benchmark spec: the same reference
 // mesh and traffic as BenchSpec under a stochastic fail/repair timeline
 // (region-shaped failures, MTTF 40, MTTR 100), one MCC cell. It prices the
-// whole repair path — incremental un-relabel, in-place region refresh, epoch
-// bumps — in events/sec and allocs/packet next to the churn-free cells.
+// whole repair path — incremental un-relabel, in-place region refresh, scoped
+// field invalidation — in events/sec and allocs/packet next to the churn-free cells.
 func ChurnBenchSpec() Spec {
 	return Spec{
 		Name: "churn",

@@ -46,21 +46,24 @@ const (
 	FieldHits
 	// FieldColdBuilds counts fields built from scratch (new destination).
 	FieldColdBuilds
-	// FieldRebuilds counts in-place rebuilds of an existing field (epoch
-	// stale after a fault change, or box widening for a new source).
+	// FieldRebuilds counts in-place rebuilds of an existing field: a stale
+	// field re-swept over the rows a fault change reaches, or a full rebuild
+	// (box widening for a new source, or a stale field the lookup falls
+	// outside of).
 	FieldRebuilds
 	// FieldEvictions counts FIFO evictions from a full field cache.
 	FieldEvictions
-	// FieldEpochBumps counts O(1) cache invalidations (fault churn).
+	// FieldEpochBumps counts field-cache invalidations (fault churn), each
+	// scoped to the fields whose box holds a changed cell.
 	FieldEpochBumps
 	// DecisionHits counts per-hop routing decisions answered entirely from
-	// the memoised reachability field — an epoch check plus at most three
-	// bit probes, the hop fast path.
+	// the memoised reachability field — a staleness check plus at most
+	// three bit probes, the hop fast path.
 	DecisionHits
 	// DecisionBuilds counts decision misses resolved through a field lookup:
-	// they run when a destination's field is first consulted after an epoch
-	// bump, outside its current box, or cold, and pair one-to-one with the
-	// builds that result.
+	// they run when a destination's field is first consulted after a fault
+	// change reached it, outside its current box, or cold, and pair
+	// one-to-one with the builds that result.
 	DecisionBuilds
 
 	// RelabelAddNodes totals the label promotions performed by incremental

@@ -709,9 +709,9 @@ func (st *run) inject(ctx *simnet.Context) {
 // forward advances a packet one hop using the information model, or records it
 // as stuck when every preferred direction is excluded. The hop runs on dense
 // node IDs end to end with no ID→Point→ID round-trip: one CandidateMaskID
-// call — for the caching providers an epoch compare plus at most three bit
-// probes into the destination's memoised field while the fault epoch is
-// stable.
+// call — for the caching providers a staleness compare plus at most three bit
+// probes into the destination's memoised field while no fault change reaches
+// it.
 func (st *run) forward(ctx *simnet.Context, ref int32) {
 	pk := &st.pool[ref]
 	prov := st.provs[pk.orient.Index()]

@@ -28,7 +28,7 @@ type InfoModel interface {
 // FaultApplier is the incremental-update extension of InfoModel: the engine
 // calls ApplyFaults with the nodes a mid-run fault event just marked faulty
 // (already set on the mesh), and the model relabels only the affected
-// neighbourhood — keeping its providers and their epoch caches alive —
+// neighbourhood — keeping its providers and their field caches alive —
 // instead of recomputing the world. Models that cannot update incrementally
 // simply don't implement it; the engine falls back to Invalidate.
 type FaultApplier interface {
@@ -87,21 +87,22 @@ func (im *mccModel) Invalidate() {
 
 // ApplyFaults implements FaultApplier: the labellings relabel incrementally,
 // the component sets refresh in place (so the cached providers keep pointing
-// at live data), and each provider's field cache takes an O(1) epoch bump.
+// at live data), and each provider's field cache marks stale only the fields
+// whose box holds a changed label.
 func (im *mccModel) ApplyFaults(pts []grid.Point) {
 	im.model.ApplyFaults(pts)
-	im.bumpCaches()
+	im.invalidateCaches()
 }
 
 // RepairFaults implements FaultRepairer: the mirror of ApplyFaults through
 // labeling.RemoveFaults — un-relabel the repaired neighbourhood, re-extract
-// the regions in place, bump the provider field-cache epochs.
+// the regions in place, invalidate the provider field caches.
 func (im *mccModel) RepairFaults(pts []grid.Point) {
 	im.model.RepairFaults(pts)
-	im.bumpCaches()
+	im.invalidateCaches()
 }
 
-func (im *mccModel) bumpCaches() {
+func (im *mccModel) invalidateCaches() {
 	for _, p := range im.provs {
 		if p != nil {
 			p.InvalidateCache()
@@ -203,7 +204,7 @@ func (im *oracleModel) Invalidate() {
 }
 
 // ApplyFaults implements FaultApplier: the oracle reads the live mesh, so an
-// epoch bump on its field cache is all an incremental update needs.
+// invalidation of its field cache is all an incremental update needs.
 func (im *oracleModel) ApplyFaults(pts []grid.Point) { im.Invalidate() }
 
 // RepairFaults implements FaultRepairer: same as ApplyFaults — the live mesh
