@@ -19,10 +19,10 @@ import (
 //   - Sequence numbers increase monotonically, so appending to a bucket keeps
 //     it sorted by seq, and draining a bucket front to back reproduces the
 //     (time, seq) order of the binary-heap scheduler it replaced.
-//   - Far-future events (beyond the window — distant timers, At callbacks)
-//     go to the heap, which pops in (time, seq) order. Whenever the clock
-//     advances to t, every heap event with time < t+window migrates into its
-//     ring slot *before* any new event can be enqueued for those ticks, so
+//   - Far-future events (beyond the window — distant timers) go to the heap,
+//     which pops in (time, seq) order. Whenever the clock advances to t,
+//     every heap event with time < t+window migrates into its ring slot
+//     *before* any new event can be enqueued for those ticks (slab.advance), so
 //     migrated events (small seq) land ahead of later direct appends (large
 //     seq) and bucket order stays seq-sorted. The target slots are free at
 //     migration time: they correspond to ticks that were drained before t.
@@ -107,26 +107,25 @@ const (
 	wheelBits = 11
 	// wheelSize is the width of the calendar window in ticks. Link delays are
 	// tiny and traffic timers are geometric with means well under this, so in
-	// practice only far-tail timers and At control events hit the heap.
+	// practice only far-tail timers hit the heap. Control callbacks
+	// (Network.At) never enter the calendar: they wait in the Network's own
+	// heap and run before their tick's events.
 	wheelSize = Time(1) << wheelBits
 	wheelMask = wheelSize - 1
 )
 
-// event is one scheduled occurrence, stored by value in the queue. It is
-// deliberately pointer-free: boxed payloads and control callbacks live in the
-// Network's side table (event.box indexes it), so the garbage collector never
-// scans the queue and drained buckets need no zeroing.
+// event is one scheduled delivery or timer, stored by value in the queue. It
+// is deliberately pointer-free: boxed payloads live in the slab's side table
+// (event.box indexes it), so the garbage collector never scans the queue and
+// drained buckets need no zeroing.
 type event struct {
 	time     Time
 	seq      int64
 	sendTime Time
-	from, to int32 // dense node IDs; mesh.NoNeighbor for control/off-mesh
+	from, to int32 // dense node IDs; mesh.NoNeighbor for off-mesh
 	kind     KindID
 	ref      int32 // payload reference (SendRef/AfterRef), or NoRef
-	box      int32 // index into Network.boxed, or noBox
-	// ctrl marks a control event: Drain runs the boxed callback instead of
-	// delivering the envelope to a node.
-	ctrl bool
+	box      int32 // index into slab.boxed, or noBox
 }
 
 // noBox marks an event without a boxed payload.

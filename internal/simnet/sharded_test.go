@@ -6,55 +6,57 @@ import (
 
 	"mccmesh/internal/grid"
 	"mccmesh/internal/mesh"
+	"mccmesh/internal/rng"
 )
 
-// floodStats runs the flood protocol over a fresh faulted mesh, sequentially
-// (shards <= 1) or sharded, and returns the merged statistics plus every
-// node's first-seen time keyed by dense ID.
+// floodStats runs the flood protocol over a fresh faulted mesh on the given
+// number of slabs and returns the merged statistics plus every node's
+// first-seen time keyed by dense ID.
 func floodStats(t *testing.T, shards int) (Stats, map[int]Time) {
 	t.Helper()
 	m := mesh.New3D(6, 6, 6)
 	m.AddFaults(grid.Point{X: 1, Y: 1, Z: 1}, grid.Point{X: 4, Y: 2, Z: 3})
+	return floodRun(t, m, shards, grid.Point{}, nil)
+}
 
+// floodRun floods a token from origin over m on up to shards slabs, with the
+// control callbacks schedule registers, and returns the statistics plus every
+// node's first-seen time keyed by dense ID.
+func floodRun(t *testing.T, m *mesh.Mesh, shards int, origin grid.Point, schedule func(*Network)) (Stats, map[int]Time) {
+	t.Helper()
+	net := newSlabNet(m, shards, floodHandler{}, Options{})
+	net.Post(origin, "flood", "token")
+	if schedule != nil {
+		schedule(net)
+	}
+	stats, err := net.Run()
+	if err != nil {
+		t.Fatalf("Run on %d slabs: %v", shards, err)
+	}
 	seen := make(map[int]Time)
-	collect := func(net *Network) {
-		m.ForEach(func(p grid.Point) {
-			if at, ok := net.Store(p)["seen"]; ok {
-				seen[int(m.ID(p))] = at.(Time)
-			}
-		})
-	}
+	m.ForEach(func(p grid.Point) {
+		if at, ok := net.Store(p)["seen"]; ok {
+			seen[int(m.ID(p))] = at.(Time)
+		}
+	})
+	return stats, seen
+}
 
-	if shards <= 1 {
-		net := New(m, floodHandler{})
-		net.Post(grid.Point{}, "flood", "token")
-		stats := mustRun(t, net)
-		collect(net)
-		return stats, seen
-	}
-
+// newSlabNet builds a network over up to shards slabs, every slab running
+// the (stateless) handler h.
+func newSlabNet(m *mesh.Mesh, shards int, h Handler, opts Options) *Network {
 	slabs := mesh.SlabPartition(m, shards)
 	handlers := make([]Handler, len(slabs))
 	for i := range handlers {
-		handlers[i] = floodHandler{}
+		handlers[i] = h
 	}
-	sn := NewSharded(m, handlers, slabs, ShardedOptions{})
-	origin := sn.nets[sn.ShardOf(0)]
-	origin.Post(grid.Point{}, "flood", "token")
-	stats, err := sn.Run()
-	if err != nil {
-		t.Fatalf("sharded Run: %v", err)
-	}
-	for _, net := range sn.nets {
-		collect(net)
-	}
-	return stats, seen
+	return NewSlabs(m, handlers, slabs, opts)
 }
 
 // TestShardedFloodMatchesSequential is the engine-level parity check: the
 // flood protocol — every delivery, every drop, every per-node first-seen time
-// — is bit-identical between one Network and a ShardedNetwork at several
-// shard counts. Sharding must change wall-clock behaviour only.
+// — is bit-identical between one slab and several. Sharding must change
+// wall-clock behaviour only.
 func TestShardedFloodMatchesSequential(t *testing.T) {
 	wantStats, wantSeen := floodStats(t, 1)
 	if wantStats.Delivered == 0 {
@@ -71,20 +73,54 @@ func TestShardedFloodMatchesSequential(t *testing.T) {
 	}
 }
 
-// TestShardedControlOrdering pins the coordinator's control contract: At
-// callbacks fire at their tick in scheduling order, before that tick's
-// deliveries, and are counted into Stats (Control and Events) exactly as a
-// sequential Network counts its own control events.
+// FuzzShardedParity is the sharded ≡ sequential contract at the driver level:
+// on a random mesh up to 6³ with random faults, and control callbacks that
+// fail or repair nodes while the flood runs, a run on 2–6 slabs must
+// reproduce the one-slab run's Stats and every node's first-seen tick.
+func FuzzShardedParity(f *testing.F) {
+	f.Add(uint64(1), uint8(5), uint8(5), uint8(5), uint8(0))
+	f.Fuzz(func(t *testing.T, seed uint64, nx, ny, nz, shards uint8) {
+		x, y, z := 1+int(nx)%6, 1+int(ny)%6, 1+int(nz)%6
+		run := func(shards int) (Stats, map[int]Time) {
+			r := rng.New(seed)
+			m := mesh.New3D(x, y, z)
+			n := m.NodeCount()
+			for i := r.Intn(n/4 + 1); i > 0; i-- {
+				m.SetFaulty(m.Point(r.Intn(n)), true)
+			}
+			origin := m.Point(r.Intn(n))
+			m.SetFaulty(origin, false)
+			return floodRun(t, m, shards, origin, func(net *Network) {
+				for i := r.Intn(9); i > 0; i-- {
+					at, p, fail := Time(r.Intn(x+y+z)), m.Point(r.Intn(n)), r.Bool()
+					net.At(at, func() { m.SetFaulty(p, fail) })
+				}
+			})
+		}
+		shardCount := 2 + int(shards)%5
+		wantStats, wantSeen := run(1)
+		gotStats, gotSeen := run(shardCount)
+		if !reflect.DeepEqual(gotStats, wantStats) {
+			t.Errorf("%d slabs on %dx%dx%d: stats = %+v, want %+v", shardCount, x, y, z, gotStats, wantStats)
+		}
+		if !reflect.DeepEqual(gotSeen, wantSeen) {
+			t.Errorf("%d slabs on %dx%dx%d: first-seen ticks %v, want %v", shardCount, x, y, z, gotSeen, wantSeen)
+		}
+	})
+}
+
+// TestShardedControlOrdering pins the coordinator's control contract on
+// several slabs: At callbacks fire at their tick in scheduling order, before
+// that tick's deliveries, and are counted into Stats (Control and Events).
 func TestShardedControlOrdering(t *testing.T) {
 	m := mesh.New3D(4, 4, 4)
-	slabs := mesh.SlabPartition(m, 2)
-	sn := NewSharded(m, []Handler{floodHandler{}, floodHandler{}}, slabs, ShardedOptions{})
+	sn := newSlabNet(m, 2, floodHandler{}, Options{})
 
 	var order []int
 	sn.At(5, func() { order = append(order, 1) })
 	sn.At(3, func() { order = append(order, 0) })
 	sn.At(5, func() { order = append(order, 2) })
-	sn.nets[0].Post(grid.Point{}, "flood", "x")
+	sn.Post(grid.Point{}, "flood", "x")
 
 	stats, err := sn.Run()
 	if err != nil {
@@ -107,11 +143,10 @@ func TestShardedControlOrdering(t *testing.T) {
 // silently reordering it.
 func TestShardedZeroLookaheadGuard(t *testing.T) {
 	m := mesh.New3D(4, 4, 4)
-	slabs := mesh.SlabPartition(m, 2)
-	sn := NewSharded(m, []Handler{floodHandler{}, floodHandler{}}, slabs, ShardedOptions{})
+	sn := newSlabNet(m, 2, floodHandler{}, Options{})
 	// Forge a same-tick cross-shard event: Post is self-addressed, so reach
 	// into the outbox machinery directly with a doctored destination.
-	sn.nets[0].outbox = append(sn.nets[0].outbox, event{time: 0, to: slabs[1].Lo})
+	sn.slabs[0].outbox = append(sn.slabs[0].outbox, event{time: 0, to: sn.slabs[1].lo})
 	defer func() {
 		if recover() == nil {
 			t.Error("exchange of a same-tick cross-shard event did not panic")

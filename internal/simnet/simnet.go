@@ -6,16 +6,28 @@
 // run on top of it, and the experiments use its statistics to measure the
 // information model's message overhead.
 //
+// # One driver
+//
+// A Network owns one or more slabs: contiguous dense-ID ranges of the mesh
+// (see mesh.SlabPartition), each with its own handler, event queue, sequence
+// counter, kind table and outbox. New builds the one slab covering the whole
+// mesh; NewSlabs builds one slab per range. Both run the same loop, one tick
+// at a time: control callbacks (Network.At) first, from a coordinator heap,
+// then every slab with events at that tick, then the exchange of cross-slab
+// sends and the event-budget check. A one-slab network runs inline and never
+// crosses a channel; with several slabs, each processes its tick on its own
+// worker goroutine (see sharded.go for why that is safe and deterministic).
+//
 // # Fast path
 //
 // Internally the simulator is index-first: nodes are addressed by their dense
 // mesh ID (int32), envelope kinds are interned to small integer KindIDs (the
-// string-keyed Stats.ByKind map is materialised once when Stats is read), and
-// the event queue is a calendar queue — a ring of per-tick buckets whose
-// backing arrays are recycled across ticks, with a binary-heap fallback for
-// far-future events (distant timers, Network.At control callbacks). Events are
-// stored by value in the buckets, so the steady-state hot path of one event —
-// enqueue, bucket append, dequeue, deliver — performs no allocation.
+// string-keyed Stats.ByKind map is built when Stats is read), and the event
+// queue is a calendar queue — a ring of per-tick buckets whose backing arrays
+// are recycled across ticks, with a binary-heap fallback for far-future
+// timers. Events are stored by value in the buckets, so the steady-state hot
+// path of one event — enqueue, bucket append, dequeue, deliver — performs no
+// allocation.
 //
 // Handlers that need the same discipline (the traffic engine) use the Ref
 // fast path: Context.SendRef / Context.AfterRef carry an opaque int32 payload
@@ -26,6 +38,7 @@ package simnet
 import (
 	"errors"
 	"fmt"
+	"sync"
 
 	"mccmesh/internal/grid"
 	"mccmesh/internal/mesh"
@@ -43,9 +56,9 @@ type KindID int32
 // NoRef is the Ref value of envelopes sent without a payload reference.
 const NoRef int32 = -1
 
-// ErrEventBudget is returned (wrapped) by Run and Drain when the configured
-// MaxEvents budget is exhausted — almost always a protocol livelock or an
-// undersized budget for the offered load.
+// ErrEventBudget is returned (wrapped) by Run when the configured MaxEvents
+// budget is exhausted — almost always a protocol livelock or an undersized
+// budget for the offered load.
 var ErrEventBudget = errors.New("simnet: event budget exhausted")
 
 // Envelope is a message in flight or being delivered.
@@ -68,7 +81,7 @@ type Envelope struct {
 }
 
 // Handler is the per-node protocol logic. A single Handler value is shared by
-// all nodes; the node identity arrives through the Context.
+// all nodes of a slab; the node identity arrives through the Context.
 type Handler interface {
 	// Init runs once per healthy node before any message is delivered.
 	Init(ctx *Context)
@@ -93,21 +106,36 @@ type Stats struct {
 	ByKind map[string]int
 	// FinalTime is the simulated time of the last processed event.
 	FinalTime Time
-	// Events is the total number of processed events.
+	// Events is the total number of processed events: deliveries, drops and
+	// control callbacks.
 	Events int
 }
 
 // Options configure a Network.
 type Options struct {
-	// LinkDelay is the delivery latency of one hop. Defaults to 1.
+	// LinkDelay is the delivery latency of one hop. Defaults to 1. It is also
+	// the lookahead of the slab barrier, which needs at least 1.
 	LinkDelay Time
-	// MaxEvents aborts runaway protocols. Defaults to 4_000_000.
+	// MaxEvents aborts runaway protocols. Defaults to 4_000_000. Control
+	// callbacks count against it: the budget is checked before every
+	// callback, and each slab processes at most the budget left at the start
+	// of its tick. One slab therefore stops at exactly the budget; several
+	// slabs stop on the same tick, possibly a little past it.
 	MaxEvents int
 	// Telemetry, when non-nil, receives event-queue counters (heap-fallback
 	// pushes, heap→ring migrations, bucket recycling, peak bucket occupancy).
-	// Nil — the default — keeps every instrumentation point a predicted
-	// nil-check branch.
+	// With several slabs, each counts into a private sink (the slabs run in
+	// parallel) and Run merges them into this one when it returns. Nil — the
+	// default — keeps every instrumentation point a predicted nil-check
+	// branch.
 	Telemetry *telemetry.Sink
+	// MigrateRef rewrites an envelope payload reference when an event crosses
+	// slabs at the barrier exchange: handlers that resolve Envelope.Ref
+	// against per-slab pools (the traffic engine) move the payload from the
+	// source slab's pool to the destination's here. It runs single-threaded
+	// on the coordinator. Required when handlers use SendRef across slab
+	// boundaries; boxed payloads migrate automatically.
+	MigrateRef func(from, to int, kind KindID, ref int32) int32
 
 	// farThreshold forces events further than this many ticks in the future
 	// onto the heap fallback instead of the calendar ring. Zero selects the
@@ -118,130 +146,102 @@ type Options struct {
 
 // Network is the simulator instance.
 type Network struct {
-	mesh    *mesh.Mesh
-	handler Handler
-	opts    Options
+	mesh  *mesh.Mesh
+	opts  Options
+	slabs []*slab
 
-	now   Time
-	seq   int64
-	queue calendarQueue
-	stats Stats
-
-	// env is the delivery scratch slot handed (by pointer) to Handler.Receive;
-	// see process.
-	env Envelope
-
-	// kindIDs interns kind strings; kindNames and byKind are indexed by KindID.
-	kindIDs   map[string]KindID
-	kindNames []string
-	byKind    []int
-
-	// byKindCache is the materialised Stats.ByKind map, rebuilt only when a
-	// delivery has landed since it was built (byKind changes exactly when
-	// stats.Delivered does), so polling Stats per tick does not allocate.
-	byKindCache map[string]int
-	byKindAt    int
-
-	// boxed holds `any` payloads and At callbacks outside the (pointer-free)
-	// event queue; boxedFree is its slot free-list. Ref-based sends never
-	// touch it.
-	boxed     []any
-	boxedFree []int32
-
-	// shardLo/shardHi bound the node IDs this network owns when it runs as one
-	// shard of a ShardedNetwork; events addressed outside the slab divert to
-	// outbox (in send order) instead of the local queue, and the coordinator
-	// exchanges them at the tick barrier. shardHi == 0 — the default — disables
-	// the diversion entirely: a standalone Network owns every node.
-	shardLo, shardHi int32
-	outbox           []event
-
-	store []map[string]any
+	// ctxs and store are indexed by dense node ID; each context is bound to
+	// the slab owning its node, and a slab only touches its own entries.
 	ctxs  []Context
+	store []map[string]any
+
+	now     Time
+	final   Time // the last tick that processed anything
+	events  int  // events processed: deliveries, drops, control callbacks
+	control int  // control callbacks run
+	ctrl    ctrlHeap
+	ctrlSeq int64
+
+	// Worker machinery, used only with two or more slabs: one persistent
+	// goroutine per slab, fed ticks over start and reporting back over done,
+	// so the per-tick cost is two channel operations per active slab rather
+	// than a goroutine spawn.
+	start   []chan tickJob
+	done    chan slabDone
+	workers sync.WaitGroup
 }
 
-// New creates a network over the mesh with the given handler.
+// New creates a network over the mesh with the given handler: one slab
+// covering every node.
 func New(m *mesh.Mesh, handler Handler, opts ...Options) *Network {
 	var o Options
 	if len(opts) > 0 {
 		o = opts[0]
 	}
-	if o.LinkDelay <= 0 {
-		o.LinkDelay = 1
+	return NewSlabs(m, []Handler{handler}, mesh.SlabPartition(m, 1), o)
+}
+
+// NewSlabs creates a network with one slab per range, slab i running
+// handlers[i]. Handlers typically share read-only configuration but must keep
+// mutable per-node state private to their slab; shared mutable state may
+// only change inside At callbacks. The ranges must be the contiguous
+// ascending cover mesh.SlabPartition produces.
+func NewSlabs(m *mesh.Mesh, handlers []Handler, ranges []mesh.IDRange, opts Options) *Network {
+	if len(handlers) != len(ranges) {
+		panic(fmt.Sprintf("simnet: %d handlers for %d slabs", len(handlers), len(ranges)))
 	}
-	if o.MaxEvents <= 0 {
-		o.MaxEvents = 4_000_000
+	if opts.LinkDelay <= 0 {
+		opts.LinkDelay = 1
 	}
-	if o.farThreshold <= 0 || o.farThreshold > wheelSize {
-		o.farThreshold = wheelSize
+	if opts.MaxEvents <= 0 {
+		opts.MaxEvents = 4_000_000
+	}
+	if opts.farThreshold <= 0 || opts.farThreshold > wheelSize {
+		opts.farThreshold = wheelSize
 	}
 	n := &Network{
-		mesh:    m,
-		handler: handler,
-		opts:    o,
-		kindIDs: make(map[string]KindID, 8),
-		store:   make([]map[string]any, m.NodeCount()),
-		ctxs:    make([]Context, m.NodeCount()),
+		mesh:  m,
+		opts:  opts,
+		ctxs:  make([]Context, m.NodeCount()),
+		store: make([]map[string]any, m.NodeCount()),
 	}
-	n.queue.init()
-	n.queue.tel = o.Telemetry
-	// KindID 0 is reserved for control events so Stats never reports them as
-	// deliveries of a user kind.
-	n.intern("control")
-	for i := range n.ctxs {
-		n.ctxs[i] = Context{net: n, self: m.Point(i), selfID: int32(i)}
+	for i, r := range ranges {
+		s := &slab{
+			net: n, mesh: m, opts: n.opts, ctxs: n.ctxs,
+			idx: i, lo: r.Lo, hi: r.Hi,
+			handler: handlers[i],
+			kindIDs: make(map[string]KindID, 8),
+		}
+		s.queue.init()
+		s.queue.tel = opts.Telemetry
+		if opts.Telemetry != nil && len(ranges) > 1 {
+			s.queue.tel = telemetry.NewSink()
+		}
+		for id := r.Lo; id < r.Hi; id++ {
+			n.ctxs[id] = Context{sl: s, self: m.Point(int(id)), selfID: id}
+		}
+		n.slabs = append(n.slabs, s)
 	}
 	return n
 }
 
-const kindControl KindID = 0
-
-// box parks a payload (or control callback) in the side table and returns its
-// slot, reusing freed slots. nil payloads are not boxed.
-func (n *Network) box(v any) int32 {
-	if v == nil {
-		return noBox
+// Kind interns an envelope kind in every slab and returns its dense ID.
+// Handlers on the fast path intern their kinds once (at Init) and pass the
+// IDs to SendRef, SendDirRef and AfterRef. The slabs intern in the same
+// order, so the IDs agree; a divergence (a handler interning slab-locally
+// first) panics rather than silently mis-dispatching.
+func (n *Network) Kind(name string) KindID {
+	id := n.slabs[0].intern(name)
+	for _, s := range n.slabs[1:] {
+		if got := s.intern(name); got != id {
+			panic(fmt.Sprintf("simnet: kind %q interned as %d and %d across slabs", name, id, got))
+		}
 	}
-	if k := len(n.boxedFree); k > 0 {
-		idx := n.boxedFree[k-1]
-		n.boxedFree = n.boxedFree[:k-1]
-		n.boxed[idx] = v
-		return idx
-	}
-	n.boxed = append(n.boxed, v)
-	return int32(len(n.boxed) - 1)
-}
-
-// unbox retrieves and releases a boxed payload.
-func (n *Network) unbox(idx int32) any {
-	if idx == noBox {
-		return nil
-	}
-	v := n.boxed[idx]
-	n.boxed[idx] = nil
-	n.boxedFree = append(n.boxedFree, idx)
-	return v
-}
-
-// intern returns the stable KindID of name, allocating one on first use.
-func (n *Network) intern(name string) KindID {
-	if id, ok := n.kindIDs[name]; ok {
-		return id
-	}
-	id := KindID(len(n.kindNames))
-	n.kindIDs[name] = id
-	n.kindNames = append(n.kindNames, name)
-	n.byKind = append(n.byKind, 0)
 	return id
 }
 
-// Kind interns an envelope kind and returns its dense ID. Handlers on the
-// fast path intern their kinds once (at Init) and pass the IDs to SendRef,
-// SendDirRef and AfterRef.
-func (n *Network) Kind(name string) KindID { return n.intern(name) }
-
-// KindName returns the string form of an interned kind.
-func (n *Network) KindName(id KindID) string { return n.kindNames[id] }
+// KindName returns the string form of a kind interned with Kind.
+func (n *Network) KindName(id KindID) string { return n.slabs[0].kindNames[id] }
 
 // Mesh returns the underlying mesh.
 func (n *Network) Mesh() *mesh.Mesh { return n.mesh }
@@ -249,24 +249,25 @@ func (n *Network) Mesh() *mesh.Mesh { return n.mesh }
 // Now returns the current simulated time.
 func (n *Network) Now() Time { return n.now }
 
-// Stats returns a copy of the accumulated statistics. The ByKind map is
-// materialised from the interned per-kind counters and cached until the next
-// delivery, so repeated polling (progress observers) costs no allocation;
-// callers must treat the map as read-only.
+// ShardOf returns the index of the slab owning the dense node ID.
+func (n *Network) ShardOf(id int32) int { return n.ctxs[id].sl.idx }
+
+// Stats returns the accumulated statistics, summed over the slabs: counters
+// add up, ByKind merges by kind name, FinalTime is the latest processed tick
+// (control callbacks included).
 func (n *Network) Stats() Stats {
-	s := n.stats
-	if n.byKindCache == nil || n.byKindAt != n.stats.Delivered {
-		cache := make(map[string]int, len(n.byKind))
-		for id, count := range n.byKind {
+	st := Stats{ByKind: make(map[string]int), Control: n.control, Events: n.events, FinalTime: n.final}
+	for _, s := range n.slabs {
+		st.Delivered += s.delivered
+		st.Dropped += s.dropped
+		st.Timers += s.timers
+		for id, count := range s.byKind {
 			if count > 0 {
-				cache[n.kindNames[id]] = count
+				st.ByKind[s.kindNames[id]] += count
 			}
 		}
-		n.byKindCache = cache
-		n.byKindAt = n.stats.Delivered
 	}
-	s.ByKind = n.byKindCache
-	return s
+	return st
 }
 
 // Store returns the local key/value store of node p (creating it on demand).
@@ -280,172 +281,319 @@ func (n *Network) Store(p grid.Point) map[string]any {
 	return n.store[idx]
 }
 
-// ContextOf returns the per-node context of the node with dense ID id.
-// Control callbacks (Network.At) use it to act on behalf of a node — e.g. the
-// traffic engine's churn handler re-arms a repaired node's injection timer,
-// whose previous instance was dropped while the node was faulty.
+// ContextOf returns the per-node context of the node with dense ID id, bound
+// to its owning slab. Control callbacks (Network.At) use it to act on behalf
+// of a node — e.g. the traffic engine's churn handler re-arms a repaired
+// node's injection timer, whose previous instance was dropped while the node
+// was faulty.
 func (n *Network) ContextOf(id int32) *Context { return &n.ctxs[id] }
 
-// Post injects an external event addressed to node p at the current time
-// (plus one link delay), e.g. the arrival of a routing request at the source.
+// Post injects an external event addressed to node p at the current time,
+// into the queue of the slab owning p — e.g. the arrival of a routing request
+// at the source. A point outside the mesh is posted to the first slab, where
+// it is dropped.
 func (n *Network) Post(p grid.Point, kind string, payload any) {
 	id := n.mesh.ID(p)
-	n.enqueue(event{
+	s := n.slabs[0]
+	if id != mesh.NoNeighbor {
+		s = n.ctxs[id].sl
+	}
+	s.enqueue(event{
 		time: n.now, sendTime: n.now,
 		from: id, to: id,
-		kind: n.intern(kind), ref: NoRef,
-		box: n.box(payload),
+		kind: s.intern(kind), ref: NoRef,
+		box: s.box(payload),
 	})
 }
 
 // At schedules fn to run at simulated time t (or at the current time if t has
-// already passed), interleaved deterministically with message deliveries: among
-// events with equal times, scheduling order wins. Control callbacks may mutate
-// the mesh — the traffic engine uses them to inject faults mid-run.
+// already passed). Control callbacks run first in their tick, before any of
+// its deliveries, in scheduling order among themselves. They are the one
+// place shared state (the mesh's fault set, the handlers' models) may change
+// — the traffic engine uses them to inject faults mid-run. Call At before Run
+// or from a control callback; with several slabs, never from a handler.
 func (n *Network) At(t Time, fn func()) {
 	if t < n.now {
 		t = n.now
 	}
-	n.enqueue(event{
-		time: t, sendTime: n.now,
-		from: mesh.NoNeighbor, to: mesh.NoNeighbor,
-		kind: kindControl, ref: NoRef,
-		box: n.box(fn), ctrl: true,
-	})
+	n.ctrlSeq++
+	n.ctrl.push(ctrlEvent{time: t, seq: n.ctrlSeq, fn: fn})
 }
 
-// Run initialises every healthy node and processes events until the network
-// is quiescent. It returns the final statistics, and a non-nil error wrapping
-// ErrEventBudget if the event budget was exhausted before quiescence.
+// Run initialises every healthy node in dense-ID order and processes events
+// until the network is quiescent. It returns the final statistics, and a
+// non-nil error wrapping ErrEventBudget if the event budget was exhausted
+// before quiescence.
 func (n *Network) Run() (Stats, error) {
-	for i := 0; i < n.mesh.NodeCount(); i++ {
-		if n.mesh.FaultyAt(i) {
-			continue
-		}
-		n.handler.Init(&n.ctxs[i])
-	}
-	return n.Drain()
-}
-
-// Drain processes queued events without re-initialising nodes. It is used to
-// continue a simulation after posting additional external events. When the
-// event budget runs out it stops and returns the statistics so far together
-// with an error wrapping ErrEventBudget.
-func (n *Network) Drain() (Stats, error) {
-	for n.queue.pending() {
-		if err := n.runTick(n.queue.nextTime(n.now)); err != nil {
-			return n.Stats(), err
+	for i := range n.ctxs {
+		if !n.mesh.FaultyAt(i) {
+			c := &n.ctxs[i]
+			c.sl.handler.Init(c)
 		}
 	}
-	return n.Stats(), nil
+	err := n.drain()
+	if len(n.slabs) > 1 {
+		for _, s := range n.slabs {
+			n.opts.Telemetry.Merge(s.queue.tel)
+		}
+	}
+	return n.Stats(), err
 }
 
-// runTick processes every event scheduled at exactly tick t — the per-tick
-// unit a ShardedNetwork drives under its barrier; Drain is the degenerate
-// single-shard loop over it. The caller guarantees t is the earliest queued
-// tick (or that the tick is empty, which is a no-op).
-func (n *Network) runTick(t Time) error {
-	n.queue.migrate(t, n.opts.farThreshold)
-	bucket := &n.queue.ring[t&wheelMask]
+// drain is the event loop: pick the earliest tick with work, run its control
+// callbacks, let every slab with events at that tick process them, then
+// exchange the cross-slab sends (which all target t+LinkDelay or later) and
+// repeat.
+func (n *Network) drain() error {
+	if len(n.slabs) > 1 {
+		n.startWorkers()
+		defer n.stopWorkers()
+	}
+	n.exchange() // flush Init-time cross-slab sends
+	active := make([]int, 0, len(n.slabs))
+	for {
+		t, ok := n.nextTick()
+		if !ok {
+			return nil
+		}
+		n.now = t
+		active = n.advanceTo(t, active[:0])
+		// Control callbacks first: they run single-threaded, in scheduling
+		// order, against a quiescent tick, so every slab observes a change
+		// of shared state at the same point of the timeline.
+		if n.ctrl.due(t) {
+			for n.ctrl.due(t) {
+				if n.events >= n.opts.MaxEvents {
+					return n.budgetErr(t)
+				}
+				ev := n.ctrl.pop()
+				n.events++
+				n.control++
+				n.final = t
+				ev.fn()
+			}
+			// A callback may have armed same-tick work on an otherwise idle
+			// slab (e.g. re-arming a repaired node's timer).
+			active = n.advanceTo(t, active[:0])
+		}
+		processed, exhausted := n.runTicks(active, t, n.opts.MaxEvents-n.events)
+		if processed > 0 {
+			n.events += processed
+			n.final = t
+		}
+		if exhausted {
+			return n.budgetErr(t)
+		}
+		n.exchange()
+		// Only several slabs can overrun the budget: each stops at the budget
+		// left at the start of the tick.
+		if n.events > n.opts.MaxEvents {
+			return n.budgetErr(t)
+		}
+	}
+}
+
+// advanceTo moves every slab to tick t and appends the slabs with events at t
+// to active.
+func (n *Network) advanceTo(t Time, active []int) []int {
+	for i, s := range n.slabs {
+		s.advance(t)
+		if len(s.queue.ring[t&wheelMask]) > 0 {
+			active = append(active, i)
+		}
+	}
+	return active
+}
+
+// nextTick returns the earliest tick with pending work — a queued event in
+// any slab or a scheduled control callback.
+func (n *Network) nextTick() (Time, bool) {
+	var best Time
+	ok := false
+	if len(n.ctrl) > 0 {
+		best, ok = n.ctrl[0].time, true
+	}
+	for _, s := range n.slabs {
+		if s.queue.pending() {
+			if t := s.queue.nextTime(s.now); !ok || t < best {
+				best, ok = t, true
+			}
+		}
+	}
+	return best, ok
+}
+
+func (n *Network) budgetErr(t Time) error {
+	return fmt.Errorf("%w: budget %d at t=%d (protocol livelock or undersized MaxEvents?)",
+		ErrEventBudget, n.opts.MaxEvents, t)
+}
+
+// slab is one dense-ID range of a Network with everything needed to process
+// its events independently of the other slabs within a tick.
+type slab struct {
+	net *Network
+	// mesh, opts and ctxs repeat the Network's so that the per-event path
+	// reaches them through the slab alone.
+	mesh *mesh.Mesh
+	opts Options
+	ctxs []Context
+
+	idx     int
+	lo, hi  int32
+	handler Handler
+
+	now   Time
+	seq   int64
+	queue calendarQueue
+
+	delivered, dropped, timers int
+
+	// env is the delivery scratch slot handed (by pointer) to Handler.Receive;
+	// see process.
+	env Envelope
+
+	// kindIDs interns kind strings; kindNames and byKind are indexed by KindID.
+	kindIDs   map[string]KindID
+	kindNames []string
+	byKind    []int
+
+	// boxed holds `any` payloads outside the (pointer-free) event queue;
+	// boxedFree is its slot free-list. Ref-based sends never touch it.
+	boxed     []any
+	boxedFree []int32
+
+	// outbox collects, in send order, the events addressed to nodes of other
+	// slabs; the coordinator exchanges them at the tick barrier.
+	outbox []event
+}
+
+// box parks a payload in the side table and returns its slot, reusing freed
+// slots. nil payloads are not boxed.
+func (s *slab) box(v any) int32 {
+	if v == nil {
+		return noBox
+	}
+	if k := len(s.boxedFree); k > 0 {
+		idx := s.boxedFree[k-1]
+		s.boxedFree = s.boxedFree[:k-1]
+		s.boxed[idx] = v
+		return idx
+	}
+	s.boxed = append(s.boxed, v)
+	return int32(len(s.boxed) - 1)
+}
+
+// unbox retrieves and releases a boxed payload.
+func (s *slab) unbox(idx int32) any {
+	if idx == noBox {
+		return nil
+	}
+	v := s.boxed[idx]
+	s.boxed[idx] = nil
+	s.boxedFree = append(s.boxedFree, idx)
+	return v
+}
+
+// intern returns the stable KindID of name, allocating one on first use.
+func (s *slab) intern(name string) KindID {
+	if id, ok := s.kindIDs[name]; ok {
+		return id
+	}
+	id := KindID(len(s.kindNames))
+	s.kindIDs[name] = id
+	s.kindNames = append(s.kindNames, name)
+	s.byKind = append(s.byKind, 0)
+	return id
+}
+
+// advance moves the slab's clock to t and migrates the heap events that now
+// fall inside the calendar window, before anything can be enqueued for those
+// ticks (see calendarQueue). The caller guarantees no queued event is earlier
+// than t.
+func (s *slab) advance(t Time) {
+	s.now = t
+	if len(s.queue.far) > 0 {
+		s.queue.migrate(t, s.opts.farThreshold)
+	}
+}
+
+// runTick processes the events scheduled at exactly tick t, the current
+// tick, but at most budget of them. It returns how many it processed and
+// whether it stopped short.
+func (s *slab) runTick(t Time, budget int) (processed int, exhausted bool) {
+	bucket := &s.queue.ring[t&wheelMask]
 	// The bucket may grow while it is drained: same-tick events appended
-	// during processing (After(0), At(now), Post) carry larger sequence
-	// numbers and belong at the tail, so re-reading len each iteration
-	// preserves the (time, seq) order exactly.
+	// during processing (After(0), Post) carry larger sequence numbers and
+	// belong at the tail, so re-reading len each iteration preserves the
+	// (time, seq) order exactly.
 	for i := 0; i < len(*bucket); i++ {
-		if n.stats.Events >= n.opts.MaxEvents {
-			// Drop the processed prefix so a (hypothetical) further Drain
-			// does not replay it.
-			n.queue.consume(bucket, i)
-			return fmt.Errorf("%w: budget %d at t=%d (protocol livelock or undersized MaxEvents?)",
-				ErrEventBudget, n.opts.MaxEvents, n.now)
+		if i == budget {
+			// Drop the processed prefix so the queue stays consistent.
+			s.queue.consume(bucket, i)
+			return i, true
 		}
 		ev := (*bucket)[i] // copy: the append above may move the slice
-		n.now = t
-		n.stats.Events++
-		n.stats.FinalTime = t
-		n.process(&ev)
+		s.process(&ev)
 	}
-	n.queue.consume(bucket, len(*bucket))
-	return nil
+	processed = len(*bucket)
+	s.queue.consume(bucket, processed)
+	return processed, false
 }
 
-// peekTime returns the earliest queued tick without consuming anything; ok is
-// false when the queue is empty.
-func (n *Network) peekTime() (t Time, ok bool) {
-	if !n.queue.pending() {
-		return 0, false
-	}
-	return n.queue.nextTime(n.now), true
-}
-
-// advanceTo moves the clock forward to t without processing — an idle shard
-// keeping pace with the barrier. The caller guarantees no queued event is
-// earlier than t, so the ring's [now, now+window) invariant is preserved.
-func (n *Network) advanceTo(t Time) {
-	if t > n.now {
-		n.now = t
-	}
-}
-
-// process dispatches one dequeued event.
-func (n *Network) process(ev *event) {
-	if ev.ctrl {
-		n.stats.Control++
-		n.unbox(ev.box).(func())()
+// process delivers (or drops) one dequeued event.
+func (s *slab) process(ev *event) {
+	if ev.to == mesh.NoNeighbor || s.mesh.FaultyAt(int(ev.to)) {
+		s.dropped++
+		s.unbox(ev.box) // release the payload of the dropped message
 		return
 	}
-	if ev.to == mesh.NoNeighbor || n.mesh.FaultyAt(int(ev.to)) {
-		n.stats.Dropped++
-		n.unbox(ev.box) // release the payload of the dropped message
-		return
-	}
-	n.stats.Delivered++
-	n.byKind[ev.kind]++
+	s.delivered++
+	s.byKind[ev.kind]++
 	// env is a reusable scratch slot, not a fresh value: passing a pointer
 	// through the Handler interface would otherwise heap-allocate an Envelope
 	// per delivery, and it is filled field by field — a composite literal here
 	// compiles to a build-then-copy of the whole struct. Receive must not
 	// retain it.
-	env := &n.env
-	env.From = n.pointOf(ev.from)
-	env.To = n.mesh.Point(int(ev.to))
-	env.Kind = n.kindNames[ev.kind]
+	env := &s.env
+	env.From = s.pointOf(ev.from)
+	env.To = s.mesh.Point(int(ev.to))
+	env.Kind = s.kindNames[ev.kind]
 	env.KindID = ev.kind
-	env.Payload = n.unbox(ev.box)
+	env.Payload = s.unbox(ev.box)
 	env.Ref = ev.ref
 	env.SendTime = ev.sendTime
 	env.DeliverTime = ev.time
-	n.handler.Receive(&n.ctxs[ev.to], env)
+	s.handler.Receive(&s.ctxs[ev.to], env)
 }
 
 // pointOf maps a dense ID back to coordinates, tolerating the out-of-mesh
-// marker (control events, senders of dropped posts).
-func (n *Network) pointOf(id int32) grid.Point {
+// marker (senders of dropped posts).
+func (s *slab) pointOf(id int32) grid.Point {
 	if id == mesh.NoNeighbor {
 		return grid.Point{}
 	}
-	return n.mesh.Point(int(id))
+	return s.mesh.Point(int(id))
 }
 
-// enqueue assigns the next sequence number and buckets the event. In sharded
-// mode, events addressed to a node outside this shard's slab are diverted to
-// the outbox instead; the coordinator re-enqueues them into the owning shard
-// at the tick barrier (which assigns that shard's own sequence numbers, so
-// destination buckets stay seq-sorted).
-func (n *Network) enqueue(ev event) {
-	n.seq++
-	ev.seq = n.seq
-	if n.shardHi != 0 && ev.to != mesh.NoNeighbor && (ev.to < n.shardLo || ev.to >= n.shardHi) {
-		n.outbox = append(n.outbox, ev)
+// enqueue assigns the next sequence number and buckets the event. Events
+// addressed to a node of another slab are diverted to the outbox instead; the
+// coordinator re-enqueues them into the owning slab at the tick barrier
+// (which assigns that slab's own sequence numbers, so destination buckets
+// stay seq-sorted).
+func (s *slab) enqueue(ev event) {
+	s.seq++
+	ev.seq = s.seq
+	if ev.to != mesh.NoNeighbor && (ev.to < s.lo || ev.to >= s.hi) {
+		s.outbox = append(s.outbox, ev)
 		return
 	}
-	n.queue.push(ev, n.now, n.opts.farThreshold)
+	s.queue.push(ev, s.now, s.opts.farThreshold)
 }
 
 // Context gives a handler access to its node's identity, local store and
 // communication primitives.
 type Context struct {
-	net    *Network
+	sl     *slab
 	self   grid.Point
 	selfID int32
 }
@@ -457,25 +605,25 @@ func (c *Context) Self() grid.Point { return c.self }
 func (c *Context) SelfID() int32 { return c.selfID }
 
 // Time returns the current simulated time.
-func (c *Context) Time() Time { return c.net.now }
+func (c *Context) Time() Time { return c.sl.now }
 
 // Mesh exposes the topology (a real node knows its own coordinates and the
 // mesh dimensions; it must not use the mesh to inspect distant fault status —
 // protocols gather that through messages).
-func (c *Context) Mesh() *mesh.Mesh { return c.net.mesh }
+func (c *Context) Mesh() *mesh.Mesh { return c.sl.mesh }
 
 // Store returns this node's local key/value store.
-func (c *Context) Store() map[string]any { return c.net.Store(c.self) }
+func (c *Context) Store() map[string]any { return c.sl.net.Store(c.self) }
 
 // NeighborFaulty reports whether the neighbour in direction dir is faulty or
 // missing. Nodes are assumed to know the liveness of their direct neighbours
 // (the paper's base assumption).
 func (c *Context) NeighborFaulty(dir grid.Direction) bool {
-	q := c.net.mesh.NeighborID(c.selfID, dir)
+	q := c.sl.mesh.NeighborID(c.selfID, dir)
 	if q == mesh.NoNeighbor {
 		return true
 	}
-	return c.net.mesh.FaultyAt(int(q))
+	return c.sl.mesh.FaultyAt(int(q))
 }
 
 // Send transmits a message to a neighbouring node. It panics if to is not a
@@ -484,26 +632,28 @@ func (c *Context) Send(to grid.Point, kind string, payload any) {
 	if grid.Manhattan(c.self, to) != 1 {
 		panic(fmt.Sprintf("simnet: %v attempted a non-local send to %v", c.self, to))
 	}
-	c.net.enqueue(event{
-		time: c.net.now + c.net.opts.LinkDelay, sendTime: c.net.now,
-		from: c.selfID, to: c.net.mesh.ID(to),
-		kind: c.net.intern(kind), ref: NoRef,
-		box: c.net.box(payload),
+	s := c.sl
+	s.enqueue(event{
+		time: s.now + s.opts.LinkDelay, sendTime: s.now,
+		from: c.selfID, to: s.mesh.ID(to),
+		kind: s.intern(kind), ref: NoRef,
+		box: s.box(payload),
 	})
 }
 
 // SendDir transmits a message to the neighbour in the given direction and
 // reports whether such a neighbour exists.
 func (c *Context) SendDir(dir grid.Direction, kind string, payload any) bool {
-	to := c.net.mesh.NeighborID(c.selfID, dir)
+	s := c.sl
+	to := s.mesh.NeighborID(c.selfID, dir)
 	if to == mesh.NoNeighbor {
 		return false
 	}
-	c.net.enqueue(event{
-		time: c.net.now + c.net.opts.LinkDelay, sendTime: c.net.now,
+	s.enqueue(event{
+		time: s.now + s.opts.LinkDelay, sendTime: s.now,
 		from: c.selfID, to: to,
-		kind: c.net.intern(kind), ref: NoRef,
-		box: c.net.box(payload),
+		kind: s.intern(kind), ref: NoRef,
+		box: s.box(payload),
 	})
 	return true
 }
@@ -514,12 +664,13 @@ func (c *Context) SendDir(dir grid.Direction, kind string, payload any) bool {
 // handle the receiving handler resolves against its own pool (it arrives in
 // Envelope.Ref; Envelope.Payload stays nil).
 func (c *Context) SendRef(dir grid.Direction, kind KindID, ref int32) bool {
-	to := c.net.mesh.NeighborID(c.selfID, dir)
+	s := c.sl
+	to := s.mesh.NeighborID(c.selfID, dir)
 	if to == mesh.NoNeighbor {
 		return false
 	}
-	c.net.enqueue(event{
-		time: c.net.now + c.net.opts.LinkDelay, sendTime: c.net.now,
+	s.enqueue(event{
+		time: s.now + s.opts.LinkDelay, sendTime: s.now,
 		from: c.selfID, to: to,
 		kind: kind, ref: ref, box: noBox,
 	})
@@ -530,7 +681,7 @@ func (c *Context) SendRef(dir grid.Direction, kind KindID, ref int32) bool {
 // many copies were sent.
 func (c *Context) Broadcast(kind string, payload any) int {
 	sent := 0
-	for _, dir := range c.net.mesh.Directions() {
+	for _, dir := range c.sl.mesh.Directions() {
 		if c.SendDir(dir, kind, payload) {
 			sent++
 		}
@@ -540,7 +691,7 @@ func (c *Context) Broadcast(kind string, payload any) int {
 
 // After schedules a local timer event delivered to this node after delay.
 func (c *Context) After(delay Time, kind string, payload any) {
-	c.after(delay, c.net.intern(kind), NoRef, payload)
+	c.after(delay, c.sl.intern(kind), NoRef, payload)
 }
 
 // AfterRef schedules a local timer carrying a payload reference instead of a
@@ -553,11 +704,12 @@ func (c *Context) after(delay Time, kind KindID, ref int32, payload any) {
 	if delay < 0 {
 		delay = 0
 	}
-	c.net.stats.Timers++
-	c.net.enqueue(event{
-		time: c.net.now + delay, sendTime: c.net.now,
+	s := c.sl
+	s.timers++
+	s.enqueue(event{
+		time: s.now + delay, sendTime: s.now,
 		from: c.selfID, to: c.selfID,
 		kind: kind, ref: ref,
-		box: c.net.box(payload),
+		box: s.box(payload),
 	})
 }

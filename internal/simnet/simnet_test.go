@@ -82,16 +82,19 @@ func TestFloodTimeEqualsDistance(t *testing.T) {
 	})
 }
 
-// pingPong bounces a counter between a node and its +X neighbour a limited
-// number of times.
-type pingPong struct{ limit int }
+// pingPong bounces a counter between a node and its neighbour in direction
+// dir (+X by default) a limited number of times.
+type pingPong struct {
+	limit int
+	dir   grid.Direction
+}
 
 func (pingPong) Init(ctx *Context) {}
 
 func (h pingPong) Receive(ctx *Context, env *Envelope) {
 	switch env.Kind {
 	case "start":
-		ctx.SendDir(grid.XPos, "pong", 0)
+		ctx.SendDir(h.dir, "pong", 0)
 	case "pong":
 		n := env.Payload.(int)
 		if n >= h.limit {
@@ -120,7 +123,7 @@ func TestDeterministicOrdering(t *testing.T) {
 func TestSendRejectsNonNeighbors(t *testing.T) {
 	m := mesh.New2D(4, 4)
 	net := New(m, floodHandler{})
-	ctx := &Context{net: net, self: grid.Point{}, selfID: 0}
+	ctx := net.ContextOf(0)
 	defer func() {
 		if recover() == nil {
 			t.Error("Send to a non-neighbour should panic")
@@ -132,7 +135,7 @@ func TestSendRejectsNonNeighbors(t *testing.T) {
 func TestSendDirOffMesh(t *testing.T) {
 	m := mesh.New2D(3, 3)
 	net := New(m, floodHandler{})
-	ctx := &Context{net: net, self: grid.Point{}, selfID: 0}
+	ctx := net.ContextOf(0)
 	if ctx.SendDir(grid.XNeg, "x", nil) {
 		t.Error("SendDir off the mesh should report false")
 	}
@@ -213,7 +216,7 @@ func TestNeighborFaulty(t *testing.T) {
 	m := mesh.New2D(3, 3)
 	m.AddFaults(grid.Point{X: 1, Y: 0})
 	net := New(m, floodHandler{})
-	ctx := &Context{net: net, self: grid.Point{}, selfID: 0}
+	ctx := net.ContextOf(0)
 	if !ctx.NeighborFaulty(grid.XPos) {
 		t.Error("faulty neighbour not reported")
 	}
@@ -225,16 +228,56 @@ func TestNeighborFaulty(t *testing.T) {
 	}
 }
 
+// TestEventBudgetReturnsError pins the budget rule. Control callbacks count
+// against MaxEvents and the budget is checked before each one; every slab
+// processes at most the budget left at the start of its tick. One slab
+// therefore stops at exactly the budget, control included, and several slabs
+// stop on the same tick as one.
 func TestEventBudgetReturnsError(t *testing.T) {
-	m := mesh.New2D(3, 3)
-	net := New(m, pingPong{limit: 1 << 30}, Options{MaxEvents: 100})
-	net.Post(grid.Point{X: 1, Y: 1}, "start", nil)
-	stats, err := net.Run()
-	if !errors.Is(err, ErrEventBudget) {
-		t.Fatalf("Run error = %v, want ErrEventBudget", err)
-	}
-	if stats.Events != 100 {
-		t.Errorf("processed %d events before aborting, want exactly the budget 100", stats.Events)
+	for _, tc := range []struct {
+		name    string
+		mesh    func() *mesh.Mesh
+		h       Handler
+		start   grid.Point
+		budget  int
+		control bool // an At callback on every tick
+	}{
+		{"ping-pong", func() *mesh.Mesh { return mesh.New2D(3, 3) }, pingPong{limit: 1 << 30}, grid.Point{X: 1, Y: 1}, 100, false},
+		{"ping-pong-across-slabs+control", func() *mesh.Mesh { return mesh.New2D(3, 3) }, pingPong{limit: 1 << 30, dir: grid.YPos}, grid.Point{X: 1}, 100, true},
+		{"flood+control", func() *mesh.Mesh { return mesh.New3D(6, 6, 6) }, floodHandler{}, grid.Point{}, 150, true},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			var want Stats
+			for _, shards := range []int{1, 2, 3} {
+				net := newSlabNet(tc.mesh(), shards, tc.h, Options{MaxEvents: tc.budget})
+				net.Post(tc.start, "start", nil)
+				if tc.control {
+					for tick := Time(0); tick < Time(2*tc.budget); tick++ {
+						net.At(tick, func() {})
+					}
+				}
+				stats, err := net.Run()
+				if !errors.Is(err, ErrEventBudget) {
+					t.Fatalf("%d slabs: Run error = %v, want ErrEventBudget", shards, err)
+				}
+				if shards == 1 {
+					if stats.Events != tc.budget {
+						t.Errorf("processed %d events before aborting, want exactly the budget %d", stats.Events, tc.budget)
+					}
+					if tc.control && stats.Control == 0 {
+						t.Error("no control callback ran before the abort")
+					}
+					want = stats
+					continue
+				}
+				if stats.FinalTime != want.FinalTime {
+					t.Errorf("%d slabs aborted at t=%d, one slab at t=%d", shards, stats.FinalTime, want.FinalTime)
+				}
+				if stats.Events < tc.budget {
+					t.Errorf("%d slabs aborted after %d events, under the budget %d", shards, stats.Events, tc.budget)
+				}
+			}
+		})
 	}
 }
 
@@ -345,8 +388,8 @@ func runBurst(t *testing.T, opts Options) []order {
 	h.drive, h.fill = net.Kind("drive"), net.Kind("fill")
 	net.Post(grid.Point{X: 1, Y: 2}, "drive", nil)
 	mustRun(t, net)
-	if opts.farThreshold == 0 && net.queue.storage >= int(opts.Telemetry.Get(telemetry.SimBucketStoragePeak)) {
-		t.Errorf("bucket storage never fell from its peak %d: the drop path did not run", net.queue.storage)
+	if opts.farThreshold == 0 && net.slabs[0].queue.storage >= int(opts.Telemetry.Get(telemetry.SimBucketStoragePeak)) {
+		t.Errorf("bucket storage never fell from its peak %d: the drop path did not run", net.slabs[0].queue.storage)
 	}
 	return log
 }
@@ -398,17 +441,15 @@ func (h seqHandler) Receive(ctx *Context, env *Envelope) {
 }
 
 // TestEqualTimeOrderingAcrossEventClasses pins the tie-break discipline the
-// paper experiments rely on: time first, then scheduling sequence — with At
-// control callbacks interleaved by the same rule.
+// paper experiments rely on: time first, then scheduling sequence — except
+// that At control callbacks run first in their tick.
 func TestEqualTimeOrderingAcrossEventClasses(t *testing.T) {
 	m := mesh.New2D(3, 3)
 	var log []string
 	net := New(m, seqHandler{log: &log})
 	net.Post(grid.Point{}, "start", nil)
-	// Control callback scheduled after Post but before the handler runs: at
-	// t=1 it must therefore run before the handler's three t=1 events... no —
-	// it is scheduled second overall (seq 2), after the Post (seq 1), while
-	// the sends are scheduled during delivery of the Post (seq 3..5).
+	// The control callback runs before the three t=1 events the handler
+	// schedules while the Post is delivered: control is first in its tick.
 	net.At(1, func() { log = append(log, fmt.Sprintf("control@%d", net.Now())) })
 	if _, err := net.Run(); err != nil {
 		t.Fatalf("Run: %v", err)
@@ -445,7 +486,7 @@ func TestSendRefCarriesReferences(t *testing.T) {
 	h := &refHandler{seen: &seen, limit: 5}
 	net := New(m, h)
 	h.kind = net.Kind("ref")
-	ctx := &Context{net: net, self: grid.Point{}, selfID: 0}
+	ctx := net.ContextOf(0)
 	if !ctx.SendRef(grid.XPos, h.kind, 7) {
 		t.Fatal("SendRef to a valid neighbour should succeed")
 	}
@@ -474,29 +515,21 @@ func TestKindInterning(t *testing.T) {
 	}
 }
 
-func TestStatsByKindIsCached(t *testing.T) {
+// TestStatsByKindTracksDeliveries: ByKind is built from the per-kind
+// counters on every Stats call, so a read inside the run sees the counts so
+// far and a read after it the final ones.
+func TestStatsByKindTracksDeliveries(t *testing.T) {
 	m := mesh.New2D(3, 3)
 	net := New(m, pingPong{limit: 10})
 	net.Post(grid.Point{X: 1, Y: 1}, "start", nil)
+	var mid int
+	net.At(3, func() { mid = net.Stats().ByKind["pong"] })
 	mustRun(t, net)
-	a := net.Stats()
-	b := net.Stats()
-	if reflect.ValueOf(a.ByKind).Pointer() != reflect.ValueOf(b.ByKind).Pointer() {
-		t.Error("Stats() rebuilt ByKind with no deliveries in between")
+	if end := net.Stats().ByKind["pong"]; end != 11 {
+		t.Errorf("ByKind[pong] = %d, want 11", end)
 	}
-	if a.ByKind["pong"] != 11 {
-		t.Errorf("ByKind[pong] = %d, want 11", a.ByKind["pong"])
-	}
-	// Mid-run polling must see fresh counts once deliveries advance.
-	m2 := mesh.New2D(3, 3)
-	net2 := New(m2, pingPong{limit: 10})
-	net2.Post(grid.Point{X: 1, Y: 1}, "start", nil)
-	var mid, end int
-	net2.At(3, func() { mid = net2.Stats().ByKind["pong"] })
-	mustRun(t, net2)
-	end = net2.Stats().ByKind["pong"]
-	if mid == 0 || mid >= end {
-		t.Errorf("mid-run ByKind[pong] = %d, end = %d; cache must refresh as deliveries advance", mid, end)
+	if mid == 0 || mid >= 11 {
+		t.Errorf("mid-run ByKind[pong] = %d, want the count so far (0 < n < 11)", mid)
 	}
 }
 
@@ -523,7 +556,7 @@ func TestQueueTelemetryCounters(t *testing.T) {
 	}
 	// Bucket storage starts with the first arena chunk and the gauge tracks
 	// its running total, so the peak covers at least what is retained now.
-	if got := sink.Get(telemetry.SimBucketStoragePeak); got < arenaChunk || got < int64(net.queue.storage) {
-		t.Errorf("SimBucketStoragePeak = %d, want >= max(arenaChunk, retained %d)", got, net.queue.storage)
+	if got := sink.Get(telemetry.SimBucketStoragePeak); got < arenaChunk || got < int64(net.slabs[0].queue.storage) {
+		t.Errorf("SimBucketStoragePeak = %d, want >= max(arenaChunk, retained %d)", got, net.slabs[0].queue.storage)
 	}
 }

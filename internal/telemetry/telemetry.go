@@ -28,7 +28,8 @@ type CounterID uint8
 // other slots are monotone counts.
 const (
 	// SimHeapEvents counts events pushed to the calendar queue's far-future
-	// binary-heap fallback (distant timers, control callbacks).
+	// binary-heap fallback (distant timers; control callbacks never enter
+	// the calendar).
 	SimHeapEvents CounterID = iota
 	// SimHeapMigrations counts heap→ring migrations as the clock advances.
 	SimHeapMigrations

@@ -80,11 +80,10 @@ type Options struct {
 	// synchronised conservatively at a per-tick barrier. The trial runs the
 	// same coordinator at any shard count — one shard is simply the partition
 	// with one part — and the measured results are bit-identical across
-	// counts. 0 or 1 — the default — runs the single shard on a plain event
-	// queue with zero overhead; so does tracing (TraceEvery > 0), because
-	// packet traces are defined over the global delivery order a single queue
-	// provides, and so does a mesh too thin to split two ways. Requires
-	// ShardModel.
+	// counts. 0 or 1 — the default — runs the single shard inline, with no
+	// goroutines; so does tracing (TraceEvery > 0), because packet traces are
+	// defined over the global delivery order a single queue provides, and so
+	// does a mesh too thin to split two ways. Requires ShardModel.
 	Shards int
 	// ShardModel builds one information model instance per shard: model state
 	// (labellings, routing field caches) is not concurrency-safe, so each
@@ -337,7 +336,7 @@ func (e *Engine) Run(seed uint64) *Result {
 	if e.opts.Timeline != nil {
 		nextInject = make([]simnet.Time, e.mesh.NodeCount())
 	}
-	tr := &trial{e: e, res: res, slabs: slabs, horizon: e.opts.Warmup + e.opts.Window}
+	tr := &trial{e: e, res: res, horizon: e.opts.Warmup + e.opts.Window}
 	tr.states = make([]*run, len(models))
 	for s, model := range models {
 		st := &run{
@@ -369,7 +368,7 @@ func (e *Engine) Run(seed uint64) *Result {
 		}
 		st.trace = telemetry.NewTraceSink(rng.Derive(seed, traceSalt), e.opts.TraceEvery, capacity, st.tel)
 	}
-	tr.net = tr.newNetwork()
+	tr.net = tr.newNetwork(slabs)
 	injectID, packetID := tr.net.Kind(kindInject), tr.net.Kind(kindPacket)
 	for _, st := range tr.states {
 		st.injectID, st.packetID = injectID, packetID
@@ -412,13 +411,11 @@ func (e *Engine) Run(seed uint64) *Result {
 
 // trial is the coordinator of one Run. It owns what the per-shard run states
 // share: the Result header and churn counters, the fault-schedule and churn
-// callbacks, the phase ledger and the end-of-run merge. A trial on one slab
-// has one state on a plain simnet.Network; a sharded trial has one state per
-// slab on a simnet.ShardedNetwork (see sharded.go).
+// callbacks, the phase ledger and the end-of-run merge. Its network has one
+// slab per state (see sharded.go).
 type trial struct {
 	e       *Engine
-	net     network
-	slabs   []mesh.IDRange
+	net     *simnet.Network
 	states  []*run
 	res     *Result
 	horizon simnet.Time
@@ -527,16 +524,6 @@ func (tr *trial) faultsChanged(pts []grid.Point, repaired bool) {
 	}
 }
 
-// owner returns the state owning the dense node ID.
-func (tr *trial) owner(id int32) *run {
-	for s, slab := range tr.slabs {
-		if slab.Contains(id) {
-			return tr.states[s]
-		}
-	}
-	panic(fmt.Sprintf("traffic: node %d outside every slab", id))
-}
-
 // churnStep executes one materialised timeline step: place a failure group or
 // repair one, push the change through every state's model, and close the
 // current measurement phase.
@@ -562,7 +549,7 @@ func (tr *trial) churnStep(stp fault.Step, placeRng *rng.Rand) {
 		// strict comparison (<= would arm a second chain).
 		for _, p := range pts {
 			id := m.ID(p)
-			if st := tr.owner(id); st.nextInject[id] < now {
+			if st := tr.states[tr.net.ShardOf(id)]; st.nextInject[id] < now {
 				st.scheduleInjection(tr.net.ContextOf(id))
 			}
 		}

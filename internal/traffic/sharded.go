@@ -5,42 +5,30 @@ import (
 
 	"mccmesh/internal/mesh"
 	"mccmesh/internal/simnet"
-	"mccmesh/internal/telemetry"
 )
 
 // Shard selection of one trial. A trial runs one run state per slab of
-// mesh.SlabPartition: a single state on a plain simnet.Network when the trial
+// mesh.SlabPartition on one simnet.Network: a single state when the trial
 // does not shard, one state per slab — each with its own packet pool, Result
 // accumulators, provider cache and information-model instance, over a shared
-// node RNG table — on a simnet.ShardedNetwork driving them under the per-tick
-// barrier when it does. The trial coordinator (engine.go) is the same either
-// way; a sequential run is the partition with one part. Bit-identical parity
-// between the two follows from three facts:
+// node RNG table — when it does. The trial coordinator (engine.go) and the
+// event loop are the same either way; a sequential run is the partition with
+// one part, which the network runs inline, with no goroutines. Bit-identical
+// parity across slab counts follows from three facts:
 //
 //   - every stream of randomness is per-node (injection gaps, destinations)
 //     or stateless (the Seeded policy), and a node lives in exactly one
-//     shard, so each stream is consumed in the same order at any shard count;
+//     slab, so each stream is consumed in the same order at any slab count;
 //   - the measured aggregates (counters, latency/hops histograms, per-phase
 //     tallies) are order-independent sums over per-packet facts that depend
 //     only on per-node event order, which the barrier protocol preserves;
-//   - churn and fault callbacks run on the coordinator at the tick barrier,
-//     before that tick's deliveries — the same "control first" order the
-//     single queue gives setup-enqueued control events — so every shard
-//     observes fault state change at identical points of the timeline.
+//   - churn and fault callbacks are simnet control callbacks: they run on the
+//     coordinator first in their tick, before any of its deliveries, so every
+//     slab observes fault state change at identical points of the timeline.
 //
-// What is NOT preserved: packet ids (per-shard counters; only traces read
+// What is NOT preserved: packet ids (per-slab counters; only traces read
 // them, and tracing pins the single state) and the queue-shape telemetry
-// counters (each shard has its own calendar; sums differ from one big one).
-
-// network is the event loop under a trial: *simnet.Network for one state,
-// *simnet.ShardedNetwork for several.
-type network interface {
-	Kind(name string) simnet.KindID
-	At(t simnet.Time, fn func())
-	Now() simnet.Time
-	ContextOf(id int32) *simnet.Context
-	Run() (simnet.Stats, error)
-}
+// counters (each slab has its own calendar; sums differ from one big one).
 
 // partition picks the trial's slabs and the information model each routes
 // against. With Options.Shards > 1, a ShardModel and tracing off, a mesh that
@@ -63,28 +51,18 @@ func (e *Engine) partition() ([]InfoModel, []mesh.IDRange, error) {
 	return []InfoModel{e.model}, mesh.SlabPartition(e.mesh, 1), nil
 }
 
-// newNetwork builds the event loop over the trial's states.
-func (tr *trial) newNetwork() network {
-	opts := tr.e.opts
-	if len(tr.states) == 1 {
-		st := tr.states[0]
-		return simnet.New(tr.e.mesh, st, simnet.Options{LinkDelay: opts.LinkDelay, MaxEvents: opts.MaxEvents, Telemetry: st.tel})
-	}
+// newNetwork builds the event loop over the trial's states, one slab each.
+func (tr *trial) newNetwork(slabs []mesh.IDRange) *simnet.Network {
 	handlers := make([]simnet.Handler, len(tr.states))
-	var sinks []*telemetry.Sink
-	if tr.states[0].tel != nil {
-		sinks = make([]*telemetry.Sink, len(tr.states))
-	}
 	for s, st := range tr.states {
 		handlers[s] = st
-		if sinks != nil {
-			sinks[s] = st.tel
-		}
 	}
-	return simnet.NewSharded(tr.e.mesh, handlers, tr.slabs, simnet.ShardedOptions{
-		LinkDelay: opts.LinkDelay,
-		MaxEvents: opts.MaxEvents,
-		Telemetry: sinks,
+	return simnet.NewSlabs(tr.e.mesh, handlers, slabs, simnet.Options{
+		LinkDelay: tr.e.opts.LinkDelay,
+		MaxEvents: tr.e.opts.MaxEvents,
+		// The slabs' queue counters land here when the run ends; finish
+		// merges the other states' sinks into this one too.
+		Telemetry: tr.states[0].tel,
 		// A packet crossing a slab boundary moves between pools at the
 		// barrier: copy the value into the destination pool, release the
 		// source slot. Single-threaded on the coordinator.
