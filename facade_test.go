@@ -4,10 +4,13 @@ import (
 	"bytes"
 	"context"
 	"errors"
+	"reflect"
 	"strings"
+	"sync"
 	"testing"
 
 	"mccmesh/internal/routing"
+	"mccmesh/internal/traffic"
 )
 
 // The facade tests exercise the public API exactly as the examples do.
@@ -255,6 +258,52 @@ func (cornerPattern) Dest(_ *Rand, m *Mesh, src Point) (Point, bool) {
 		return Point{}, false
 	}
 	return d, true
+}
+
+// countedModelBuilds counts the constructions of the facade-test-counted
+// model, registered once per test binary by TestFacadeTrafficEngineShards.
+var (
+	countedModelBuilds int
+	registerCounted    sync.Once
+)
+
+// TestFacadeTrafficEngineShards: NewTrafficEngine fills ShardModel, so
+// TrafficOptions.Shards takes effect — a 2-shard run builds the engine's model
+// plus one per slab, and returns the same Result as one shard.
+func TestFacadeTrafficEngineShards(t *testing.T) {
+	registerCounted.Do(func() {
+		RegisterTrafficModel(TrafficModelEntry{
+			Name: "facade-test-counted",
+			Doc:  "the MCC model, counting its constructions",
+			New: func(model *Model, args RegistryArgs) (TrafficModel, error) {
+				countedModelBuilds++
+				return traffic.BuildModel("mcc", model, args)
+			},
+		})
+	})
+	run := func(shards int) (*TrafficResult, int) {
+		countedModelBuilds = 0
+		m := NewCube(6)
+		InjectUniform(m, NewRand(9), 10)
+		e, err := NewTrafficEngine(m, "facade-test-counted", "uniform", TrafficOptions{
+			Rate: 0.03, Warmup: 10, Window: 60, Shards: shards,
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return e.Run(9), countedModelBuilds
+	}
+	one, oneBuilds := run(1)
+	two, twoBuilds := run(2)
+	if oneBuilds != 1 || twoBuilds != 3 {
+		t.Errorf("model builds: %d at 1 shard, %d at 2 shards; want 1 and 3 (engine + one per slab)", oneBuilds, twoBuilds)
+	}
+	if one.Delivered == 0 {
+		t.Fatalf("no traffic flowed: %+v", one)
+	}
+	if !reflect.DeepEqual(one, two) {
+		t.Errorf("2-shard result diverges from 1 shard:\n got %+v\nwant %+v", two, one)
+	}
 }
 
 func TestFacadeTrafficTrialsDeterministic(t *testing.T) {

@@ -2,7 +2,11 @@
 // behind one orchestrating type, Model: it owns a mesh, computes and caches
 // the per-orientation labellings and fault regions, answers feasibility
 // queries and routes messages with any of the supported information providers.
-// The public facade package (the repository root) re-exports this API.
+// Model is the one owner of routing providers: Provider resolves a model name
+// to a cached provider, and fault changes keep or drop the cached providers
+// by one rule (see ApplyFaults). The traffic engine's information models and
+// RouteWith both go through it. The public facade package (the repository
+// root) re-exports this API.
 package core
 
 import (
@@ -20,7 +24,8 @@ import (
 	"mccmesh/internal/telemetry"
 )
 
-// Provider names accepted by Model.RouteWith.
+// Provider names accepted by Model.Provider and Model.RouteWith (Provider
+// rejects ProviderBoundary; see RouteWith).
 const (
 	ProviderMCC      = "mcc"
 	ProviderOracle   = "oracle"
@@ -43,16 +48,28 @@ type Model struct {
 	blocks    map[block.Model]*block.Regions
 	info      [8]*protocol.InfoResult
 
+	// providers memoises routing providers by name, one slot per
+	// orientation. An orientation-free provider fills all eight slots with
+	// one instance, so its field cache is shared across orientations.
+	providers map[string]*[8]routing.Provider
+
 	tel *telemetry.Sink
 }
 
 // SetTelemetry implements telemetry.Instrumentable: the sink is attached to
-// every cached labelling and to labellings computed later.
+// every cached labelling and provider and to those computed later.
 func (mo *Model) SetTelemetry(s *telemetry.Sink) {
 	mo.tel = s
 	for _, l := range mo.labelings {
 		if l != nil {
 			l.SetTelemetry(s)
+		}
+	}
+	for _, slots := range mo.providers {
+		for _, p := range slots {
+			if inst, ok := p.(telemetry.Instrumentable); ok {
+				inst.SetTelemetry(s)
+			}
 		}
 	}
 }
@@ -64,15 +81,20 @@ func NewModel(m *mesh.Mesh, opts ...labeling.Options) *Model {
 	if len(opts) > 0 {
 		o = opts[0]
 	}
-	return &Model{m: m, opts: o, blocks: make(map[block.Model]*block.Regions)}
+	return &Model{
+		m:         m,
+		opts:      o,
+		blocks:    make(map[block.Model]*block.Regions),
+		providers: make(map[string]*[8]routing.Provider),
+	}
 }
 
 // Mesh returns the underlying mesh.
 func (mo *Model) Mesh() *mesh.Mesh { return mo.m }
 
-// Invalidate drops every cached labelling and region set; call it after
-// changing the mesh's fault set. When the change is purely additive (new
-// faults on a live mesh) or purely subtractive (repairs), ApplyFaults /
+// Invalidate drops every cached labelling, region set and provider; call it
+// after changing the mesh's fault set. When the change is purely additive
+// (new faults on a live mesh) or purely subtractive (repairs), ApplyFaults /
 // RepairFaults are the cheaper paths: they update the caches in place instead
 // of dropping them.
 func (mo *Model) Invalidate() {
@@ -80,6 +102,7 @@ func (mo *Model) Invalidate() {
 	mo.regions = [8]*region.ComponentSet{}
 	mo.info = [8]*protocol.InfoResult{}
 	mo.blocks = make(map[block.Model]*block.Regions)
+	clear(mo.providers)
 }
 
 // ApplyFaults incrementally absorbs newly injected faults (already marked on
@@ -87,9 +110,12 @@ func (mo *Model) Invalidate() {
 // only the neighbourhood the new faults touch (labeling.AddFaults) and each
 // cached region set re-extracts its components in place
 // (region.ComponentSet.Refresh), so pointers handed out to routing providers
-// stay valid. Block snapshots and protocol info have no incremental form and
-// are dropped for lazy rebuild. Only fault *additions* are supported here;
-// repairs go through RepairFaults, and after arbitrary edits call Invalidate.
+// stay valid. Cached providers that implement routing.CacheInvalidator (MCC,
+// Oracle) are kept and marked stale where the fault touched them; every
+// other provider is dropped and rebuilt lazily, as are block snapshots and
+// protocol info, which have no incremental form. Only fault *additions* are
+// supported here; repairs go through RepairFaults, and after arbitrary edits
+// call Invalidate.
 func (mo *Model) ApplyFaults(pts []grid.Point) {
 	for _, l := range mo.labelings {
 		if l != nil {
@@ -105,7 +131,7 @@ func (mo *Model) ApplyFaults(pts []grid.Point) {
 // repaired neighbourhood (labeling.RemoveFaults) and each cached region set
 // re-extracts its components in place — repairs shrink, split or dissolve
 // MCCs exactly as injections grow and merge them, and Refresh handles both.
-// Block snapshots and protocol info are dropped for lazy rebuild, as in
+// Providers, block snapshots and protocol info are kept or dropped as in
 // ApplyFaults.
 func (mo *Model) RepairFaults(pts []grid.Point) {
 	for _, l := range mo.labelings {
@@ -116,12 +142,24 @@ func (mo *Model) RepairFaults(pts []grid.Point) {
 	mo.refreshDerived()
 }
 
-// refreshDerived re-extracts the cached region sets in place and drops the
-// caches that have no incremental form, after the labellings changed.
+// refreshDerived re-extracts the cached region sets in place, invalidates the
+// providers that can follow them and drops the caches that have no
+// incremental form, after the labellings changed.
 func (mo *Model) refreshDerived() {
 	for _, cs := range mo.regions {
 		if cs != nil {
 			cs.Refresh()
+		}
+	}
+	for _, slots := range mo.providers {
+		for i, p := range slots {
+			inv, ok := p.(routing.CacheInvalidator)
+			if !ok {
+				slots[i] = nil
+			} else if i == 0 || p != slots[i-1] {
+				// A shared provider fills every slot; invalidate it once.
+				inv.InvalidateCache()
+			}
 		}
 	}
 	mo.info = [8]*protocol.InfoResult{}
@@ -156,6 +194,53 @@ func (mo *Model) Blocks(variant block.Model) *block.Regions {
 		mo.blocks[variant] = block.Build(mo.m, variant)
 	}
 	return mo.blocks[variant]
+}
+
+// Provider returns the (cached) routing provider of the named information
+// model for packets travelling with the given orientation. The MCC and
+// labels-only providers depend on the orientation and are cached per
+// orientation; the oracle, block and local-greedy providers do not, so one
+// instance serves all eight orientations. Cached providers survive
+// ApplyFaults / RepairFaults only if they can follow the change in place.
+// ProviderBoundary is not cached — its carried record set belongs to one
+// message — so it is an unknown name here, as is any other.
+func (mo *Model) Provider(name string, orient grid.Orientation) (routing.Provider, error) {
+	idx := orient.Index()
+	slots := mo.providers[name]
+	if slots != nil && slots[idx] != nil {
+		return slots[idx], nil
+	}
+	var p routing.Provider
+	perOrientation := false
+	switch name {
+	case ProviderMCC:
+		p, perOrientation = &routing.MCC{Set: mo.Regions(orient)}, true
+	case ProviderLabels:
+		p, perOrientation = &routing.Labeled{Labeling: mo.Labeling(orient)}, true
+	case ProviderOracle:
+		p = &routing.Oracle{Mesh: mo.m}
+	case ProviderRFB:
+		p = &routing.Block{Regions: mo.Blocks(block.BoundingBox)}
+	case ProviderFBRule:
+		p = &routing.Block{Regions: mo.Blocks(block.ConvexityRule)}
+	case ProviderLocal:
+		p = routing.LocalGreedy{}
+	default:
+		return nil, fmt.Errorf("core: unknown provider %q", name)
+	}
+	if inst, ok := p.(telemetry.Instrumentable); ok {
+		inst.SetTelemetry(mo.tel)
+	}
+	if slots == nil {
+		slots = new([8]routing.Provider)
+		mo.providers[name] = slots
+	}
+	if perOrientation {
+		slots[idx] = p
+	} else {
+		*slots = [8]routing.Provider{p, p, p, p, p, p, p, p}
+	}
+	return p, nil
 }
 
 // BoundaryInformation runs (and caches) the distributed information model for
@@ -196,31 +281,23 @@ func (mo *Model) Route(s, d grid.Point) (*routing.Trace, error) {
 	return mo.RouteWith(ProviderMCC, s, d)
 }
 
-// RouteWith routes from s to d using the named information provider.
+// RouteWith routes from s to d using the named information provider: the
+// cached one from Provider, or for ProviderBoundary a fresh Records provider
+// whose carried record set serves this message only. With ProviderMCC it
+// first checks feasibility at the source, as Algorithm 3/6 prescribe.
 func (mo *Model) RouteWith(provider string, s, d grid.Point) (*routing.Trace, error) {
 	orient := grid.OrientationOf(s, d)
-	var p routing.Provider
-	switch provider {
-	case ProviderMCC:
-		if !mo.Feasible(s, d) {
-			return nil, fmt.Errorf("core: no minimal path from %v to %v under the MCC model", s, d)
-		}
-		p = &routing.MCC{Set: mo.Regions(orient)}
-	case ProviderOracle:
-		p = &routing.Oracle{Mesh: mo.m}
-	case ProviderRFB:
-		p = &routing.Block{Regions: mo.Blocks(block.BoundingBox)}
-	case ProviderFBRule:
-		p = &routing.Block{Regions: mo.Blocks(block.ConvexityRule)}
-	case ProviderLabels:
-		p = &routing.Labeled{Labeling: mo.Labeling(orient)}
-	case ProviderLocal:
-		p = routing.LocalGreedy{}
-	case ProviderBoundary:
+	if provider == ProviderBoundary {
 		info := mo.BoundaryInformation(orient)
-		p = &routing.Records{Set: mo.Regions(orient), PerNode: info.Records, CarryAlong: true}
-	default:
-		return nil, fmt.Errorf("core: unknown provider %q", provider)
+		p := &routing.Records{Set: mo.Regions(orient), PerNode: info.Records, CarryAlong: true}
+		return routing.New(mo.m, p, nil).Route(s, d), nil
+	}
+	if provider == ProviderMCC && !mo.Feasible(s, d) {
+		return nil, fmt.Errorf("core: no minimal path from %v to %v under the MCC model", s, d)
+	}
+	p, err := mo.Provider(provider, orient)
+	if err != nil {
+		return nil, err
 	}
 	return routing.New(mo.m, p, nil).Route(s, d), nil
 }

@@ -9,6 +9,7 @@ import (
 	"mccmesh/internal/mesh"
 	"mccmesh/internal/meshtest"
 	"mccmesh/internal/rng"
+	"mccmesh/internal/routing"
 )
 
 func figure5Model() *Model {
@@ -246,5 +247,103 @@ func TestBoundaryRecordsMatchDistributedRouting(t *testing.T) {
 	}
 	if delivered < 100 {
 		t.Fatalf("only %d delivered pairs compared; generator too restrictive", delivered)
+	}
+}
+
+// TestModelProviderCache pins the provider cache: one instance per name and
+// orientation (one per name for the orientation-free providers), kept across
+// ApplyFaults / RepairFaults exactly when it can follow the change in place,
+// and dropped wholesale by Invalidate.
+func TestModelProviderCache(t *testing.T) {
+	mo := figure5Model()
+	perOrientation := map[string]bool{ProviderMCC: true, ProviderLabels: true}
+	names := []string{ProviderMCC, ProviderLabels, ProviderOracle, ProviderRFB, ProviderFBRule, ProviderLocal}
+	snapshot := func() map[string][8]routing.Provider {
+		out := make(map[string][8]routing.Provider)
+		for _, name := range names {
+			var provs [8]routing.Provider
+			for i := range provs {
+				o := grid.OrientationFromIndex(i)
+				p, err := mo.Provider(name, o)
+				if err != nil {
+					t.Fatalf("Provider(%q, %v): %v", name, o, err)
+				}
+				if again, _ := mo.Provider(name, o); again != p {
+					t.Errorf("%s/%v: repeated Provider calls returned different instances", name, o)
+				}
+				provs[i] = p
+			}
+			out[name] = provs
+		}
+		return out
+	}
+	// kept reports, per orientation, whether a provider survived the step.
+	kept := func(before, after map[string][8]routing.Provider, name string) (all, none bool) {
+		all, none = true, true
+		for i := range before[name] {
+			same := before[name][i] == after[name][i]
+			all, none = all && same, none && !same
+		}
+		return all, none
+	}
+
+	fresh := snapshot()
+	for name, provs := range fresh {
+		distinct := make(map[routing.Provider]bool)
+		for _, p := range provs {
+			distinct[p] = true
+		}
+		if perOrientation[name] && len(distinct) != 8 {
+			t.Errorf("%s: %d distinct providers over 8 orientations, want 8", name, len(distinct))
+		}
+		if !perOrientation[name] && len(distinct) != 1 {
+			t.Errorf("%s: %d distinct providers over 8 orientations, want one shared", name, len(distinct))
+		}
+	}
+
+	steps := []struct {
+		name string
+		do   func()
+	}{
+		{"ApplyFaults", func() {
+			p := grid.Point{X: 1, Y: 1, Z: 1}
+			mo.Mesh().AddFaults(p)
+			mo.ApplyFaults([]grid.Point{p})
+		}},
+		{"RepairFaults", func() {
+			p := grid.Point{X: 1, Y: 1, Z: 1}
+			mo.Mesh().RemoveFaults(p)
+			mo.RepairFaults([]grid.Point{p})
+		}},
+	}
+	before := fresh
+	for _, step := range steps {
+		step.do()
+		after := snapshot()
+		for _, name := range []string{ProviderMCC, ProviderOracle} {
+			if all, _ := kept(before, after, name); !all {
+				t.Errorf("%s replaced the %s providers; they should be kept and invalidated", step.name, name)
+			}
+		}
+		for _, name := range []string{ProviderRFB, ProviderFBRule, ProviderLabels} {
+			if _, none := kept(before, after, name); !none {
+				t.Errorf("%s kept a %s provider; it should be rebuilt", step.name, name)
+			}
+		}
+		before = after
+	}
+
+	mo.Invalidate()
+	after := snapshot()
+	for _, name := range []string{ProviderMCC, ProviderLabels, ProviderOracle, ProviderRFB, ProviderFBRule} {
+		if _, none := kept(before, after, name); !none {
+			t.Errorf("Invalidate kept a %s provider", name)
+		}
+	}
+
+	for _, name := range []string{"nonsense", ProviderBoundary} {
+		if _, err := mo.Provider(name, grid.PositiveOrientation); err == nil {
+			t.Errorf("Provider(%q) should be an error", name)
+		}
 	}
 }

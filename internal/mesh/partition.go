@@ -3,16 +3,12 @@ package mesh
 // Spatial partitioning for sharded simulation: the mesh is split into slabs of
 // whole layers perpendicular to its last axis. Node IDs are row-major
 // (idx = x + X*(y + Y*z)), so a run of consecutive layers is exactly one
-// contiguous dense-ID interval — a shard's membership test is two compares and
-// its node set needs no per-node table.
+// contiguous dense-ID interval and a shard's node set needs no per-node table.
 
 // IDRange is a half-open interval [Lo, Hi) of dense node IDs.
 type IDRange struct {
 	Lo, Hi int32
 }
-
-// Contains reports whether the dense ID falls inside the range.
-func (r IDRange) Contains(id int32) bool { return id >= r.Lo && id < r.Hi }
 
 // Len returns the number of IDs in the range.
 func (r IDRange) Len() int { return int(r.Hi - r.Lo) }

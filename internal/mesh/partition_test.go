@@ -73,16 +73,3 @@ func TestSlabPartitionClampsToLayers(t *testing.T) {
 		t.Errorf("0-way split gave %d slabs, want 1", got)
 	}
 }
-
-// TestIDRangeContains exercises the half-open boundary semantics.
-func TestIDRangeContains(t *testing.T) {
-	r := IDRange{Lo: 10, Hi: 20}
-	for id, want := range map[int32]bool{9: false, 10: true, 19: true, 20: false} {
-		if got := r.Contains(id); got != want {
-			t.Errorf("Contains(%d) = %v, want %v", id, got, want)
-		}
-	}
-	if r.Len() != 10 {
-		t.Errorf("Len() = %d, want 10", r.Len())
-	}
-}

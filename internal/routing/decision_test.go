@@ -122,7 +122,8 @@ func TestDecisionMaskParity(t *testing.T) {
 				placed = append(placed, p)
 				lab.AddFaults([]grid.Point{p})
 				set.Refresh()
-				routing.InvalidateCaches(oracle, mcc)
+				oracle.InvalidateCache()
+				mcc.InvalidateCache()
 			}
 			stageAll("after-add", append(all, blockProvs()...)...)
 
@@ -131,7 +132,8 @@ func TestDecisionMaskParity(t *testing.T) {
 			m.RemoveFaults(repaired...)
 			lab.RemoveFaults(repaired)
 			set.Refresh()
-			routing.InvalidateCaches(oracle, mcc)
+			oracle.InvalidateCache()
+			mcc.InvalidateCache()
 			stageAll("after-repair", append(all, blockProvs()...)...)
 		})
 	}

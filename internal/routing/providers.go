@@ -25,25 +25,19 @@ import (
 // is always correct. For MCC the provider reads a snapshot (the
 // ComponentSet); invalidating its cache is correct only when that snapshot
 // has itself been brought up to date — region.ComponentSet.Refresh updates an
-// MCC set in place, which is how the traffic models apply mid-run faults
-// without rebuilding providers. A Block snapshot has no in-place refresh;
-// after mesh mutations it must be rebuilt wholesale, so Block does not
-// implement CacheInvalidator.
+// MCC set in place. A Block snapshot has no in-place refresh; after mesh
+// mutations it must be rebuilt wholesale, so Block does not implement
+// CacheInvalidator.
+//
+// core.Model, which owns and caches the providers, applies exactly this
+// rule on ApplyFaults / RepairFaults: it keeps the providers that implement
+// CacheInvalidator and calls InvalidateCache (MCC's after its ComponentSet
+// is refreshed), and drops every other provider for lazy rebuild.
 type CacheInvalidator interface {
 	// InvalidateCache marks stale every memoised reachability field the
 	// fault information changed since the last call (or since the first
 	// field was built), so the next decision brings it up to date.
 	InvalidateCache()
-}
-
-// InvalidateCaches invalidates each provider that memoises fault information;
-// stateless providers are left untouched.
-func InvalidateCaches(provs ...Provider) {
-	for _, p := range provs {
-		if inv, ok := p.(CacheInvalidator); ok {
-			inv.InvalidateCache()
-		}
-	}
 }
 
 // fieldCacheMax bounds the number of live reachability fields per provider.
@@ -601,7 +595,7 @@ type Block struct {
 }
 
 // Name implements Provider.
-func (p *Block) Name() string { return "rfb-" + p.Regions.Model.String() }
+func (p *Block) Name() string { return p.Regions.Model.String() }
 
 // SetTelemetry implements telemetry.Instrumentable.
 func (p *Block) SetTelemetry(s *telemetry.Sink) { p.cache.tel = s }

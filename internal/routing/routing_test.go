@@ -116,8 +116,8 @@ func TestInvalidateCachesDropsStaleFields(t *testing.T) {
 	// Wall off the destination's approach through (1,0,0) region: make every
 	// neighbour of v faulty except s so no minimal path through v survives.
 	m.AddFaults(grid.Point{X: 2}, grid.Point{X: 1, Y: 1}, grid.Point{X: 1, Z: 1})
-	// The stale cached field still says yes; stateless providers are immune.
-	InvalidateCaches(o, LocalGreedy{})
+	// The stale cached field still says yes until the cache is invalidated.
+	o.InvalidateCache()
 	if o.AllowedID(sID, vID, dID) {
 		t.Error("after invalidation the oracle must see the new faults")
 	}

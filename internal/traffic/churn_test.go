@@ -132,10 +132,10 @@ func (w invalidateOnly) Name() string                                 { return w
 // churn trial whose model absorbs every failure and repair through the
 // incremental paths (AddFaults / RemoveFaults / Refresh / epoch bumps) must
 // be bit-identical to the same trial forced through wholesale invalidation
-// and lazy recompute. Covers every information model with a provider cache.
+// and lazy recompute. Covers every registered information model.
 func TestChurnIncrementalMatchesInvalidate(t *testing.T) {
 	tl := churnTimeline(300)
-	for _, model := range []string{"mcc", "rfb", "labels", "oracle"} {
+	for _, model := range ModelNames() {
 		for _, seed := range []uint64{7, 20050507} {
 			inc := churnEngine(t, model, tl, seed).Run(seed)
 

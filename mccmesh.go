@@ -178,11 +178,18 @@ func Theorem(cs *ComponentSet, s, d Point) bool { return feasibility.Theorem(cs,
 // NewTrafficEngine returns a continuous-traffic engine over m. The model and
 // pattern are resolved by name (see TrafficModelNames and TrafficPatternNames)
 // and parameterised by opts.PatternParams — e.g. {"fraction": 0.2} tunes the
-// hotspot pattern exactly as the CLI's -hotspot flag does.
+// hotspot pattern exactly as the CLI's -hotspot flag does. When
+// opts.ShardModel is nil it rebuilds the named model over m, so opts.Shards
+// takes effect.
 func NewTrafficEngine(m *Mesh, model, pattern string, opts TrafficOptions) (*TrafficEngine, error) {
 	im, err := traffic.BuildModel(model, core.NewModel(m), nil)
 	if err != nil {
 		return nil, err
+	}
+	if opts.ShardModel == nil {
+		opts.ShardModel = func() (traffic.InfoModel, error) {
+			return traffic.BuildModel(model, core.NewModel(m), nil)
+		}
 	}
 	p, err := traffic.BuildPattern(pattern, m, registry.Args(opts.PatternParams))
 	if err != nil {
