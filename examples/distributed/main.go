@@ -6,6 +6,8 @@ package main
 
 import (
 	"fmt"
+	"io"
+	"os"
 
 	"mccmesh"
 	"mccmesh/internal/grid"
@@ -14,37 +16,39 @@ import (
 	"mccmesh/internal/region"
 )
 
-func main() {
+func main() { run(os.Stdout) }
+
+func run(w io.Writer) {
 	m := mccmesh.NewCube(9)
 	r := mccmesh.NewRand(7)
 	s, d := mccmesh.At(0, 0, 0), mccmesh.At(8, 8, 8)
 	mccmesh.InjectClustered(m, r, 4, 6, s, d)
-	fmt.Printf("mesh %v with %d clustered faults\n\n", m.Dims(), m.FaultCount())
+	fmt.Fprintf(w, "mesh %v with %d clustered faults\n\n", m.Dims(), m.FaultCount())
 
 	orient := grid.OrientationOf(s, d)
 
 	// 1. Distributed labelling: each node learns only from its neighbours.
 	lr := protocol.RunLabeling(m, orient)
-	fmt.Printf("labelling protocol   : %d label messages, quiescent at t=%d\n",
+	fmt.Fprintf(w, "labelling protocol   : %d label messages, quiescent at t=%d\n",
 		lr.Stats.ByKind[protocol.KindLabel], lr.Stats.FinalTime)
 
 	// The centralised computation agrees node for node (checked in the tests);
 	// we use it below to drive the remaining phases.
 	lab := labeling.Compute(m, orient)
 	cs := region.FindMCCs(lab)
-	fmt.Printf("fault regions        : %d MCCs, %d healthy nodes absorbed\n", cs.Len(), cs.TotalNonFaulty())
+	fmt.Fprintf(w, "fault regions        : %d MCCs, %d healthy nodes absorbed\n", cs.Len(), cs.TotalNonFaulty())
 
 	// 2. Identification + boundary construction.
 	info := protocol.RunInformationModel(m, lab, cs)
-	fmt.Printf("identification       : %d messages (%d regions completed)\n", info.IdentifyMessages, len(info.Completed))
-	fmt.Printf("boundary construction: %d messages, records stored on %d nodes\n", info.BoundaryMessages, len(info.Records))
+	fmt.Fprintf(w, "identification       : %d messages (%d regions completed)\n", info.IdentifyMessages, len(info.Completed))
+	fmt.Fprintf(w, "boundary construction: %d messages, records stored on %d nodes\n", info.BoundaryMessages, len(info.Records))
 
 	// 3. Feasibility detection from the source.
 	det := protocol.RunDetection3D(m, lab, s, d)
-	fmt.Printf("detection            : feasible=%v, %d forward + %d reply hops\n", det.Feasible, det.ForwardHops, det.ReplyHops)
+	fmt.Fprintf(w, "detection            : feasible=%v, %d forward + %d reply hops\n", det.Feasible, det.ForwardHops, det.ReplyHops)
 
 	// 4. Hop-by-hop routing with node-local records.
 	res := protocol.RunRouting(m, lab, cs, info.Records, s, d)
-	fmt.Printf("routing              : delivered=%v minimal=%v in %d hops (distance %d)\n",
+	fmt.Fprintf(w, "routing              : delivered=%v minimal=%v in %d hops (distance %d)\n",
 		res.Delivered, res.Minimal, res.Hops, mccmesh.Distance(s, d))
 }

@@ -5,6 +5,8 @@ package main
 
 import (
 	"fmt"
+	"io"
+	"os"
 
 	"mccmesh"
 	"mccmesh/internal/feasibility"
@@ -12,7 +14,9 @@ import (
 	"mccmesh/internal/viz"
 )
 
-func main() {
+func main() { run(os.Stdout) }
+
+func run(w io.Writer) {
 	m := mccmesh.New2D(14, 14)
 	// Two staircase fault clusters reminiscent of Figure 3.
 	m.AddFaults(
@@ -26,30 +30,30 @@ func main() {
 	l := model.Labeling(orient)
 	cs := model.Regions(orient)
 
-	fmt.Printf("2-D mesh %v with %d faults -> %d MCCs, %d healthy nodes absorbed\n",
+	fmt.Fprintf(w, "2-D mesh %v with %d faults -> %d MCCs, %d healthy nodes absorbed\n",
 		m.Dims(), m.FaultCount(), cs.Len(), cs.TotalNonFaulty())
 	for _, c := range cs.Components {
 		corners := cs.Corners2D(c)
-		fmt.Printf("  %v initialization corner %v, opposite corner %v\n", c, corners.Initialization, corners.Opposite)
+		fmt.Fprintf(w, "  %v initialization corner %v, opposite corner %v\n", c, corners.Initialization, corners.Opposite)
 	}
 
 	// The source's feasibility check: two detection messages (Algorithm 3).
 	det := feasibility.Detect2D(l, s, d)
-	fmt.Printf("\nfeasibility check at %v: feasible=%v using %d detection hops\n", s, det.Feasible, det.Hops)
+	fmt.Fprintf(w, "\nfeasibility check at %v: feasible=%v using %d detection hops\n", s, det.Feasible, det.Hops)
 
 	// The same check as real messages over the simulated network.
 	dres := protocol.RunDetection2D(m, l, s, d)
-	fmt.Printf("distributed detection: feasible=%v (%d forward, %d reply hops)\n",
+	fmt.Fprintf(w, "distributed detection: feasible=%v (%d forward, %d reply hops)\n",
 		dres.Feasible, dres.ForwardHops, dres.ReplyHops)
 
 	// Boundary construction distributes the MCC records; then the routing
 	// message finds its way with node-local information only.
 	info := protocol.RunInformationModel(m, l, cs)
-	fmt.Printf("information model: %d identify + %d boundary messages, records on %d nodes\n",
+	fmt.Fprintf(w, "information model: %d identify + %d boundary messages, records on %d nodes\n",
 		info.IdentifyMessages, info.BoundaryMessages, len(info.Records))
 	res := protocol.RunRouting(m, l, cs, info.Records, s, d)
-	fmt.Printf("distributed routing: delivered=%v minimal=%v in %d hops\n\n", res.Delivered, res.Minimal, res.Hops)
+	fmt.Fprintf(w, "distributed routing: delivered=%v minimal=%v in %d hops\n\n", res.Delivered, res.Minimal, res.Hops)
 
-	fmt.Print(viz.Mesh2D(l, viz.Overlay{Path: res.Path}))
-	fmt.Println(viz.Legend())
+	fmt.Fprint(w, viz.Mesh2D(l, viz.Overlay{Path: res.Path}))
+	fmt.Fprintln(w, viz.Legend())
 }
