@@ -48,7 +48,7 @@ func run(w io.Writer) {
 	fmt.Fprintf(w, "detection            : feasible=%v, %d forward + %d reply hops\n", det.Feasible, det.ForwardHops, det.ReplyHops)
 
 	// 4. Hop-by-hop routing with node-local records.
-	res := protocol.RunRouting(m, lab, cs, info.Records, s, d)
+	res := protocol.RunRouting(m, cs, info.Records, s, d)
 	fmt.Fprintf(w, "routing              : delivered=%v minimal=%v in %d hops (distance %d)\n",
 		res.Delivered, res.Minimal, res.Hops, mccmesh.Distance(s, d))
 }

@@ -51,7 +51,7 @@ func run(w io.Writer) {
 	info := protocol.RunInformationModel(m, l, cs)
 	fmt.Fprintf(w, "information model: %d identify + %d boundary messages, records on %d nodes\n",
 		info.IdentifyMessages, info.BoundaryMessages, len(info.Records))
-	res := protocol.RunRouting(m, l, cs, info.Records, s, d)
+	res := protocol.RunRouting(m, cs, info.Records, s, d)
 	fmt.Fprintf(w, "distributed routing: delivered=%v minimal=%v in %d hops\n\n", res.Delivered, res.Minimal, res.Hops)
 
 	fmt.Fprint(w, viz.Mesh2D(l, viz.Overlay{Path: res.Path}))

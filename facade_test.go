@@ -213,13 +213,20 @@ func TestFacadeTrafficEnginePatternParams(t *testing.T) {
 	}
 }
 
+// registerCorner registers the facade-test-corner pattern once per test
+// binary, so the test can run repeatedly (-count=N) against the global
+// registry.
+var registerCorner sync.Once
+
 func TestFacadeRegisterTrafficPattern(t *testing.T) {
-	RegisterTrafficPattern(TrafficPatternEntry{
-		Name: "facade-test-corner",
-		Doc:  "everything goes to the origin corner",
-		New: func(m *Mesh, _ RegistryArgs) (TrafficPattern, error) {
-			return cornerPattern{}, nil
-		},
+	registerCorner.Do(func() {
+		RegisterTrafficPattern(TrafficPatternEntry{
+			Name: "facade-test-corner",
+			Doc:  "everything goes to the origin corner",
+			New: func(m *Mesh, _ RegistryArgs) (TrafficPattern, error) {
+				return cornerPattern{}, nil
+			},
+		})
 	})
 	found := false
 	for _, name := range TrafficPatternNames() {

@@ -67,7 +67,7 @@ func cmdProto(args []string) int {
 		}
 		pairCS := region.FindMCCs(pairLab)
 		pairInfo := protocol.RunInformationModel(m, pairLab, pairCS)
-		res := protocol.RunRouting(m, pairLab, pairCS, pairInfo.Records, s, d)
+		res := protocol.RunRouting(m, pairCS, pairInfo.Records, s, d)
 		fmt.Fprintf(stdout, "        routing: delivered=%v minimal=%v in %d hops\n", res.Delivered, res.Minimal, res.Hops)
 	}
 	return 0

@@ -307,7 +307,7 @@ func (mo *Model) RouteWith(provider string, s, d grid.Point) (*routing.Trace, er
 func (mo *Model) RouteDistributed(s, d grid.Point) *protocol.RouteResult {
 	orient := grid.OrientationOf(s, d)
 	info := mo.BoundaryInformation(orient)
-	return protocol.RunRouting(mo.m, mo.Labeling(orient), mo.Regions(orient), info.Records, s, d)
+	return protocol.RunRouting(mo.m, mo.Regions(orient), info.Records, s, d)
 }
 
 // MinimalPathExists is the ground-truth check (any minimal path avoiding the

@@ -2,15 +2,16 @@
 // conditions for the existence of a minimal path in the presence of MCCs:
 //
 //   - Theorem 1 (2-D) and Theorem 2 (3-D), evaluated geometrically through the
-//     per-MCC blocking relation of package region, and
+//     union of the fault regions (package region), and
 //   - the operational detection procedures run by the source node: the two
 //     detection-message walkers of Algorithm 3 step 1 in 2-D and the three
 //     RMP-surface sweeps of Algorithm 6 step 1 in 3-D.
 //
-// The geometric check is the reference; the walkers are the distributed
-// implementation (package protocol re-runs them hop by hop as real messages).
-// Both are cross-checked against the ground-truth monotone-path existence of
-// package minimal in the test suite.
+// Each detection message's move rule exists once, as Walker.Step and
+// Sweep.Step. Detect2D and Detect3D drive them as a centralised loop and
+// flood; package protocol drives the same steps hop by hop as real messages.
+// Theorem is the geometric reference and GroundTruth the monotone-path
+// existence of package minimal; the test suite cross-checks all of them.
 package feasibility
 
 import (
@@ -57,162 +58,150 @@ func SingleMCCExplains(cs *region.ComponentSet, s, d grid.Point) bool {
 	return cs.BlockedByAny(s, d)
 }
 
-// UnsafeAvoidable reports whether a monotone path avoiding every unsafe node
-// exists; it is the union-based restatement of the theorem and is used to
-// cross-check the per-MCC formulation.
-func UnsafeAvoidable(cs *region.ComponentSet, s, d grid.Point) bool {
-	return !cs.BlockedByUnion(s, d)
+// Walker is one detection message of Algorithm 3 step 1: it advances along
+// the forward Prefer axis and detours along the forward Detour axis around
+// unsafe nodes.
+type Walker struct{ Prefer, Detour grid.Axis }
+
+// Walkers2D are the two detection messages of Algorithm 3 step 1. The first
+// prefers the forward Y direction, turns forward X around MCCs and must reach
+// the segment [0:xd, yd:yd]; the second prefers forward X and must reach
+// [xd:xd, 0:yd]. Both must succeed for the routing to be feasible.
+var Walkers2D = [2]Walker{
+	{Prefer: grid.AxisY, Detour: grid.AxisX},
+	{Prefer: grid.AxisX, Detour: grid.AxisY},
 }
 
-// Detect2D runs the two detection-message walkers of Algorithm 3 step 1 over
-// a 2-D labelling. The first walker prefers the forward Y direction and turns
-// forward X around MCCs; it must reach the segment [0:xd, yd:yd]. The second
-// prefers forward X and must reach [xd:xd, 0:yd]. Both must succeed for the
-// routing to be feasible.
-func Detect2D(l *labeling.Labeling, s, d grid.Point) Result {
+// Step is one hop of the walker from s toward d, taken at cur. done reports
+// that the walker reached its verdict ok at cur; otherwise it moves on to
+// next. The walker succeeds when its preferred coordinate reaches the
+// destination's. It steps forward along Prefer when that neighbour is safe,
+// else forward along Detour, and fails when the detour would overshoot the
+// destination's coordinate or lands on an unsafe node (impossible when s is
+// safe, by the safe-frontier lemma; treated as failure for robustness).
+// Every step moves forward inside the s–d box, so a walk ends within
+// D(s,d) hops.
+func (w Walker) Step(l *labeling.Labeling, s, d, cur grid.Point) (next grid.Point, done, ok bool) {
 	orient := grid.OrientationOf(s, d)
+	cc, dc := orient.Canon(s, cur), orient.Canon(s, d)
+	if cc.Axis(w.Prefer) >= dc.Axis(w.Prefer) {
+		return cur, true, true
+	}
+	if next := orient.Ahead(cur, w.Prefer); l.Safe(next) {
+		return next, false, false
+	}
+	if cc.Axis(w.Detour) >= dc.Axis(w.Detour) {
+		return cur, true, false // would leave the region of minimal paths
+	}
+	if side := orient.Ahead(cur, w.Detour); l.Safe(side) {
+		return side, false, false
+	}
+	return cur, true, false
+}
+
+// Detect2D runs the Walkers2D over a 2-D labelling as a loop of Walker.Step.
+func Detect2D(l *labeling.Labeling, s, d grid.Point) Result {
 	res := Result{Feasible: true}
-	for _, spec := range []struct{ prefer, detour grid.Axis }{
-		{grid.AxisY, grid.AxisX},
-		{grid.AxisX, grid.AxisY},
-	} {
-		ok, trace := walk2D(l, orient, s, d, spec.prefer, spec.detour)
+	for _, w := range Walkers2D {
+		trace := []grid.Point{s}
+		cur := s
+		for {
+			next, done, ok := w.Step(l, s, d, cur)
+			if done {
+				res.Feasible = res.Feasible && ok
+				break
+			}
+			cur = next
+			trace = append(trace, cur)
+		}
 		res.Traces = append(res.Traces, trace)
 		res.Hops += len(trace) - 1
-		if !ok {
-			res.Feasible = false
-		}
 	}
 	return res
 }
 
-// walk2D advances from s preferring the forward `prefer` axis, stepping along
-// the forward `detour` axis when the preferred neighbour is unsafe, and never
-// overshooting the destination's detour coordinate. It succeeds when the
-// preferred coordinate reaches the destination's.
-func walk2D(l *labeling.Labeling, orient grid.Orientation, s, d grid.Point, prefer, detour grid.Axis) (bool, []grid.Point) {
-	cur := s
-	trace := []grid.Point{s}
-	dc := orient.Canon(s, d)
-	cc := grid.Point{}
-	maxHops := l.Mesh().NodeCount() + 1
-	for hop := 0; hop < maxHops; hop++ {
-		if cc.Axis(prefer) >= dc.Axis(prefer) {
-			return true, trace
-		}
-		next := orient.Ahead(cur, prefer)
-		if l.Safe(next) {
-			cur = next
-			cc = orient.Canon(s, cur)
-			trace = append(trace, cur)
+// Sweep is one RMP-surface sweep of Algorithm 6 step 1: it floods the two
+// forward Spread axes, takes a forward Detour step (the paper's "+X turn")
+// where a spread move is blocked by an unsafe node, and must reach the face
+// of the region of minimal paths whose Target coordinate equals the
+// destination's.
+type Sweep struct {
+	Spread         [2]grid.Axis
+	Detour, Target grid.Axis
+}
+
+// Sweeps3D are the three sweeps of Algorithm 6: the (−X)-surface propagates
+// +Y/+Z with +X detours and must reach the y = yd face; (−Y) propagates +X/+Z
+// with +Y detours toward z = zd; (−Z) propagates +X/+Y with +Z detours toward
+// x = xd. All three must succeed.
+var Sweeps3D = [3]Sweep{
+	{Spread: [2]grid.Axis{grid.AxisY, grid.AxisZ}, Detour: grid.AxisX, Target: grid.AxisY},
+	{Spread: [2]grid.Axis{grid.AxisX, grid.AxisZ}, Detour: grid.AxisY, Target: grid.AxisZ},
+	{Spread: [2]grid.Axis{grid.AxisX, grid.AxisY}, Detour: grid.AxisZ, Target: grid.AxisX},
+}
+
+// Step is the sweep's rule at node u of the flood from s toward d. reached
+// reports that u lies on the target face. Otherwise Step appends to next the
+// safe neighbours the sweep forwards to and returns it: the forward spread
+// neighbours first, then the forward detour neighbour when a spread move is
+// blocked by an unsafe node. Only moves that stay inside the s–d box are
+// taken. The caller dedupes visits.
+func (sw Sweep) Step(l *labeling.Labeling, s, d, u grid.Point, next []grid.Point) (reached bool, _ []grid.Point) {
+	orient := grid.OrientationOf(s, d)
+	uc, dc := orient.Canon(s, u), orient.Canon(s, d)
+	if uc.Axis(sw.Target) >= dc.Axis(sw.Target) {
+		return true, next
+	}
+	blocked := false
+	for _, a := range sw.Spread {
+		if uc.Axis(a) >= dc.Axis(a) {
 			continue
 		}
-		// Preferred direction blocked: detour forward along the other axis.
-		if cc.Axis(detour) >= dc.Axis(detour) {
-			return false, trace // would leave the region of minimal paths
+		if v := orient.Ahead(u, a); l.Safe(v) {
+			next = append(next, v)
+		} else {
+			blocked = true
 		}
-		side := orient.Ahead(cur, detour)
-		if !l.Safe(side) {
-			// Cannot happen when s is safe (safe-frontier lemma); treated as
-			// failure for robustness.
-			return false, trace
-		}
-		cur = side
-		cc = orient.Canon(s, cur)
-		trace = append(trace, cur)
 	}
-	return false, trace
+	if blocked && uc.Axis(sw.Detour) < dc.Axis(sw.Detour) {
+		if v := orient.Ahead(u, sw.Detour); l.Safe(v) {
+			next = append(next, v)
+		}
+	}
+	return false, next
 }
 
-// Detect3D runs the three RMP-surface sweeps of Algorithm 6 step 1 over a 3-D
-// labelling. Each sweep floods two forward directions and may take detour
-// steps along the remaining forward direction when blocked; it must reach the
-// prescribed face of the region of minimal paths (RMP). All three must succeed.
+// Detect3D runs the Sweeps3D over a 3-D labelling, each as a breadth-first
+// flood of Sweep.Step that visits a node once and stops at the first node on
+// the target face. Traces hold each sweep's visiting order; Hops counts the
+// nodes each flood reached beyond s. Unlike Detect2D, the result can disagree
+// with GroundTruth for safe endpoints, both ways: the labelling is per
+// orientation, not per pair, so a node whose only open forward neighbour lies
+// beyond the s–d box still reads safe, and in a box that is flat along an
+// axis one sweep's target face holds from the start.
 func Detect3D(l *labeling.Labeling, s, d grid.Point) Result {
-	orient := grid.OrientationOf(s, d)
 	res := Result{Feasible: true}
-	// Sweep definitions follow Algorithm 6: the (−X)-surface propagates +Y/+Z
-	// with +X detours and must reach the y = yd face; (−Y) propagates +X/+Z
-	// with +Y detours toward z = zd; (−Z) propagates +X/+Y with +Z detours
-	// toward x = xd.
-	sweeps := []struct {
-		spread [2]grid.Axis
-		detour grid.Axis
-		target grid.Axis
-	}{
-		{[2]grid.Axis{grid.AxisY, grid.AxisZ}, grid.AxisX, grid.AxisY},
-		{[2]grid.Axis{grid.AxisX, grid.AxisZ}, grid.AxisY, grid.AxisZ},
-		{[2]grid.Axis{grid.AxisX, grid.AxisY}, grid.AxisZ, grid.AxisX},
-	}
-	for _, sw := range sweeps {
-		ok, visited, hops := sweep3D(l, orient, s, d, sw.spread, sw.detour, sw.target)
-		res.Traces = append(res.Traces, visited)
-		res.Hops += hops
-		if !ok {
-			res.Feasible = false
-		}
-	}
-	return res
-}
-
-// sweep3D floods from s across safe nodes of the box spanned by s and d.
-// Moves along the two spread axes are always allowed; a move along the detour
-// axis is allowed only from nodes whose spread-axis progress is blocked by an
-// unsafe node (the "+X turn" of the paper). The sweep succeeds when it reaches
-// a node whose coordinate along the target axis equals the destination's.
-func sweep3D(l *labeling.Labeling, orient grid.Orientation, s, d grid.Point, spread [2]grid.Axis, detour, target grid.Axis) (bool, []grid.Point, int) {
-	dc := orient.Canon(s, d)
-	box := grid.BoxOf(s, d)
-	visited := map[grid.Point]bool{s: true}
-	queue := []grid.Point{s}
-	var order []grid.Point
-	hops := 0
-	success := false
-	for len(queue) > 0 {
-		u := queue[0]
-		queue = queue[1:]
-		order = append(order, u)
-		uc := orient.Canon(s, u)
-		if uc.Axis(target) >= dc.Axis(target) {
-			success = true
-			// Keep flooding so the hop count reflects the full detection cost,
-			// but the result is already known; stop early for efficiency.
-			break
-		}
-		tryStep := func(a grid.Axis) {
-			if uc.Axis(a) >= dc.Axis(a) {
-				return
-			}
-			v := orient.Ahead(u, a)
-			if !box.Contains(v) || visited[v] || !l.Safe(v) {
-				return
-			}
-			visited[v] = true
-			hops++
-			queue = append(queue, v)
-		}
-		// Spread moves.
-		blocked := false
-		for _, a := range spread {
-			if uc.Axis(a) < dc.Axis(a) {
-				v := orient.Ahead(u, a)
-				if !l.Safe(v) {
-					blocked = true
+	var next []grid.Point
+	for _, sw := range Sweeps3D {
+		visited := map[grid.Point]bool{s: true}
+		queue := []grid.Point{s}
+		var order []grid.Point
+		reached := false
+		for len(queue) > 0 && !reached {
+			u := queue[0]
+			queue = queue[1:]
+			order = append(order, u)
+			reached, next = sw.Step(l, s, d, u, next[:0])
+			for _, v := range next {
+				if !visited[v] {
+					visited[v] = true
+					res.Hops++
+					queue = append(queue, v)
 				}
 			}
-			tryStep(a)
 		}
-		// Detour move only when a spread direction is blocked by an MCC.
-		if blocked {
-			tryStep(detour)
-		}
+		res.Traces = append(res.Traces, order)
+		res.Feasible = res.Feasible && reached
 	}
-	return success, order, hops
-}
-
-// Check runs the appropriate feasibility procedure for the mesh
-// dimensionality: the geometric Theorem check, which is exact. Use Detect2D /
-// Detect3D for the operational (message-based) variants.
-func Check(cs *region.ComponentSet, s, d grid.Point) bool {
-	return Theorem(cs, s, d)
+	return res
 }

@@ -21,6 +21,7 @@ package labeling
 
 import (
 	"fmt"
+	"math/bits"
 
 	"mccmesh/internal/grid"
 	"mccmesh/internal/mesh"
@@ -78,6 +79,15 @@ func (b BorderPolicy) String() string {
 		return "border-blocked"
 	}
 	return "border-safe"
+}
+
+// Outside is the status the labelling rule reads for a neighbour position
+// beyond the mesh border: Safe under BorderSafe, Faulty under BorderBlocked.
+func (b BorderPolicy) Outside() Status {
+	if b == BorderBlocked {
+		return Faulty
+	}
+	return Safe
 }
 
 // Options configure a labelling run.
@@ -149,16 +159,46 @@ func (l *Labeling) run() {
 		}
 	}
 
-	// Seed: every healthy node must be examined once (a node can be useless
-	// purely because of mesh borders under BorderBlocked, or because of
-	// directly adjacent faults). The queue pops LIFO, so node N-1 goes first —
-	// the order the map-backed implementation used.
+	// Seed. A promotion re-queues the promoted node's neighbours, and the
+	// LIFO queue examines them before it returns to the seeds, so a seed's
+	// own examination can fire only on blocks no promotion makes: a faulty
+	// neighbour, or a missing one under BorderBlocked. Only those nodes are
+	// seeded. Seeding every node as well adds only examinations that promote
+	// nothing, so the promotions and their order are the same as with a seed
+	// of every node (TestSeedMatchesEveryNodeSeed). The queue pops LIFO, so
+	// the highest ID goes first.
 	if cap(l.queue) < m.NodeCount() {
 		l.queue = make([]int32, 0, m.NodeCount())
 	}
+	near := make([]uint64, (m.NodeCount()+63)/64)
+	set := func(id int32) { near[id>>6] |= 1 << uint(id&63) }
+	for w, word := range m.FaultyWords() {
+		for ; word != 0; word &= word - 1 {
+			f := int32(w<<6 | bits.TrailingZeros64(word))
+			for _, d := range m.Directions() {
+				if q := m.NeighborID(f, d); q != mesh.NoNeighbor {
+					set(q)
+				}
+			}
+		}
+	}
+	if l.opts.Border == BorderBlocked {
+		for id := int32(0); id < int32(m.NodeCount()); id++ {
+			for _, d := range m.Directions() {
+				if m.NeighborID(id, d) == mesh.NoNeighbor {
+					set(id)
+					break
+				}
+			}
+		}
+	}
 	queue := l.queue[:0]
-	for i := 0; i < m.NodeCount(); i++ {
-		queue = append(queue, int32(i))
+	for w, word := range near {
+		for ; word != 0; word &= word - 1 {
+			if id := int32(w<<6 | bits.TrailingZeros64(word)); l.status[id] == Safe {
+				queue = append(queue, id)
+			}
+		}
 	}
 	l.fixpoint(queue)
 }
@@ -171,65 +211,69 @@ func (l *Labeling) fixpoint(queue []int32) {
 	m := l.mesh
 	axes := m.Axes()
 	dirs := m.Directions()
-	borderBlocked := l.opts.Border == BorderBlocked
-
-	// blockedForward reports whether, for the purpose of the Useless rule, the
-	// forward neighbour of id on axis a counts as blocked.
-	blockedForward := func(id int32, a grid.Axis) bool {
-		q := m.NeighborID(id, l.orient.Forward(a))
-		if q == mesh.NoNeighbor {
-			return borderBlocked
-		}
-		s := l.status[q]
-		return s == Faulty || s == Useless
+	outside := l.opts.Border.Outside()
+	var fwdDir, bwdDir [3]grid.Direction
+	for i, a := range axes {
+		fwdDir[i], bwdDir[i] = l.orient.Forward(a), l.orient.Backward(a)
 	}
-	blockedBackward := func(id int32, a grid.Axis) bool {
-		q := m.NeighborID(id, l.orient.Backward(a))
+	statusAt := func(q int32) Status {
 		if q == mesh.NoNeighbor {
-			return borderBlocked
+			return outside
 		}
-		s := l.status[q]
-		return s == Faulty || s == CantReach
-	}
-	enqueueAround := func(id int32) {
-		for _, d := range dirs {
-			if q := m.NeighborID(id, d); q != mesh.NoNeighbor {
-				queue = append(queue, q)
-			}
-		}
+		return l.status[q]
 	}
 
+	var fwd, bwd [3]Status
 	for len(queue) > 0 {
 		id := queue[len(queue)-1]
 		queue = queue[:len(queue)-1]
 		if l.status[id] != Safe {
 			continue
 		}
-		useless := true
-		for _, a := range axes {
-			if !blockedForward(id, a) {
-				useless = false
-				break
-			}
+		for i := range axes {
+			fwd[i] = statusAt(m.NeighborID(id, fwdDir[i]))
+			bwd[i] = statusAt(m.NeighborID(id, bwdDir[i]))
 		}
-		if useless {
-			l.promote(id, Useless)
-			enqueueAround(id)
+		s := Rule(fwd[:len(axes)], bwd[:len(axes)])
+		if s == Safe {
 			continue
 		}
-		cantReach := true
-		for _, a := range axes {
-			if !blockedBackward(id, a) {
-				cantReach = false
-				break
+		l.promote(id, s)
+		for _, d := range dirs {
+			if q := m.NeighborID(id, d); q != mesh.NoNeighbor {
+				queue = append(queue, q)
 			}
-		}
-		if cantReach {
-			l.promote(id, CantReach)
-			enqueueAround(id)
 		}
 	}
 	l.queue = queue[:0]
+}
+
+// Rule is the labelling rule of Algorithms 1 and 4 for one healthy node, as a
+// pure function of its neighbours' statuses: fwd and bwd hold, per active
+// axis, the status of the node's forward and backward neighbour (a position
+// beyond the mesh border reads as BorderPolicy.Outside). The node is Useless
+// when every forward neighbour is faulty or useless, else CantReach when every
+// backward neighbour is faulty or can't-reach, else Safe. Useless is checked
+// first, so a node both rules fire for is labelled Useless. The centralised
+// fixpoint and the distributed labelling protocol both call it.
+func Rule(fwd, bwd []Status) Status {
+	switch {
+	case allBlocked(fwd, Useless):
+		return Useless
+	case allBlocked(bwd, CantReach):
+		return CantReach
+	}
+	return Safe
+}
+
+// allBlocked reports whether every status in nbrs is Faulty or s.
+func allBlocked(nbrs []Status, s Status) bool {
+	for _, n := range nbrs {
+		if n != Faulty && n != s {
+			return false
+		}
+	}
+	return true
 }
 
 // promote moves a Safe node to an unsafe label, maintaining the counts.

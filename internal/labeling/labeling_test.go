@@ -293,3 +293,48 @@ func TestInvalidOrientationPanics(t *testing.T) {
 	}()
 	Compute(mesh.New2D(3, 3), grid.Orientation{})
 }
+
+// TestSeedMatchesEveryNodeSeed: Compute seeds only the nodes next to a fault
+// (and, under BorderBlocked, the border nodes). Seeding every node instead
+// must give the same labels, split included, and the same promotion count.
+func TestSeedMatchesEveryNodeSeed(t *testing.T) {
+	r := rng.New(31)
+	for trial := 0; trial < 60; trial++ {
+		var m *mesh.Mesh
+		if trial%2 == 0 {
+			k := 4 + r.Intn(12)
+			m = mesh.New2D(k, k)
+		} else {
+			k := 3 + r.Intn(6)
+			m = mesh.New3D(k, k, k)
+		}
+		for n := r.Intn(m.NodeCount() / 3); n > 0; n-- {
+			m.AddFaults(m.Point(r.Intn(m.NodeCount())))
+		}
+		orient := grid.OrientationFromIndex(r.Intn(8))
+		if m.Is2D() {
+			orient.SZ = 1
+		}
+		for _, border := range []BorderPolicy{BorderSafe, BorderBlocked} {
+			got := Compute(m, orient, Options{Border: border})
+			want := &Labeling{mesh: m, orient: orient, opts: Options{Border: border}, status: make([]Status, m.NodeCount())}
+			all := make([]int32, m.NodeCount())
+			for i := range all {
+				want.status[i] = Safe
+				if m.FaultyAt(i) {
+					want.status[i] = Faulty
+				}
+				all[i] = int32(i)
+			}
+			want.fixpoint(all)
+			for i := range want.status {
+				if got.status[i] != want.status[i] {
+					t.Fatalf("trial %d %v: node %v seeded=%v every-node=%v", trial, border, m.Point(i), got.status[i], want.status[i])
+				}
+			}
+			if got.Promotions() != want.Promotions() {
+				t.Fatalf("trial %d %v: %d promotions, every-node seed made %d", trial, border, got.Promotions(), want.Promotions())
+			}
+		}
+	}
+}

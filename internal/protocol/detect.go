@@ -1,6 +1,7 @@
 package protocol
 
 import (
+	"mccmesh/internal/feasibility"
 	"mccmesh/internal/grid"
 	"mccmesh/internal/labeling"
 	"mccmesh/internal/mesh"
@@ -23,10 +24,10 @@ type DetectionResult struct {
 
 // detectMsg is a walker-style detection message (2-D, Algorithm 3 step 1).
 type detectMsg struct {
-	Source, Dest   grid.Point
-	Prefer, Detour grid.Axis
-	Path           []grid.Point
-	ID             int
+	Source, Dest grid.Point
+	Walker       feasibility.Walker
+	Path         []grid.Point
+	ID           int
 }
 
 // detectReply carries the walker's verdict back along its recorded path.
@@ -39,19 +40,17 @@ type detectReply struct {
 // floodMsg is a surface-sweep detection message (3-D, Algorithm 6 step 1).
 type floodMsg struct {
 	Source, Dest grid.Point
-	Spread       [2]grid.Axis
-	Detour       grid.Axis
-	Target       grid.Axis
+	Sweep        feasibility.Sweep
 	Surface      int
 }
 
-// detectHandler implements both detection styles. Each node needs only its own
+// detectHandler implements both detection styles by driving the step rules of
+// package feasibility one message at a time. Each node needs only its own
 // label and its neighbours' labels, which it holds after the labelling
 // protocol; here the handler is given the completed labelling to stand in for
 // that local knowledge.
 type detectHandler struct {
-	lab    *labeling.Labeling
-	orient grid.Orientation
+	lab *labeling.Labeling
 
 	// Source-side bookkeeping (only the source node mutates these).
 	walkerVerdicts map[int]bool
@@ -61,8 +60,6 @@ type detectHandler struct {
 }
 
 func (h *detectHandler) Init(*simnet.Context) {}
-
-func (h *detectHandler) safe(p grid.Point) bool { return h.lab.Safe(p) }
 
 func (h *detectHandler) Receive(ctx *simnet.Context, env *simnet.Envelope) {
 	switch msg := env.Payload.(type) {
@@ -75,47 +72,25 @@ func (h *detectHandler) Receive(ctx *simnet.Context, env *simnet.Envelope) {
 	}
 }
 
-// stepWalker advances the 2-D detection walker by one hop using local
-// knowledge only, or starts its reply when it has reached a verdict.
+// stepWalker advances the 2-D detection walker by one hop (Walker.Step), or
+// starts its reply when it has reached a verdict.
 func (h *detectHandler) stepWalker(ctx *simnet.Context, msg detectMsg) {
 	self := ctx.Self()
-	cc := h.orient.Canon(msg.Source, self)
-	dc := h.orient.Canon(msg.Source, msg.Dest)
-
-	conclude := func(ok bool) {
-		if self == msg.Source {
-			h.recordWalkerVerdict(msg.ID, ok)
-			return
-		}
-		// Send the verdict back along the recorded path.
-		prev := msg.Path[len(msg.Path)-1]
-		h.replyHops++
-		ctx.Send(prev, KindDetectReply, detectReply{OK: ok, ID: msg.ID, Path: msg.Path[:len(msg.Path)-1]})
-	}
-
-	if cc.Axis(msg.Prefer) >= dc.Axis(msg.Prefer) {
-		conclude(true)
-		return
-	}
-	next := h.orient.Ahead(self, msg.Prefer)
-	if h.safe(next) {
+	next, done, ok := msg.Walker.Step(h.lab, msg.Source, msg.Dest, self)
+	if !done {
 		h.forwardHops++
 		msg.Path = append(append([]grid.Point(nil), msg.Path...), self)
 		ctx.Send(next, KindDetect, msg)
 		return
 	}
-	if cc.Axis(msg.Detour) >= dc.Axis(msg.Detour) {
-		conclude(false)
+	if self == msg.Source {
+		h.recordWalkerVerdict(msg.ID, ok)
 		return
 	}
-	side := h.orient.Ahead(self, msg.Detour)
-	if !h.safe(side) {
-		conclude(false)
-		return
-	}
-	h.forwardHops++
-	msg.Path = append(append([]grid.Point(nil), msg.Path...), self)
-	ctx.Send(side, KindDetect, msg)
+	// Send the verdict back along the recorded path.
+	prev := msg.Path[len(msg.Path)-1]
+	h.replyHops++
+	ctx.Send(prev, KindDetectReply, detectReply{OK: ok, ID: msg.ID, Path: msg.Path[:len(msg.Path)-1]})
 }
 
 func (h *detectHandler) forwardReply(ctx *simnet.Context, msg detectReply) {
@@ -135,43 +110,23 @@ func (h *detectHandler) recordWalkerVerdict(id int, ok bool) {
 	h.walkerVerdicts[id] = ok
 }
 
-// stepFlood advances the 3-D surface sweep: spread moves are always taken,
-// the detour move only when a spread direction is blocked by an unsafe node.
+// stepFlood advances the 3-D surface sweep (Sweep.Step) at this node, the
+// first time the sweep reaches it, counting every forwarded copy.
 func (h *detectHandler) stepFlood(ctx *simnet.Context, msg floodMsg) {
-	self := ctx.Self()
 	key := floodKey(msg.Surface)
 	if _, seen := ctx.Store()[key]; seen {
 		return
 	}
 	ctx.Store()[key] = true
 
-	cc := h.orient.Canon(msg.Source, self)
-	dc := h.orient.Canon(msg.Source, msg.Dest)
-	if cc.Axis(msg.Target) >= dc.Axis(msg.Target) {
+	reached, next := msg.Sweep.Step(h.lab, msg.Source, msg.Dest, ctx.Self(), nil)
+	if reached {
 		h.surfaceReachedMark(msg.Surface)
 		return
 	}
-	box := grid.BoxOf(msg.Source, msg.Dest)
-	try := func(a grid.Axis) {
-		if cc.Axis(a) >= dc.Axis(a) {
-			return
-		}
-		v := h.orient.Ahead(self, a)
-		if !box.Contains(v) || !h.safe(v) {
-			return
-		}
+	for _, v := range next {
 		h.forwardHops++
 		ctx.Send(v, KindDetect, msg)
-	}
-	blocked := false
-	for _, a := range msg.Spread {
-		if cc.Axis(a) < dc.Axis(a) && !h.safe(h.orient.Ahead(self, a)) {
-			blocked = true
-		}
-		try(a)
-	}
-	if blocked {
-		try(msg.Detour)
 	}
 }
 
@@ -189,15 +144,15 @@ func floodKey(surface int) string {
 // RunDetection2D runs the two detection walkers of Algorithm 3 step 1 as real
 // messages over the simulator and returns the source's conclusion.
 func RunDetection2D(m *mesh.Mesh, lab *labeling.Labeling, s, d grid.Point) *DetectionResult {
-	orient := grid.OrientationOf(s, d)
-	h := &detectHandler{lab: lab, orient: orient}
+	h := &detectHandler{lab: lab}
 	net := simnet.New(m, h)
-	net.Post(s, KindDetect, detectMsg{Source: s, Dest: d, Prefer: grid.AxisY, Detour: grid.AxisX, ID: 0})
-	net.Post(s, KindDetect, detectMsg{Source: s, Dest: d, Prefer: grid.AxisX, Detour: grid.AxisY, ID: 1})
+	for id, w := range feasibility.Walkers2D {
+		net.Post(s, KindDetect, detectMsg{Source: s, Dest: d, Walker: w, ID: id})
+	}
 	stats := mustRun(net)
 
 	res := &DetectionResult{Feasible: true, ForwardHops: h.forwardHops, ReplyHops: h.replyHops, Stats: stats}
-	for id := 0; id < 2; id++ {
+	for id := range feasibility.Walkers2D {
 		if !h.walkerVerdicts[id] {
 			res.Feasible = false
 		}
@@ -211,21 +166,15 @@ func RunDetection2D(m *mesh.Mesh, lab *labeling.Labeling, s, d grid.Point) *Dete
 // target face back to the source (the sweep result travels back along the
 // swept surface).
 func RunDetection3D(m *mesh.Mesh, lab *labeling.Labeling, s, d grid.Point) *DetectionResult {
-	orient := grid.OrientationOf(s, d)
-	h := &detectHandler{lab: lab, orient: orient}
+	h := &detectHandler{lab: lab}
 	net := simnet.New(m, h)
-	sweeps := []floodMsg{
-		{Source: s, Dest: d, Spread: [2]grid.Axis{grid.AxisY, grid.AxisZ}, Detour: grid.AxisX, Target: grid.AxisY, Surface: 0},
-		{Source: s, Dest: d, Spread: [2]grid.Axis{grid.AxisX, grid.AxisZ}, Detour: grid.AxisY, Target: grid.AxisZ, Surface: 1},
-		{Source: s, Dest: d, Spread: [2]grid.Axis{grid.AxisX, grid.AxisY}, Detour: grid.AxisZ, Target: grid.AxisX, Surface: 2},
-	}
-	for _, sw := range sweeps {
-		net.Post(s, KindDetect, sw)
+	for i, sw := range feasibility.Sweeps3D {
+		net.Post(s, KindDetect, floodMsg{Source: s, Dest: d, Sweep: sw, Surface: i})
 	}
 	stats := mustRun(net)
 
 	res := &DetectionResult{Feasible: true, ForwardHops: h.forwardHops, ReplyHops: h.replyHops, Stats: stats}
-	for i := range sweeps {
+	for i := range feasibility.Sweeps3D {
 		if !h.surfaceReached[i] {
 			res.Feasible = false
 			continue

@@ -1,5 +1,5 @@
-// Package protocol implements the paper's distributed information model on
-// top of the simnet discrete-event simulator:
+// Package protocol runs the paper's distributed information model on top of
+// the simnet discrete-event simulator:
 //
 //   - the distributed labelling procedure (Algorithms 1 and 4), where every
 //     node knows only its own health and its neighbours' liveness and learns
@@ -7,14 +7,20 @@
 //   - the source feasibility-check detection messages (Algorithm 3 step 1 and
 //     Algorithm 6 step 1);
 //   - the MCC identification process (Algorithm 2 step 2) with its two
-//     counter-rotating messages along the region perimeter; and
+//     counter-rotating messages along the region perimeter;
 //   - boundary construction (Algorithm 2 step 3 / Algorithm 5 step 4), which
 //     deposits MCC records along boundary lines and merges forbidden regions
-//     when boundaries meet other MCCs.
+//     when boundaries meet other MCCs; and
+//   - hop-by-hop routing with the records a message collects on its way.
 //
-// Every protocol reports the number of messages it exchanged, feeding the
-// message-overhead experiment (E4), and its distributed result is checked
-// against the centralised computation in the tests.
+// The package schedules rules; it owns none of its own. The labelling
+// handler applies labeling.Rule, the detection handler steps
+// feasibility.Walker and feasibility.Sweep, and the routing handler decides a
+// hop with routing.RecordsMask — the same functions the centralised drivers
+// call. What stays here is the scheduling: message payloads, per-node state
+// and message and hop counting. Every protocol reports the number of messages
+// it exchanged, feeding the message-overhead experiment (E4), and the tests
+// check each protocol against its centralised driver.
 package protocol
 
 import (
@@ -34,10 +40,12 @@ const (
 	KindRoute       = "route"
 )
 
-// labelState is the per-node state of the distributed labelling protocol.
+// labelState is the per-node state of the distributed labelling protocol: the
+// node's own status and the last status each neighbour announced, indexed by
+// direction (BorderPolicy.Outside for a position beyond the mesh).
 type labelState struct {
 	status   labeling.Status
-	neighbor map[grid.Direction]labeling.Status
+	neighbor [6]labeling.Status
 }
 
 // labelMsg announces a node's (new) status to a neighbour.
@@ -56,7 +64,7 @@ const labelStateKey = "label"
 func (h *labelHandler) state(ctx *simnet.Context) *labelState {
 	st, ok := ctx.Store()[labelStateKey].(*labelState)
 	if !ok {
-		st = &labelState{status: labeling.Safe, neighbor: make(map[grid.Direction]labeling.Status)}
+		st = &labelState{status: labeling.Safe}
 		ctx.Store()[labelStateKey] = st
 	}
 	return st
@@ -67,11 +75,13 @@ func (h *labelHandler) state(ctx *simnet.Context) *labelState {
 // a promotion if it fires immediately (e.g. a node wedged between faults).
 func (h *labelHandler) Init(ctx *simnet.Context) {
 	st := h.state(ctx)
-	for _, dir := range ctx.Mesh().Directions() {
-		if ctx.NeighborFaulty(dir) {
+	m := ctx.Mesh()
+	for _, dir := range m.Directions() {
+		switch {
+		case m.NeighborID(ctx.SelfID(), dir) == mesh.NoNeighbor:
+			st.neighbor[dir] = h.border.Outside()
+		case ctx.NeighborFaulty(dir):
 			st.neighbor[dir] = labeling.Faulty
-		} else {
-			st.neighbor[dir] = labeling.Safe
 		}
 	}
 	h.evaluate(ctx, st)
@@ -89,49 +99,21 @@ func (h *labelHandler) Receive(ctx *simnet.Context, env *simnet.Envelope) {
 	h.evaluate(ctx, st)
 }
 
-// evaluate applies the labelling rule with purely local knowledge and
-// broadcasts a promotion to the neighbours.
+// evaluate applies labeling.Rule to the neighbour statuses the node has
+// heard and broadcasts a promotion to the neighbours.
 func (h *labelHandler) evaluate(ctx *simnet.Context, st *labelState) {
 	if st.status != labeling.Safe {
 		return
 	}
-	m := ctx.Mesh()
-	blocked := func(a grid.Axis, forward bool, bad labeling.Status) bool {
-		var dir grid.Direction
-		if forward {
-			dir = h.orient.Forward(a)
-		} else {
-			dir = h.orient.Backward(a)
-		}
-		q := grid.Step(ctx.Self(), dir)
-		if !m.InBounds(q) {
-			return h.border == labeling.BorderBlocked
-		}
-		s := st.neighbor[dir]
-		return s == labeling.Faulty || s == bad
+	axes := ctx.Mesh().Axes()
+	var fwd, bwd [3]labeling.Status
+	for i, a := range axes {
+		fwd[i] = st.neighbor[h.orient.Forward(a)]
+		bwd[i] = st.neighbor[h.orient.Backward(a)]
 	}
-	useless := true
-	for _, a := range m.Axes() {
-		if !blocked(a, true, labeling.Useless) {
-			useless = false
-			break
-		}
-	}
-	if useless {
-		st.status = labeling.Useless
-		ctx.Broadcast(KindLabel, labelMsg{Status: labeling.Useless})
-		return
-	}
-	cantReach := true
-	for _, a := range m.Axes() {
-		if !blocked(a, false, labeling.CantReach) {
-			cantReach = false
-			break
-		}
-	}
-	if cantReach {
-		st.status = labeling.CantReach
-		ctx.Broadcast(KindLabel, labelMsg{Status: labeling.CantReach})
+	if s := labeling.Rule(fwd[:len(axes)], bwd[:len(axes)]); s != labeling.Safe {
+		st.status = s
+		ctx.Broadcast(KindLabel, labelMsg{Status: s})
 	}
 }
 

@@ -2,10 +2,9 @@ package protocol
 
 import (
 	"mccmesh/internal/grid"
-	"mccmesh/internal/labeling"
 	"mccmesh/internal/mesh"
-	"mccmesh/internal/minimal"
 	"mccmesh/internal/region"
+	"mccmesh/internal/routing"
 	"mccmesh/internal/simnet"
 )
 
@@ -21,12 +20,12 @@ type routeMsg struct {
 
 // routeHandler forwards routing messages using only node-local information:
 // the node's own label, its neighbours' liveness and labels, and the MCC
-// records stored at the node by the boundary construction.
+// records stored at the node by the boundary construction. The hop decision
+// is routing.RecordsMask over the records the message has collected, with the
+// largest-offset pick.
 type routeHandler struct {
-	lab     *labeling.Labeling
 	cs      *region.ComponentSet
 	records map[int][]int
-	orient  grid.Orientation
 
 	delivered bool
 	path      []grid.Point
@@ -45,7 +44,7 @@ func (h *routeHandler) Receive(ctx *simnet.Context, env *simnet.Envelope) {
 	msg.Path = append(append([]grid.Point(nil), msg.Path...), self)
 
 	// Pick up the records stored at this node.
-	for _, id := range h.records[ctx.Mesh().Index(self)] {
+	for _, id := range h.records[int(ctx.SelfID())] {
 		msg.Known = mergeID(msg.Known, id)
 	}
 
@@ -55,54 +54,14 @@ func (h *routeHandler) Receive(ctx *simnet.Context, env *simnet.Envelope) {
 		return
 	}
 
-	// The per-hop loop runs on dense node IDs: neighbour steps are table
-	// lookups, fault and label checks are array reads, and the obstacle test
-	// handed to the reachability sweep is ID-addressed component membership.
 	m := ctx.Mesh()
-	selfID := ctx.SelfID()
-	destID := m.ID(msg.Dest)
-	avoid := func(q int32) bool {
-		for _, id := range msg.Known {
-			c := h.cs.Components[id]
-			if c.HasID(q) && !c.HasID(destID) {
-				return true
-			}
-		}
-		return false
-	}
-	var bestDir grid.Direction
-	bestOff := -1
-	for _, a := range m.Axes() {
-		if self.Axis(a) == msg.Dest.Axis(a) {
-			continue
-		}
-		dir := h.orient.Forward(a)
-		vid := m.NeighborID(selfID, dir)
-		if vid == mesh.NoNeighbor || m.FaultyAt(int(vid)) {
-			continue
-		}
-		if vid != destID && h.lab.UnsafeAt(int(vid)) {
-			continue
-		}
-		// Exclude the direction if the records known here say the forbidden
-		// region behind v closes off the destination.
-		if !minimal.ReachabilityID(m, avoid, m.Point(int(vid)), msg.Dest).CanReach(m.Point(int(vid))) {
-			continue
-		}
-		off := msg.Dest.Axis(a) - self.Axis(a)
-		if off < 0 {
-			off = -off
-		}
-		if off > bestOff {
-			bestDir, bestOff = dir, off
-		}
-	}
-	if bestOff < 0 {
+	dirs := routing.AppendMaskDirs(nil, routing.RecordsMask(m, h.cs, msg.Known, ctx.SelfID(), self, m.ID(msg.Dest), msg.Dest))
+	if len(dirs) == 0 {
 		h.failedAt = &self
 		return
 	}
 	h.hops++
-	ctx.SendDir(bestDir, KindRoute, msg)
+	ctx.SendDir(dirs[routing.LargestOffsetFirst{}.Pick(self, msg.Dest, dirs)], KindRoute, msg)
 }
 
 // RouteResult is the outcome of one distributed routing attempt.
@@ -123,13 +82,11 @@ type RouteResult struct {
 }
 
 // RunRouting forwards one routing message from s to d over the simulator,
-// using the per-node records produced by RunInformationModel (Records may be
-// nil, in which case only the labelling is available locally).
-func RunRouting(m *mesh.Mesh, lab *labeling.Labeling, cs *region.ComponentSet, records map[int][]int, s, d grid.Point) *RouteResult {
-	if records == nil {
-		records = map[int][]int{}
-	}
-	h := &routeHandler{lab: lab, cs: cs, records: records, orient: grid.OrientationOf(s, d)}
+// using cs's labelling and the per-node records produced by
+// RunInformationModel (records may be nil, in which case only the labelling
+// is available locally).
+func RunRouting(m *mesh.Mesh, cs *region.ComponentSet, records map[int][]int, s, d grid.Point) *RouteResult {
+	h := &routeHandler{cs: cs, records: records}
 	net := simnet.New(m, h)
 	net.Post(s, KindRoute, routeMsg{Source: s, Dest: d})
 	stats := mustRun(net)

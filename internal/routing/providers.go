@@ -3,6 +3,7 @@ package routing
 import (
 	"math"
 	"math/bits"
+	"slices"
 
 	"mccmesh/internal/block"
 	"mccmesh/internal/grid"
@@ -531,43 +532,45 @@ type Records struct {
 	// usable (the routing message accumulates them); the paper's messages do.
 	CarryAlong bool
 
-	carried map[int]bool
+	carried []int // component IDs the current message carries, unordered
 }
 
 // Name implements Provider.
 func (p *Records) Name() string { return "mcc-boundary" }
 
 // Reset clears the record set carried by the current message.
-func (p *Records) Reset() { p.carried = nil }
+func (p *Records) Reset() { p.carried = p.carried[:0] }
 
-// CandidateMaskID implements Provider: the safe forward set (see
-// safeForwardMask) minus neighbours from which the records known at u block
-// every monotone path to d. With CarryAlong, u's records first join the set
-// the message carries.
+// CandidateMaskID implements Provider: RecordsMask over the records known at
+// u. With CarryAlong, u's records first join the set the message carries.
 func (p *Records) CandidateMaskID(m *mesh.Mesh, u int32, uPt grid.Point, d int32, dPt grid.Point) uint8 {
 	known := p.PerNode[int(u)]
 	if p.CarryAlong {
-		if p.carried == nil {
-			p.carried = make(map[int]bool)
-		}
 		for _, id := range known {
-			p.carried[id] = true
+			if !slices.Contains(p.carried, id) {
+				p.carried = append(p.carried, id)
+			}
 		}
-		known = known[:0:0]
-		for id := range p.carried {
-			known = append(known, id)
-		}
+		known = p.carried
 	}
-	mk := safeForwardMask(m, p.Set.Labeling, u, uPt, d, dPt)
+	return RecordsMask(m, p.Set, known, u, uPt, d, dPt)
+}
+
+// RecordsMask is the records hop rule, shared by Records and the hop-by-hop
+// routing protocol: the safe forward set from u toward d (see
+// safeForwardMask, over set's labelling) minus the neighbours from which the
+// components named in known block every monotone path to d. The known records
+// act together, exactly like the merged forbidden regions the boundary
+// construction produces, so their order does not matter.
+func RecordsMask(m *mesh.Mesh, set *region.ComponentSet, known []int, u int32, uPt grid.Point, d int32, dPt grid.Point) uint8 {
+	mk := safeForwardMask(m, set.Labeling, u, uPt, d, dPt)
 	if len(known) == 0 {
 		return mk
 	}
-	// The records known here act together, exactly like the merged forbidden
-	// regions the boundary construction produces.
-	avoid := func(q grid.Point) bool {
+	avoid := func(q int32) bool {
 		for _, id := range known {
-			c := p.Set.Components[id]
-			if c.Has(q) && !c.Has(dPt) {
+			c := set.Components[id]
+			if c.HasID(q) && !c.HasID(d) {
 				return true
 			}
 		}
@@ -575,7 +578,8 @@ func (p *Records) CandidateMaskID(m *mesh.Mesh, u int32, uPt grid.Point, d int32
 	}
 	for rest := mk; rest != 0; rest &= rest - 1 {
 		dir := grid.Direction(bits.TrailingZeros8(rest))
-		if !minimal.Exists(m, avoid, m.Point(int(m.NeighborID(u, dir))), dPt) {
+		v := m.Point(int(m.NeighborID(u, dir)))
+		if !minimal.ReachabilityID(m, avoid, v, dPt).CanReach(v) {
 			mk &^= 1 << uint(dir)
 		}
 	}
