@@ -99,6 +99,25 @@ func TestFacadeRouteEndpointOutsideMesh(t *testing.T) {
 	}
 }
 
+// TestFacadeMinimalPathEndpointOutsideMesh: with an endpoint outside the
+// mesh there is no minimal path — not one through nonexistent nodes, and no
+// panic on a negative coordinate.
+func TestFacadeMinimalPathEndpointOutsideMesh(t *testing.T) {
+	m := NewCube(4)
+	for _, pair := range [][2]Point{
+		{At(0, 0, 0), At(5, 1, 1)},
+		{At(-1, 0, 0), At(3, 3, 3)},
+		{At(2, 2, 2), At(0, -1, 0)},
+	} {
+		if MinimalPathExists(m, pair[0], pair[1]) {
+			t.Errorf("MinimalPathExists(%v, %v) = true", pair[0], pair[1])
+		}
+		if path := FindMinimalPath(m, pair[0], pair[1]); path != nil {
+			t.Errorf("FindMinimalPath(%v, %v) = %v", pair[0], pair[1], path)
+		}
+	}
+}
+
 func TestFacadeStatusConstants(t *testing.T) {
 	if Safe.Unsafe() || !Faulty.Unsafe() || !Useless.Unsafe() || !CantReach.Unsafe() {
 		t.Error("status constants wired incorrectly")

@@ -277,17 +277,10 @@ func (r *Regions) ContainsID(id int32) bool {
 	return id >= 0 && r.inBlock[id] >= 0
 }
 
-// AvoidID returns an ID-addressed obstacle test rejecting every block node;
-// it matches minimal.AvoidID and reads the block table directly.
-func (r *Regions) AvoidID() func(id int32) bool {
-	inBlock := r.inBlock
-	return func(id int32) bool { return inBlock[id] >= 0 }
-}
-
-// AvoidWords returns the union of all blocks as a bitset over dense node IDs
-// — the word-level form of AvoidID that the row-at-a-time reachability sweep
-// consumes. Built once on first use: a Regions snapshot is immutable (fault
-// changes rebuild it wholesale). The caller must not mutate the slice.
+// AvoidWords returns the union of all blocks as a bitset over dense node IDs,
+// the obstacle form the reachability sweep consumes. Built once on first use:
+// a Regions snapshot is immutable (fault changes rebuild it wholesale). The
+// caller must not mutate the slice.
 func (r *Regions) AvoidWords() []uint64 {
 	if r.avoidW == nil {
 		w := make([]uint64, (len(r.inBlock)+63)/64)
@@ -313,11 +306,6 @@ func (r *Regions) BlockOf(p grid.Point) *Block {
 	return r.Blocks[id]
 }
 
-// Avoid returns a minimal.Avoid rejecting every block node.
-func (r *Regions) Avoid() minimal.Avoid {
-	return func(p grid.Point) bool { return r.Contains(p) }
-}
-
 // TotalNodes returns the total number of nodes across all blocks.
 func (r *Regions) TotalNodes() int {
 	n := 0
@@ -337,35 +325,8 @@ func (r *Regions) TotalNonFaulty() int {
 	return n
 }
 
-// Blocked reports whether block b alone blocks every monotone path from
-// `from` to `to`.
-func (r *Regions) Blocked(b *Block, from, to grid.Point) bool {
-	if !r.Mesh.InBounds(from) || !r.Mesh.InBounds(to) {
-		return true
-	}
-	if b.Bounds.Contains(from) || b.Bounds.Contains(to) {
-		return true
-	}
-	if !b.Bounds.Intersects(grid.BoxOf(from, to)) {
-		return false
-	}
-	avoid := func(p grid.Point) bool { return b.Bounds.Contains(p) }
-	return !minimal.Exists(r.Mesh, avoid, from, to)
-}
-
-// BlockedByAny reports whether any single block blocks every monotone path
-// from `from` to `to`.
-func (r *Regions) BlockedByAny(from, to grid.Point) bool {
-	for _, b := range r.Blocks {
-		if r.Blocked(b, from, to) {
-			return true
-		}
-	}
-	return false
-}
-
 // BlockedByUnion reports whether the union of all blocks blocks every
 // monotone path from `from` to `to`.
 func (r *Regions) BlockedByUnion(from, to grid.Point) bool {
-	return !minimal.Exists(r.Mesh, r.Avoid(), from, to)
+	return !minimal.Exists(r.Mesh, r.AvoidWords(), from, to)
 }

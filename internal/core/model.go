@@ -284,7 +284,9 @@ func (mo *Model) Route(s, d grid.Point) (*routing.Trace, error) {
 // RouteWith routes from s to d using the named information provider: the
 // cached one from Provider, or for ProviderBoundary a fresh Records provider
 // whose carried record set serves this message only. With ProviderMCC it
-// first checks feasibility at the source, as Algorithm 3/6 prescribe.
+// first checks feasibility at the source, as Algorithm 3/6 prescribe; an
+// endpoint outside the mesh skips the check and is reported by the router
+// (routing.ErrEndpointOutOfMesh), not as an infeasible pair.
 func (mo *Model) RouteWith(provider string, s, d grid.Point) (*routing.Trace, error) {
 	orient := grid.OrientationOf(s, d)
 	if provider == ProviderBoundary {
@@ -292,7 +294,8 @@ func (mo *Model) RouteWith(provider string, s, d grid.Point) (*routing.Trace, er
 		p := &routing.Records{Set: mo.Regions(orient), PerNode: info.Records, CarryAlong: true}
 		return routing.New(mo.m, p, nil).Route(s, d), nil
 	}
-	if provider == ProviderMCC && !mo.Feasible(s, d) {
+	inMesh := mo.m.InBounds(s) && mo.m.InBounds(d)
+	if provider == ProviderMCC && inMesh && !mo.Feasible(s, d) {
 		return nil, fmt.Errorf("core: no minimal path from %v to %v under the MCC model", s, d)
 	}
 	p, err := mo.Provider(provider, orient)
@@ -313,7 +316,7 @@ func (mo *Model) RouteDistributed(s, d grid.Point) *protocol.RouteResult {
 // MinimalPathExists is the ground-truth check (any minimal path avoiding the
 // faulty nodes), independent of the information model.
 func (mo *Model) MinimalPathExists(s, d grid.Point) bool {
-	return minimal.Exists(mo.m, minimal.AvoidFaulty(mo.m), s, d)
+	return minimal.Exists(mo.m, mo.m.FaultyWords(), s, d)
 }
 
 // AbsorbedHealthyNodes returns the number of healthy nodes the MCC model

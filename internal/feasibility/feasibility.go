@@ -38,7 +38,7 @@ type Result struct {
 // nodes exists. By the MCC "ultimate fault region" property this coincides
 // with the MCC-model feasibility whenever s and d are safe.
 func GroundTruth(cs *region.ComponentSet, s, d grid.Point) bool {
-	return minimal.Exists(cs.Mesh, minimal.AvoidFaulty(cs.Mesh), s, d)
+	return minimal.Exists(cs.Mesh, cs.Mesh.FaultyWords(), s, d)
 }
 
 // Theorem evaluates the paper's sufficient and necessary condition

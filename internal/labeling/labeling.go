@@ -412,19 +412,11 @@ func (l *Labeling) StatusAt(idx int) Status { return l.status[idx] }
 // or can't-reach — the per-hop fast path of the routing providers.
 func (l *Labeling) UnsafeAt(idx int) bool { return l.status[idx] != Safe }
 
-// AvoidUnsafeID returns an ID-addressed obstacle test rejecting exactly the
-// unsafe nodes; it matches minimal.AvoidID and reads the status array
-// directly.
-func (l *Labeling) AvoidUnsafeID() func(id int32) bool {
-	status := l.status
-	return func(id int32) bool { return status[id] != Safe }
-}
-
 // UnsafeWords returns the unsafe set as a bitset over dense node IDs (bit set
-// = unsafe), the word-level form of AvoidUnsafeID that the reachability sweep
-// consumes a row at a time (minimal.ReachabilityWordsInto). The bitset is
-// rebuilt lazily after a relabelling and must not be mutated or retained
-// across AddFaults/RemoveFaults by the caller.
+// = unsafe), the obstacle form the reachability sweep consumes
+// (minimal.ReachabilityWordsInto). The bitset is rebuilt lazily after a
+// relabelling and must not be mutated or retained across
+// AddFaults/RemoveFaults by the caller.
 func (l *Labeling) UnsafeWords() []uint64 {
 	if l.unsafeW != nil && !l.wordsStale {
 		return l.unsafeW

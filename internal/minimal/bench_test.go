@@ -2,10 +2,8 @@ package minimal_test
 
 // Benchmarks for the reachability-field sweep, the kernel under every
 // field-backed routing provider. The corner-to-corner 16^3 case is the
-// worst-case box of the PERFORMANCE.md reference mesh; the Into variant
-// measures the storage-reuse path the routing caches take when they rebuild
-// a field in place. The 32^3 pair compares a full rebuild with the row
-// re-sweep the caches run after a fault change.
+// worst-case box of the PERFORMANCE.md reference mesh. The 32^3 pair compares
+// a full rebuild with the row re-sweep the caches run after a fault change.
 
 import (
 	"testing"
@@ -26,44 +24,16 @@ func benchMesh() (*mesh.Mesh, grid.Point, grid.Point) {
 	return m, grid.Point{X: 0, Y: 0, Z: 0}, grid.Point{X: 15, Y: 15, Z: 15}
 }
 
-// BenchmarkReachability16 is the Point-addressed sweep (the API the
-// ground-truth checks and the protocol layer use).
+// BenchmarkReachability16 rebuilds the corner-to-corner field of the 16^3
+// reference mesh in place, as the routing caches rebuild a field: one row
+// sweep, zero allocations.
 func BenchmarkReachability16(b *testing.B) {
 	m, s, d := benchMesh()
-	avoid := minimal.AvoidFaulty(m)
+	f := minimal.ReachabilityWordsInto(nil, m, m.FaultyWords(), s, d)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if minimal.Reachability(m, avoid, s, d) == nil {
-			b.Fatal("nil field")
-		}
-	}
-}
-
-// BenchmarkReachabilityID16 is the ID-addressed sweep the routing providers
-// build their fields with: one bitset read per obstacle test.
-func BenchmarkReachabilityID16(b *testing.B) {
-	m, s, d := benchMesh()
-	avoid := minimal.AvoidFaultyID(m)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if minimal.ReachabilityID(m, avoid, s, d) == nil {
-			b.Fatal("nil field")
-		}
-	}
-}
-
-// BenchmarkReachabilityIDInto16 is the rebuild-in-place path of the routing
-// caches: same sweep, zero allocations.
-func BenchmarkReachabilityIDInto16(b *testing.B) {
-	m, s, d := benchMesh()
-	avoid := minimal.AvoidFaultyID(m)
-	f := minimal.ReachabilityID(m, avoid, s, d)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		minimal.ReachabilityIDInto(f, m, avoid, s, d)
+		minimal.ReachabilityWordsInto(f, m, m.FaultyWords(), s, d)
 	}
 }
 
@@ -126,8 +96,8 @@ func BenchmarkFieldResweep32(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if cut, ok := f.CutOf(fc.flip(i)); ok && !f.Resweep(fc.avoid, cut) {
-			b.Fatal("32^3 octant field refused the re-sweep")
+		if cut, ok := f.CutOf(fc.flip(i)); ok {
+			f.Resweep(fc.avoid, cut)
 		}
 	}
 }

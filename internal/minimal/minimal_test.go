@@ -8,12 +8,22 @@ import (
 	"mccmesh/internal/rng"
 )
 
+// only returns an obstacle bitset holding just the nodes pts.
+func only(m *mesh.Mesh, pts ...grid.Point) []uint64 {
+	w := make([]uint64, (m.NodeCount()+63)/64)
+	for _, p := range pts {
+		id := m.ID(p)
+		w[id>>6] |= 1 << uint(id&63)
+	}
+	return w
+}
+
 func TestExistsFaultFree(t *testing.T) {
 	m := mesh.New3D(6, 6, 6)
-	if !Exists(m, AvoidNone, grid.Point{}, grid.Point{X: 5, Y: 5, Z: 5}) {
+	if !Exists(m, nil, grid.Point{}, grid.Point{X: 5, Y: 5, Z: 5}) {
 		t.Error("fault-free mesh must always have a minimal path")
 	}
-	if !Exists(m, AvoidNone, grid.Point{X: 5, Y: 0, Z: 3}, grid.Point{X: 0, Y: 5, Z: 0}) {
+	if !Exists(m, nil, grid.Point{X: 5, Y: 0, Z: 3}, grid.Point{X: 0, Y: 5, Z: 0}) {
 		t.Error("minimal path must exist for mixed orientations too")
 	}
 }
@@ -21,10 +31,10 @@ func TestExistsFaultFree(t *testing.T) {
 func TestExistsSameNode(t *testing.T) {
 	m := mesh.New2D(4, 4)
 	p := grid.Point{X: 2, Y: 2}
-	if !Exists(m, AvoidNone, p, p) {
+	if !Exists(m, nil, p, p) {
 		t.Error("a node can always reach itself")
 	}
-	if Exists(m, func(q grid.Point) bool { return q == p }, p, p) {
+	if Exists(m, only(m, p), p, p) {
 		t.Error("an avoided endpoint is unreachable")
 	}
 }
@@ -36,21 +46,21 @@ func TestExistsBlockedWall(t *testing.T) {
 	for i := 0; i <= 4; i++ {
 		m.SetFaulty(grid.Point{X: i, Y: 4 - i}, true)
 	}
-	if Exists(m, AvoidFaulty(m), grid.Point{}, grid.Point{X: 4, Y: 4}) {
+	if Exists(m, m.FaultyWords(), grid.Point{}, grid.Point{X: 4, Y: 4}) {
 		t.Error("anti-diagonal wall should block every monotone path")
 	}
 	// The wall also seals off destinations on the source side of its tips:
 	// (5,0) sits behind the faulty (4,0) along y = 0.
-	if Exists(m, AvoidFaulty(m), grid.Point{}, grid.Point{X: 5, Y: 0}) {
+	if Exists(m, m.FaultyWords(), grid.Point{}, grid.Point{X: 5, Y: 0}) {
 		t.Error("(5,0) must be unreachable: the wall reaches the y=0 row")
 	}
 	// The wall spans the entire anti-diagonal x+y = 4, so every destination
 	// beyond it is blocked too.
-	if Exists(m, AvoidFaulty(m), grid.Point{}, grid.Point{X: 5, Y: 5}) {
+	if Exists(m, m.FaultyWords(), grid.Point{}, grid.Point{X: 5, Y: 5}) {
 		t.Error("(5,5) must be blocked: the wall spans the full anti-diagonal")
 	}
 	// Destinations on the near side of the wall stay reachable.
-	if !Exists(m, AvoidFaulty(m), grid.Point{}, grid.Point{X: 1, Y: 2}) {
+	if !Exists(m, m.FaultyWords(), grid.Point{}, grid.Point{X: 1, Y: 2}) {
 		t.Error("(1,2) lies before the wall and must be reachable")
 	}
 }
@@ -67,7 +77,7 @@ func TestPathProperties(t *testing.T) {
 		if m.IsFaulty(s) || m.IsFaulty(d) {
 			continue
 		}
-		avoid := AvoidFaulty(m)
+		avoid := m.FaultyWords()
 		path := Path(m, avoid, s, d)
 		if path == nil {
 			if Exists(m, avoid, s, d) {
@@ -85,22 +95,22 @@ func TestIsMinimalPathRejects(t *testing.T) {
 	m := mesh.New2D(5, 5)
 	s, d := grid.Point{}, grid.Point{X: 2, Y: 1}
 	good := []grid.Point{{}, {X: 1}, {X: 2}, {X: 2, Y: 1}}
-	if !IsMinimalPath(m, AvoidNone, s, d, good) {
+	if !IsMinimalPath(m, nil, s, d, good) {
 		t.Error("valid path rejected")
 	}
 	detour := []grid.Point{{}, {Y: 1}, {}, {X: 1}, {X: 2}, {X: 2, Y: 1}}
-	if IsMinimalPath(m, AvoidNone, s, d, detour) {
+	if IsMinimalPath(m, nil, s, d, detour) {
 		t.Error("detour accepted as minimal")
 	}
 	gap := []grid.Point{{}, {X: 2}, {X: 2, Y: 1}}
-	if IsMinimalPath(m, AvoidNone, s, d, gap) {
+	if IsMinimalPath(m, nil, s, d, gap) {
 		t.Error("path with a 2-hop jump accepted")
 	}
 	wrongEnd := []grid.Point{{}, {X: 1}, {X: 1, Y: 1}}
-	if IsMinimalPath(m, AvoidNone, s, d, wrongEnd) {
+	if IsMinimalPath(m, nil, s, d, wrongEnd) {
 		t.Error("path ending elsewhere accepted")
 	}
-	if IsMinimalPath(m, AvoidNone, s, d, nil) {
+	if IsMinimalPath(m, nil, s, d, nil) {
 		t.Error("empty path accepted")
 	}
 }
@@ -114,10 +124,10 @@ func TestReachabilityMatchesExists(t *testing.T) {
 		}
 		s := m.Point(r.Intn(m.NodeCount()))
 		d := m.Point(r.Intn(m.NodeCount()))
-		f := Reachability(m, AvoidFaulty(m), s, d)
+		f := ReachabilityWordsInto(nil, m, m.FaultyWords(), s, d)
 		// Every point the field claims reachable must indeed have a path.
 		grid.BoxOf(s, d).ForEach(func(p grid.Point) {
-			if f.CanReach(p) != Exists(m, AvoidFaulty(m), p, d) {
+			if f.CanReach(p) != Exists(m, m.FaultyWords(), p, d) {
 				t.Fatalf("field and Exists disagree at %v (s=%v d=%v)", p, s, d)
 			}
 		})
@@ -128,11 +138,11 @@ func TestCountPathsFaultFree(t *testing.T) {
 	m := mesh.New2D(6, 6)
 	// Number of monotone paths in a fault-free grid is the binomial
 	// coefficient C(dx+dy, dx).
-	got := CountPaths(m, AvoidNone, grid.Point{}, grid.Point{X: 3, Y: 2}, 0)
+	got := CountPaths(m, nil, grid.Point{}, grid.Point{X: 3, Y: 2}, 0)
 	if got != 10 {
 		t.Errorf("CountPaths = %d, want 10", got)
 	}
-	if CountPaths(m, AvoidNone, grid.Point{}, grid.Point{X: 0, Y: 0}, 0) != 1 {
+	if CountPaths(m, nil, grid.Point{}, grid.Point{X: 0, Y: 0}, 0) != 1 {
 		t.Error("trivial path count should be 1")
 	}
 }
@@ -142,14 +152,14 @@ func TestCountPathsBlocked(t *testing.T) {
 	for i := 0; i <= 3; i++ {
 		m.SetFaulty(grid.Point{X: i, Y: 3 - i}, true)
 	}
-	if CountPaths(m, AvoidFaulty(m), grid.Point{}, grid.Point{X: 3, Y: 3}, 0) != 0 {
+	if CountPaths(m, m.FaultyWords(), grid.Point{}, grid.Point{X: 3, Y: 3}, 0) != 0 {
 		t.Error("blocked pair should have zero paths")
 	}
 }
 
 func TestCountPathsCap(t *testing.T) {
 	m := mesh.New2D(12, 12)
-	got := CountPaths(m, AvoidNone, grid.Point{}, grid.Point{X: 10, Y: 10}, 1000)
+	got := CountPaths(m, nil, grid.Point{}, grid.Point{X: 10, Y: 10}, 1000)
 	if got != 1000 {
 		t.Errorf("capped count = %d, want saturation at 1000", got)
 	}
@@ -158,10 +168,10 @@ func TestCountPathsCap(t *testing.T) {
 func TestExistsRespectsAvoidOnEndpoints(t *testing.T) {
 	m := mesh.New2D(4, 4)
 	s, d := grid.Point{}, grid.Point{X: 3, Y: 3}
-	if Exists(m, func(p grid.Point) bool { return p == d }, s, d) {
+	if Exists(m, only(m, d), s, d) {
 		t.Error("avoided destination must be unreachable")
 	}
-	if Exists(m, func(p grid.Point) bool { return p == s }, s, d) {
+	if Exists(m, only(m, s), s, d) {
 		t.Error("avoided source must not start a path")
 	}
 }
@@ -170,8 +180,8 @@ func TestPathMixedOrientation(t *testing.T) {
 	m := mesh.New3D(6, 6, 6)
 	s := grid.Point{X: 5, Y: 0, Z: 5}
 	d := grid.Point{X: 0, Y: 5, Z: 0}
-	path := Path(m, AvoidNone, s, d)
-	if !IsMinimalPath(m, AvoidNone, s, d, path) {
+	path := Path(m, nil, s, d)
+	if !IsMinimalPath(m, nil, s, d, path) {
 		t.Fatal("mixed-orientation path invalid")
 	}
 }

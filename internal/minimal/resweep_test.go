@@ -16,9 +16,8 @@ import (
 // avoid, brings the field up to date with Resweep — once with the cut of the
 // flips' bounding box, once with the per-flip cuts merged by max, as the
 // caches merge pending cuts across fault events — and compares both with a
-// fresh build. It reports whether Resweep ran (false: the field is wider
-// than 64 and must be rebuilt).
-func resweepCase(t testing.TB, m *mesh.Mesh, avoid []uint64, s, d grid.Point, flips []int) bool {
+// fresh build.
+func resweepCase(t testing.TB, m *mesh.Mesh, avoid []uint64, s, d grid.Point, flips []int) {
 	t.Helper()
 	byBox := ReachabilityWordsInto(nil, m, avoid, s, d)
 	byMerge := ReachabilityWordsInto(nil, m, avoid, s, d)
@@ -34,11 +33,9 @@ func resweepCase(t testing.TB, m *mesh.Mesh, avoid []uint64, s, d grid.Point, fl
 		}
 	}
 	want := ReachabilityWordsInto(nil, m, live, s, d).BitWords()
-	swept := true
 	check := func(name string, f *Field, cut Cut, ok bool) {
-		if ok && !f.Resweep(live, cut) {
-			swept = false
-			return
+		if ok {
+			f.Resweep(live, cut)
 		}
 		got := f.BitWords()
 		for i := range want {
@@ -51,7 +48,6 @@ func resweepCase(t testing.TB, m *mesh.Mesh, avoid []uint64, s, d grid.Point, fl
 	boxCut, boxOK := byBox.CutOf(changed)
 	check("bounding-box cut", byBox, boxCut, boxOK)
 	check("merged cut", byMerge, merged, reached)
-	return swept
 }
 
 // randomCase draws obstacles, endpoints and 1–4 flips on m. Flips land inside
@@ -89,8 +85,8 @@ func randomCase(r *rng.Rand, m *mesh.Mesh) ([]uint64, grid.Point, grid.Point, []
 }
 
 // TestResweepMatchesFullBuild covers 3-D and 2-D meshes, boxes flat on an
-// axis and flips inside and outside the box, and checks that a box wider
-// than 64 nodes refuses the re-sweep.
+// axis, flips inside and outside the box, and boxes wider than 64 nodes,
+// which the sweep cuts into strips.
 func TestResweepMatchesFullBuild(t *testing.T) {
 	r := rng.New(20050507)
 	for trial := 0; trial < 400; trial++ {
@@ -101,39 +97,41 @@ func TestResweepMatchesFullBuild(t *testing.T) {
 			m = mesh.New3D(1+r.Intn(10), 1+r.Intn(10), 1+r.Intn(10))
 		}
 		avoid, s, d, flips := randomCase(r, m)
-		if !resweepCase(t, m, avoid, s, d, flips) {
-			t.Fatalf("Resweep refused a %v box", grid.BoxOf(s, d))
-		}
+		resweepCase(t, m, avoid, s, d, flips)
 	}
 
-	// A 70-wide box is built by the per-node sweep, which has no row form.
+	// A 70-wide box spans two strips; a flip in the strip nearest d changes
+	// the far one only through the strip edge. Obstacles are sparse so that
+	// reachable runs cross that edge.
 	m := mesh.New3D(70, 2, 2)
-	for trial := 0; trial < 20; trial++ {
-		avoid, _, _, _ := randomCase(r, m)
+	n := m.NodeCount()
+	for trial := 0; trial < 40; trial++ {
+		avoid := make([]uint64, (n+63)/64)
+		for i := 0; i < n/40; i++ {
+			id := r.Intn(n)
+			avoid[id>>6] |= 1 << uint(id&63)
+		}
 		s, d := grid.Point{X: 0, Y: r.Intn(2), Z: r.Intn(2)}, grid.Point{X: 69, Y: r.Intn(2), Z: r.Intn(2)}
-		f := ReachabilityWordsInto(nil, m, avoid, s, d)
-		before := append([]uint64(nil), f.BitWords()...)
-		if f.Resweep(avoid, Cut{Y: 1, Z: 1}) {
-			t.Fatal("Resweep accepted a 70-wide field")
+		if trial%2 == 1 {
+			s, d = d, s
 		}
-		for i, w := range f.BitWords() {
-			if w != before[i] {
-				t.Fatal("a refused Resweep changed the field")
-			}
+		flips := make([]int, 1+r.Intn(4))
+		for i := range flips {
+			flips[i] = r.Intn(n)
 		}
+		resweepCase(t, m, avoid, s, d, flips)
 	}
 }
 
-// FuzzFieldResweep checks Resweep ≡ full build on random meshes up to
-// 72×12×12 (2-D when the Z extent is 1), obstacle sets, endpoints and flips,
-// all drawn from seed.
+// FuzzFieldResweep checks Resweep ≡ full build ≡ the map reference on random
+// meshes up to 72×12×12 (2-D when the Z extent is 1), obstacle sets,
+// endpoints and flips, all drawn from seed.
 func FuzzFieldResweep(f *testing.F) {
 	f.Add(uint64(1), uint8(8), uint8(8), uint8(8))
 	f.Fuzz(func(t *testing.T, seed uint64, nx, ny, nz uint8) {
 		m := mesh.New3D(1+int(nx)%72, 1+int(ny)%12, 1+int(nz)%12)
 		avoid, s, d, flips := randomCase(rng.New(seed), m)
-		if !resweepCase(t, m, avoid, s, d, flips) && m.Dims().X <= 64 {
-			t.Fatalf("Resweep refused a %v box", grid.BoxOf(s, d))
-		}
+		checkMapReference(t, "full build", m, avoid, ReachabilityWordsInto(nil, m, avoid, s, d), s, d)
+		resweepCase(t, m, avoid, s, d, flips)
 	})
 }

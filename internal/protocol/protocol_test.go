@@ -14,10 +14,12 @@ import (
 )
 
 // TestDistributedLabelingMatchesCentralised is invariant I7: the purely local
-// message protocol reaches exactly the labels of Algorithm 1/4. Under
-// BorderBlocked it is checked on the faulty and unsafe sets only: there the
-// useless vs can't-reach split of a node both rules fire for follows the
-// processing order, which differs between the two drivers.
+// message protocol reaches the fault regions of Algorithm 1/4, under both
+// border policies. It compares the faulty and unsafe sets and checks that the
+// distributed labels are a fixpoint of the rules. The useless vs can't-reach
+// split of a node both rules fire for follows the processing order, which
+// differs between the two drivers, so the split is not compared
+// (TestDistributedLabelingSplitFollowsOrder pins it).
 func TestDistributedLabelingMatchesCentralised(t *testing.T) {
 	r := rng.New(17)
 	for trial := 0; trial < 30; trial++ {
@@ -31,20 +33,19 @@ func TestDistributedLabelingMatchesCentralised(t *testing.T) {
 		if m.Is2D() {
 			orient.SZ = 1
 		}
-		want := labeling.Compute(m, orient)
-		got := RunLabeling(m, orient)
-		m.ForEach(func(p grid.Point) {
-			if got.Status(m, p) != want.Status(p) {
-				t.Fatalf("trial %d: node %v distributed=%v centralised=%v",
-					trial, p, got.Status(m, p), want.Status(p))
+		for _, border := range []labeling.BorderPolicy{labeling.BorderSafe, labeling.BorderBlocked} {
+			opts := labeling.Options{Border: border}
+			want := labeling.Compute(m, orient, opts)
+			got := RunLabeling(m, orient, opts)
+			if err := sameRegions(m, want, got); err != nil {
+				t.Fatalf("trial %d, %v: %v", trial, border, err)
 			}
-		})
-		if got.Stats.Delivered == 0 && want.NonFaultyUnsafeCount() > 0 {
-			t.Error("promotions require messages")
-		}
-		blocked := labeling.Options{Border: labeling.BorderBlocked}
-		if err := sameRegions(m, labeling.Compute(m, orient, blocked), RunLabeling(m, orient, blocked)); err != nil {
-			t.Fatalf("trial %d, %v: %v", trial, labeling.BorderBlocked, err)
+			if err := fixpointViolation(m, orient, border, func(i int) labeling.Status { return got.Statuses[i] }); err != nil {
+				t.Fatalf("trial %d, %v: distributed: %v", trial, border, err)
+			}
+			if got.Stats.Delivered == 0 && want.NonFaultyUnsafeCount() > 0 {
+				t.Errorf("trial %d, %v: promotions require messages", trial, border)
+			}
 		}
 	}
 }
@@ -201,7 +202,7 @@ func TestDistributedRoutingDeliversMinimal2D(t *testing.T) {
 		if res.Minimal {
 			minimalCount++
 		}
-		if !minimal.IsMinimalPath(m, minimal.AvoidFaulty(m), s, d, res.Path) {
+		if !minimal.IsMinimalPath(m, m.FaultyWords(), s, d, res.Path) {
 			t.Fatalf("trial %d: delivered path is not a fault-free minimal path", trial)
 		}
 	}
@@ -233,7 +234,7 @@ func TestDistributedRoutingDeliversMinimal3D(t *testing.T) {
 		if !res.Delivered {
 			t.Fatalf("trial %d: routing failed for feasible pair %v -> %v (stuck at %v)", trial, s, d, res.StuckAt)
 		}
-		if !minimal.IsMinimalPath(m, minimal.AvoidFaulty(m), s, d, res.Path) {
+		if !minimal.IsMinimalPath(m, m.FaultyWords(), s, d, res.Path) {
 			t.Fatalf("trial %d: delivered path is not a fault-free minimal path", trial)
 		}
 	}

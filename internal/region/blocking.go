@@ -23,7 +23,7 @@ func (s *ComponentSet) Blocked(c *Component, from, to grid.Point) bool {
 	if !c.Bounds.Intersects(grid.BoxOf(from, to)) {
 		return false
 	}
-	return !minimal.Exists(s.Mesh, c.Avoid(), from, to)
+	return !minimal.Exists(s.Mesh, c.AddWords(nil), from, to)
 }
 
 // BlockedByAny reports whether any single component of the set, on its own,
@@ -52,29 +52,13 @@ func (s *ComponentSet) BlockedByAny(from, to grid.Point) bool {
 // coincides with blocking by the faulty nodes alone whenever the endpoints are
 // safe.
 func (s *ComponentSet) BlockedByUnion(from, to grid.Point) bool {
-	return !minimal.ReachabilityWordsInto(nil, s.Mesh, s.UnionAvoidWords(), from, to).CanReach(from)
-}
-
-// unionAvoidID returns (building once) the ID-addressed obstacle test for the
-// union of all fault regions. It stays valid across Refresh: the labelling is
-// updated in place and byNode is reused.
-func (s *ComponentSet) unionAvoidID() func(id int32) bool {
-	if s.avoidID == nil {
-		if s.Labeling != nil {
-			s.avoidID = s.Labeling.AvoidUnsafeID()
-		} else {
-			byNode := s.byNode
-			s.avoidID = func(id int32) bool { return byNode[id] >= 0 }
-		}
-	}
-	return s.avoidID
+	return !minimal.Exists(s.Mesh, s.UnionAvoidWords(), from, to)
 }
 
 // UnionAvoidWords returns the union of all fault regions as a bitset over
-// dense node IDs — the word-level form of unionAvoidID that the row-at-a-time
-// reachability sweep consumes. Labelled sets delegate to the labelling's
-// lazily-maintained unsafe bitset; fault-only cluster sets derive one from
-// byNode, invalidated by Refresh. The caller must not mutate or retain the
+// dense node IDs, the obstacle form the reachability sweep consumes. Labelled
+// sets delegate to the labelling's lazily-maintained unsafe bitset; fault-only
+// cluster sets derive one from byNode, invalidated by Refresh. The caller must not mutate or retain the
 // slice across Refresh.
 func (s *ComponentSet) UnionAvoidWords() []uint64 {
 	if s.Labeling != nil {

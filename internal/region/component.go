@@ -11,7 +11,6 @@ import (
 	"mccmesh/internal/grid"
 	"mccmesh/internal/labeling"
 	"mccmesh/internal/mesh"
-	"mccmesh/internal/minimal"
 )
 
 // Component is one connected fault region: a maximal set of unsafe nodes
@@ -49,9 +48,19 @@ func (c *Component) HasID(id int32) bool {
 	return id >= 0 && c.set.byNode[id] == c.ID
 }
 
-// Avoid returns a minimal.Avoid that rejects exactly this component's nodes.
-func (c *Component) Avoid() minimal.Avoid {
-	return c.Has
+// AddWords sets the component's nodes in w, a bitset over dense node IDs
+// (allocated over the whole mesh when nil), and returns w: the obstacle form
+// of one component, or of several added into one bitset.
+func (c *Component) AddWords(w []uint64) []uint64 {
+	m := c.set.Mesh
+	if w == nil {
+		w = make([]uint64, (m.NodeCount()+63)/64)
+	}
+	for _, p := range c.Nodes {
+		id := m.ID(p)
+		w[id>>6] |= 1 << uint(id&63)
+	}
+	return w
 }
 
 // String implements fmt.Stringer.
@@ -76,10 +85,9 @@ type ComponentSet struct {
 
 	byNode []int // dense node index -> component ID, or -1
 
-	member  func(idx int) bool           // membership rule, kept for Refresh
-	count   func(*Component, grid.Point) // label accounting, kept for Refresh
-	avoidID func(id int32) bool          // cached union obstacle test
-	avoidW  []uint64                     // cached union obstacle bitset (fault-only sets)
+	member func(idx int) bool           // membership rule, kept for Refresh
+	count  func(*Component, grid.Point) // label accounting, kept for Refresh
+	avoidW []uint64                     // cached union obstacle bitset (fault-only sets)
 
 	// Extraction storage, reused across Refresh calls so the per-churn-event
 	// re-extraction allocates nothing in steady state: slab backs the

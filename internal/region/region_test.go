@@ -150,7 +150,7 @@ func TestBlockingUltimacy(t *testing.T) {
 
 		byAny := cs.BlockedByAny(s, d)
 		byUnion := cs.BlockedByUnion(s, d)
-		byFaults := !minimal.Exists(m, minimal.AvoidFaulty(m), s, d)
+		byFaults := !minimal.Exists(m, m.FaultyWords(), s, d)
 
 		if byAny && !byUnion {
 			t.Fatalf("trial %d: a single MCC blocks %v->%v but the union does not", trial, s, d)

@@ -128,7 +128,7 @@ func (s *fieldSlot) pendingCut() minimal.Cut {
 }
 
 // lookup returns an up-to-date field for destination d that covers v,
-// building, re-sweeping or rebuilding one in place when needed. avoid is the
+// re-sweeping, building or widening one in place when needed. avoid is the
 // provider's obstacle bitset the field is swept over.
 func (c *fieldCache) lookup(m *mesh.Mesh, u, v, d grid.Point, dID int32, avoid []uint64) *minimal.Field {
 	if c.slots == nil {
@@ -143,11 +143,10 @@ func (c *fieldCache) lookup(m *mesh.Mesh, u, v, d grid.Point, dID int32, avoid [
 		}
 		// Stale but covering: re-sweep the rows the fault change reaches.
 		// Box and storage stay, so the decision view stays valid.
-		if f.Resweep(avoid, s.pendingCut()) {
-			c.tel.Inc(telemetry.FieldRebuilds)
-			s.cutY, s.cutZ = noCut, noCut
-			return f
-		}
+		f.Resweep(avoid, s.pendingCut())
+		c.tel.Inc(telemetry.FieldRebuilds)
+		s.cutY, s.cutZ = noCut, noCut
+		return f
 	}
 	// Build over the whole octant behind u rather than just BoxOf(u, d):
 	// every later source approaching d from the same side is then covered by
@@ -522,7 +521,9 @@ func (p *MCC) CandidateMaskID(_ *mesh.Mesh, _ int32, uPt grid.Point, d int32, dP
 // records deposited on it by the boundary-construction protocol, and routing
 // decisions consult the records of the current node (plus the records already
 // collected along the path, which a real message carries in its header). This
-// models the paper's limited-global-information regime.
+// models the paper's limited-global-information regime. With CarryAlong, one
+// value carries one message's records: route each message with a fresh
+// Records.
 type Records struct {
 	Set *region.ComponentSet
 	// PerNode maps a node index to the IDs of the components whose records are
@@ -537,9 +538,6 @@ type Records struct {
 
 // Name implements Provider.
 func (p *Records) Name() string { return "mcc-boundary" }
-
-// Reset clears the record set carried by the current message.
-func (p *Records) Reset() { p.carried = p.carried[:0] }
 
 // CandidateMaskID implements Provider: RecordsMask over the records known at
 // u. With CarryAlong, u's records first join the set the message carries.
@@ -567,19 +565,16 @@ func RecordsMask(m *mesh.Mesh, set *region.ComponentSet, known []int, u int32, u
 	if len(known) == 0 {
 		return mk
 	}
-	avoid := func(q int32) bool {
-		for _, id := range known {
-			c := set.Components[id]
-			if c.HasID(q) && !c.HasID(d) {
-				return true
-			}
+	var avoid []uint64
+	for _, id := range known {
+		if c := set.Components[id]; !c.HasID(d) {
+			avoid = c.AddWords(avoid)
 		}
-		return false
 	}
 	for rest := mk; rest != 0; rest &= rest - 1 {
 		dir := grid.Direction(bits.TrailingZeros8(rest))
 		v := m.Point(int(m.NeighborID(u, dir)))
-		if !minimal.ReachabilityID(m, avoid, v, dPt).CanReach(v) {
+		if !minimal.Exists(m, avoid, v, dPt) {
 			mk &^= 1 << uint(dir)
 		}
 	}

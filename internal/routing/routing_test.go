@@ -35,7 +35,7 @@ func TestRouteFaultFree(t *testing.T) {
 		if tr.Hops() != grid.Manhattan(s, d) {
 			t.Fatalf("policy %s: path length %d, want %d", policy.Name(), tr.Hops(), grid.Manhattan(s, d))
 		}
-		if !minimal.IsMinimalPath(m, minimal.AvoidFaulty(m), s, d, tr.Path) {
+		if !minimal.IsMinimalPath(m, m.FaultyWords(), s, d, tr.Path) {
 			t.Fatalf("policy %s: path is not a valid minimal path", policy.Name())
 		}
 	}
@@ -171,7 +171,7 @@ func TestMCCRoutingAlwaysMinimalWhenFeasible(t *testing.T) {
 			if !tr.Succeeded() {
 				t.Fatalf("trial %d policy %s: route failed despite feasibility: %v", trial, policy.Name(), tr.Err)
 			}
-			if !minimal.IsMinimalPath(m, minimal.AvoidFaulty(m), s, d, tr.Path) {
+			if !minimal.IsMinimalPath(m, m.FaultyWords(), s, d, tr.Path) {
 				t.Fatalf("trial %d policy %s: path not minimal/fault-free", trial, policy.Name())
 			}
 		}
@@ -251,7 +251,7 @@ func TestLocalGreedyCanFail(t *testing.T) {
 	if !trMCC.Succeeded() {
 		t.Fatalf("MCC routing should succeed: %v", trMCC.Err)
 	}
-	if !minimal.IsMinimalPath(m, minimal.AvoidFaulty(m), s, d, trMCC.Path) {
+	if !minimal.IsMinimalPath(m, m.FaultyWords(), s, d, trMCC.Path) {
 		t.Fatal("MCC path is not minimal")
 	}
 	if trGreedy.Succeeded() {
@@ -306,7 +306,7 @@ func TestRecordsProviderWithFullInformation(t *testing.T) {
 		if !tr.Succeeded() {
 			t.Fatalf("trial %d: records routing failed: %v", trial, tr.Err)
 		}
-		if !minimal.IsMinimalPath(m, minimal.AvoidFaulty(m), s, d, tr.Path) {
+		if !minimal.IsMinimalPath(m, m.FaultyWords(), s, d, tr.Path) {
 			t.Fatalf("trial %d: records path not minimal", trial)
 		}
 	}

@@ -476,9 +476,9 @@ func measureAdaptivity(ctx context.Context, sc *Scenario) (*Report, error) {
 			continue
 		}
 		bb := block.Build(m, block.BoundingBox)
-		freePaths.Add(float64(minimal.CountPaths(m, minimal.AvoidNone, s, d, pathCap)))
-		mccPaths.Add(float64(minimal.CountPaths(m, func(p grid.Point) bool { return l.Unsafe(p) }, s, d, pathCap)))
-		rfbPaths.Add(float64(minimal.CountPaths(m, bb.Avoid(), s, d, pathCap)))
+		freePaths.Add(float64(minimal.CountPaths(m, nil, s, d, pathCap)))
+		mccPaths.Add(float64(minimal.CountPaths(m, l.UnsafeWords(), s, d, pathCap)))
+		rfbPaths.Add(float64(minimal.CountPaths(m, bb.AvoidWords(), s, d, pathCap)))
 		tr := routing.New(m, &routing.MCC{Set: cs}, nil).Route(s, d)
 		if tr.Succeeded() {
 			mccMinCand.Add(float64(tr.MinAdaptivity()))

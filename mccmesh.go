@@ -134,13 +134,13 @@ func Distance(a, b Point) int { return grid.Manhattan(a, b) }
 // MinimalPathExists is the ground-truth check: does any minimal path from s to
 // d avoid every faulty node?
 func MinimalPathExists(m *Mesh, s, d Point) bool {
-	return minimal.Exists(m, minimal.AvoidFaulty(m), s, d)
+	return minimal.Exists(m, m.FaultyWords(), s, d)
 }
 
 // FindMinimalPath returns one minimal fault-free path from s to d, or nil if
 // none exists.
 func FindMinimalPath(m *Mesh, s, d Point) []Point {
-	return minimal.Path(m, minimal.AvoidFaulty(m), s, d)
+	return minimal.Path(m, m.FaultyWords(), s, d)
 }
 
 // Feasible reports whether the MCC model admits a minimal path from s to d
