@@ -7,13 +7,17 @@ package main
 
 import (
 	"fmt"
+	"io"
+	"os"
 
 	"mccmesh"
 	"mccmesh/internal/block"
 	"mccmesh/internal/viz"
 )
 
-func main() {
+func main() { run(os.Stdout) }
+
+func run(w io.Writer) {
 	m := mccmesh.New3D(10, 10, 10)
 	faults := []mccmesh.Point{
 		mccmesh.At(5, 5, 6), mccmesh.At(6, 5, 5), mccmesh.At(5, 6, 5),
@@ -27,28 +31,28 @@ func main() {
 	l := model.Labeling(orient)
 	cs := model.Regions(orient)
 
-	fmt.Println("Figure 5 fault set:", faults)
-	fmt.Printf("labelling: %d faulty, %d useless, %d can't-reach\n",
+	fmt.Fprintln(w, "Figure 5 fault set:", faults)
+	fmt.Fprintf(w, "labelling: %d faulty, %d useless, %d can't-reach\n",
 		l.Count(mccmesh.Faulty), l.Count(mccmesh.Useless), l.Count(mccmesh.CantReach))
 	for _, c := range cs.Components {
-		fmt.Printf("  %v\n", c)
+		fmt.Fprintf(w, "  %v\n", c)
 	}
 
 	rfb := model.Blocks(block.BoundingBox)
-	fmt.Printf("\nMCC model absorbs %d healthy nodes; the RFB baseline absorbs %d (block %v)\n",
+	fmt.Fprintf(w, "\nMCC model absorbs %d healthy nodes; the RFB baseline absorbs %d (block %v)\n",
 		cs.TotalNonFaulty(), rfb.TotalNonFaulty(), rfb.Blocks[0].Bounds)
 
-	fmt.Println("\nSlices of the labelling (compare with Figure 5(b)):")
-	fmt.Print(viz.Slices(l, viz.Overlay{}))
-	fmt.Println(viz.Legend())
+	fmt.Fprintln(w, "\nSlices of the labelling (compare with Figure 5(b)):")
+	fmt.Fprint(w, viz.Slices(l, viz.Overlay{}))
+	fmt.Fprintln(w, viz.Legend())
 
 	// Routing across the fault region: the paper's point is that minimal paths
 	// survive because the MCC regions are so small.
 	s, d := mccmesh.At(3, 3, 3), mccmesh.At(8, 8, 8)
 	trace, err := model.Route(s, d)
 	if err != nil {
-		fmt.Println("routing failed:", err)
+		fmt.Fprintln(w, "routing failed:", err)
 		return
 	}
-	fmt.Printf("\nrouted %v -> %v in %d hops despite the fault cluster\n", s, d, trace.Hops())
+	fmt.Fprintf(w, "\nrouted %v -> %v in %d hops despite the fault cluster\n", s, d, trace.Hops())
 }

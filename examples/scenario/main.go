@@ -8,40 +8,49 @@ package main
 import (
 	"context"
 	"fmt"
+	"io"
+	"log"
 	"os"
 
 	"mccmesh"
 )
 
 func main() {
+	if err := run(os.Stdout); err != nil {
+		log.Fatal(err)
+	}
+}
+
+func run(w io.Writer) error {
 	f, err := os.Open("examples/scenario/spec.json")
 	if err != nil {
-		// Allow running from the example's own directory too.
+		// Allow running from the example's own directory too (as go test
+		// does).
 		f, err = os.Open("spec.json")
 	}
 	if err != nil {
-		panic(err)
+		return err
 	}
 	defer f.Close()
 
 	sc, err := mccmesh.LoadScenario(f)
 	if err != nil {
-		panic(err)
+		return err
 	}
 	sc.Observe(func(ev mccmesh.ScenarioEvent) {
 		if !ev.Done {
-			fmt.Printf("  cell %d/%d: %s\n", ev.Cell+1, ev.Total, ev.Label)
+			fmt.Fprintf(w, "  cell %d/%d: %s\n", ev.Cell+1, ev.Total, ev.Label)
 		}
 	})
 
 	spec := sc.Spec()
-	fmt.Printf("running scenario %q: %s mesh, %d trials per cell\n", spec.Name, spec.Mesh, spec.Trials)
+	fmt.Fprintf(w, "running scenario %q: %s mesh, %d trials per cell\n", spec.Name, spec.Mesh, spec.Trials)
 	rep, err := sc.Run(context.Background())
 	if err != nil {
-		panic(err)
+		return err
 	}
-	fmt.Println()
-	fmt.Println(rep.Table.Render())
+	fmt.Fprintln(w)
+	fmt.Fprintln(w, rep.Table.Render())
 
 	// The report also carries raw per-cell values for programmatic use.
 	best := rep.Cells[0]
@@ -50,6 +59,7 @@ func main() {
 			best = c
 		}
 	}
-	fmt.Printf("best cell: %s over %s at rate %.3f -> %.4f deliveries/node/tick\n",
+	fmt.Fprintf(w, "best cell: %s over %s at rate %.3f -> %.4f deliveries/node/tick\n",
 		best.Pattern, best.Model, best.Rate, best.Values["throughput"])
+	return nil
 }

@@ -8,11 +8,20 @@ package main
 import (
 	"context"
 	"fmt"
+	"io"
+	"log"
+	"os"
 
 	"mccmesh"
 )
 
 func main() {
+	if err := run(os.Stdout); err != nil {
+		log.Fatal(err)
+	}
+}
+
+func run(w io.Writer) error {
 	for _, measure := range []string{mccmesh.MeasureAbsorption, mccmesh.MeasureSuccess} {
 		sc, err := mccmesh.NewScenario(
 			mccmesh.WithCube(8),
@@ -24,12 +33,13 @@ func main() {
 			mccmesh.WithSeed(20050500),
 		)
 		if err != nil {
-			panic(err)
+			return err
 		}
 		rep, err := sc.Run(context.Background())
 		if err != nil {
-			panic(err)
+			return err
 		}
-		fmt.Println(rep.Table.Render())
+		fmt.Fprintln(w, rep.Table.Render())
 	}
+	return nil
 }

@@ -7,11 +7,20 @@ package main
 import (
 	"context"
 	"fmt"
+	"io"
+	"log"
+	"os"
 
 	"mccmesh"
 )
 
 func main() {
+	if err := run(os.Stdout); err != nil {
+		log.Fatal(err)
+	}
+}
+
+func run(w io.Writer) error {
 	// --- One instrumented run with mid-run fault injection ---------------
 	m := mccmesh.New3D(8, 8, 8)
 	mccmesh.InjectUniform(m, mccmesh.NewRand(1), 25)
@@ -25,15 +34,15 @@ func main() {
 		Faults: []mccmesh.FaultEvent{{At: 150, Inject: mccmesh.ClusteredInjector(1, 5)}},
 	})
 	if err != nil {
-		panic(err)
+		return err
 	}
 	res := engine.Run(7)
 
-	fmt.Printf("continuous hotspot traffic on 8x8x8, 25 static faults + 5 injected at t=150 (MCC model):\n")
-	fmt.Printf("  injected %d packets, delivered %d (%.1f%%), stuck %d, lost in flight %d\n",
+	fmt.Fprintf(w, "continuous hotspot traffic on 8x8x8, 25 static faults + 5 injected at t=150 (MCC model):\n")
+	fmt.Fprintf(w, "  injected %d packets, delivered %d (%.1f%%), stuck %d, lost in flight %d\n",
 		res.Injected, res.Delivered, 100*res.DeliveredRatio(), res.Stuck, res.Lost)
-	fmt.Printf("  throughput %.4f deliveries/node/tick (offered rate %.4f)\n", res.Throughput(), res.Rate)
-	fmt.Printf("  latency ticks: mean %.1f, p50 %d, p95 %d, p99 %d\n\n",
+	fmt.Fprintf(w, "  throughput %.4f deliveries/node/tick (offered rate %.4f)\n", res.Throughput(), res.Rate)
+	fmt.Fprintf(w, "  latency ticks: mean %.1f, p50 %d, p95 %d, p99 %d\n\n",
 		res.Latency.Mean(), res.Latency.Percentile(0.50), res.Latency.Percentile(0.95), res.Latency.Percentile(0.99))
 
 	// --- A parallel sweep: MCC vs rectangular blocks ---------------------
@@ -50,11 +59,12 @@ func main() {
 		mccmesh.WithWorkers(0), // GOMAXPROCS; any value yields the identical table
 	)
 	if err != nil {
-		panic(err)
+		return err
 	}
 	rep, err := sc.Run(context.Background())
 	if err != nil {
-		panic(err)
+		return err
 	}
-	fmt.Println(rep.Table.Render())
+	fmt.Fprintln(w, rep.Table.Render())
+	return nil
 }
