@@ -136,7 +136,7 @@ func BenchmarkFigure8Routing3D(b *testing.B) {
 	}
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		provider := &routing.MCC{Set: cs}
+		provider := routing.NewMCC(cs)
 		tr := routing.New(m, provider, nil).Route(s, d)
 		if !tr.Succeeded() {
 			b.Fatal("routing failed")

@@ -110,9 +110,10 @@ func (mo *Model) Invalidate() {
 // only the neighbourhood the new faults touch (labeling.AddFaults) and each
 // cached region set re-extracts its components in place
 // (region.ComponentSet.Refresh), so pointers handed out to routing providers
-// stay valid. Cached providers that implement routing.CacheInvalidator (MCC,
-// Oracle) are kept and marked stale where the fault touched them; every
-// other provider is dropped and rebuilt lazily, as are block snapshots and
+// stay valid. Cached field providers that follow fault changes in place
+// (routing.FieldProvider.Follows: mcc and oracle) are kept and marked stale
+// where the fault touched them; every other provider (the block baselines,
+// labels, local) is dropped and rebuilt lazily, as are block snapshots and
 // protocol info, which have no incremental form. Only fault *additions* are
 // supported here; repairs go through RepairFaults, and after arbitrary edits
 // call Invalidate.
@@ -143,8 +144,8 @@ func (mo *Model) RepairFaults(pts []grid.Point) {
 }
 
 // refreshDerived re-extracts the cached region sets in place, invalidates the
-// providers that can follow them and drops the caches that have no
-// incremental form, after the labellings changed.
+// field providers that follow them (mcc, oracle) and drops the caches that
+// have no incremental form, after the labellings changed.
 func (mo *Model) refreshDerived() {
 	for _, cs := range mo.regions {
 		if cs != nil {
@@ -153,12 +154,12 @@ func (mo *Model) refreshDerived() {
 	}
 	for _, slots := range mo.providers {
 		for i, p := range slots {
-			inv, ok := p.(routing.CacheInvalidator)
-			if !ok {
+			fp, ok := p.(*routing.FieldProvider)
+			if !ok || !fp.Follows() {
 				slots[i] = nil
 			} else if i == 0 || p != slots[i-1] {
 				// A shared provider fills every slot; invalidate it once.
-				inv.InvalidateCache()
+				fp.InvalidateCache()
 			}
 		}
 	}
@@ -200,8 +201,10 @@ func (mo *Model) Blocks(variant block.Model) *block.Regions {
 // model for packets travelling with the given orientation. The MCC and
 // labels-only providers depend on the orientation and are cached per
 // orientation; the oracle, block and local-greedy providers do not, so one
-// instance serves all eight orientations. Cached providers survive
-// ApplyFaults / RepairFaults only if they can follow the change in place.
+// instance serves all eight orientations. The oracle, mcc, rfb and fb-rule
+// providers are one type, routing.FieldProvider, built by its constructors.
+// Cached providers survive ApplyFaults / RepairFaults only if they can follow
+// the change in place (routing.FieldProvider.Follows).
 // ProviderBoundary is not cached — its carried record set belongs to one
 // message — so it is an unknown name here, as is any other.
 func (mo *Model) Provider(name string, orient grid.Orientation) (routing.Provider, error) {
@@ -214,15 +217,15 @@ func (mo *Model) Provider(name string, orient grid.Orientation) (routing.Provide
 	perOrientation := false
 	switch name {
 	case ProviderMCC:
-		p, perOrientation = &routing.MCC{Set: mo.Regions(orient)}, true
+		p, perOrientation = routing.NewMCC(mo.Regions(orient)), true
 	case ProviderLabels:
 		p, perOrientation = &routing.Labeled{Labeling: mo.Labeling(orient)}, true
 	case ProviderOracle:
-		p = &routing.Oracle{Mesh: mo.m}
+		p = routing.NewOracle(mo.m)
 	case ProviderRFB:
-		p = &routing.Block{Regions: mo.Blocks(block.BoundingBox)}
+		p = routing.NewBlock(mo.Blocks(block.BoundingBox))
 	case ProviderFBRule:
-		p = &routing.Block{Regions: mo.Blocks(block.ConvexityRule)}
+		p = routing.NewBlock(mo.Blocks(block.ConvexityRule))
 	case ProviderLocal:
 		p = routing.LocalGreedy{}
 	default:

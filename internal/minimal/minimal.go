@@ -273,14 +273,6 @@ func (f *Field) at(p grid.Point) bool {
 // report false.
 func (f *Field) CanReach(p grid.Point) bool { return f.at(p) }
 
-// CanReachCovered is CanReach without the box check: the caller must have
-// established Covers(p). The routing providers' caches verify coverage once
-// per lookup and then skip re-verifying it per bit test.
-func (f *Field) CanReachCovered(p grid.Point) bool {
-	i := f.index(p)
-	return f.words[i>>6]&(1<<uint(i&63)) != 0
-}
-
 // rowBits returns bits [start, start+n) of a bitset in the low n bits of a
 // word, for a range wholly inside the bitset; the bits above n are garbage
 // the caller masks off. n is at most 64.

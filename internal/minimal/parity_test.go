@@ -45,19 +45,14 @@ func mapReachability(m *mesh.Mesh, avoid []uint64, s, d grid.Point) map[grid.Poi
 }
 
 // checkMapReference compares f, built toward d from s over avoid, with the
-// map reference on every node of m, through CanReach and (inside the box)
-// CanReachCovered.
+// map reference on every node of m, through CanReach.
 func checkMapReference(t testing.TB, name string, m *mesh.Mesh, avoid []uint64, f *Field, s, d grid.Point) {
 	t.Helper()
 	want := mapReachability(m, avoid, s, d)
-	box := grid.BoxOf(s, d)
 	m.ForEach(func(p grid.Point) {
 		got := f.CanReach(p)
 		if got != want[p] {
 			t.Fatalf("%s on %v: CanReach(%v) = %v, map reference %v (s=%v d=%v)", name, m.Dims(), p, got, want[p], s, d)
-		}
-		if box.Contains(p) && f.CanReachCovered(p) != got {
-			t.Fatalf("%s on %v: CanReachCovered(%v) disagrees with CanReach (s=%v d=%v)", name, m.Dims(), p, s, d)
 		}
 	})
 	// Points outside the box report false.

@@ -19,20 +19,18 @@ import (
 	"mccmesh/internal/routing"
 )
 
-// benchQueries returns a deterministic query mix over healthy node IDs:
-// (u, v, d) triples with v a forward neighbour of u toward d.
+// benchState holds a deterministic query mix over healthy node IDs: hops
+// u → d where u has a healthy forward neighbour toward d.
 type benchState struct {
-	m    *mesh.Mesh
-	lab  *labeling.Labeling
-	set  *region.ComponentSet
-	prov *routing.MCC
+	m   *mesh.Mesh
+	lab *labeling.Labeling
+	set *region.ComponentSet
 	// provs is the per-orientation provider array the decision benchmarks
 	// index with oi, mirroring the traffic engine: all sources feeding one
 	// provider approach their destinations from the same octant, so octant
 	// field builds converge instead of thrashing between opposite corners.
-	provs [8]*routing.MCC
-	u, v  []int32
-	d     []int32
+	provs [8]*routing.FieldProvider
+	u, d  []int32
 	oi    []uint8 // orientation index of each query
 	uP    []grid.Point
 	dP    []grid.Point
@@ -43,9 +41,9 @@ func newBenchState(tb testing.TB) *benchState {
 	fault.Uniform{Count: 120}.Inject(m, rng.New(11))
 	lab := labeling.Compute(m, grid.PositiveOrientation)
 	set := region.FindMCCs(lab)
-	st := &benchState{m: m, lab: lab, set: set, prov: &routing.MCC{Set: set}}
+	st := &benchState{m: m, lab: lab, set: set}
 	for i := range st.provs {
-		st.provs[i] = &routing.MCC{Set: set}
+		st.provs[i] = routing.NewMCC(set)
 	}
 	r := rng.New(23)
 	for len(st.u) < 4096 {
@@ -70,7 +68,6 @@ func newBenchState(tb testing.TB) *benchState {
 			continue
 		}
 		st.u = append(st.u, ui)
-		st.v = append(st.v, vi)
 		st.d = append(st.d, di)
 		st.oi = append(st.oi, uint8(orient.Index()))
 		st.uP = append(st.uP, uP)
@@ -91,41 +88,10 @@ func (st *benchState) churn(r *rng.Rand) {
 		st.m.SetFaulty(p, true)
 		st.lab.AddFaults([]grid.Point{p})
 		st.set.Refresh()
-		st.prov.InvalidateCache()
 		for _, pr := range st.provs {
 			pr.InvalidateCache()
 		}
 		return
-	}
-}
-
-// BenchmarkMCCAllowedID16 is the per-direction reference decision on a
-// static fault set.
-func BenchmarkMCCAllowedID16(b *testing.B) {
-	st := newBenchState(b)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		k := i & 4095
-		st.prov.AllowedID(st.u[k], st.v[k], st.d[k])
-	}
-}
-
-// BenchmarkMCCAllowedIDChurn16 interleaves fault injections with the query
-// stream: every 2048 decisions a node dies, the model updates incrementally,
-// and the cache re-sweeps the fields the fault reached lazily as their
-// destinations are revisited.
-func BenchmarkMCCAllowedIDChurn16(b *testing.B) {
-	st := newBenchState(b)
-	r := rng.New(31)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if i%2048 == 2047 && st.m.FaultCount() < st.m.NodeCount()/8 {
-			st.churn(r)
-		}
-		k := i & 4095
-		st.prov.AllowedID(st.u[k], st.v[k], st.d[k])
 	}
 }
 

@@ -68,12 +68,12 @@ func checkUntouched(t *testing.T, c *fieldCache, m *mesh.Mesh, avoid []uint64, b
 	}
 }
 
-// observe runs call, a lookup toward destination id, and when id's slot was
+// observe runs call, a decision toward destination id, and when id's slot was
 // stale classifies what the lookup did to it: re-swept in place (same field,
 // box and storage; the lookup's point was inside the box) or fully rebuilt
 // over a new box (it was not). Either way the field must then equal a fresh
 // sweep over the live obstacles avoid.
-func observe[T any](t *testing.T, c *fieldCache, m *mesh.Mesh, avoid []uint64, id int32, tally *scopeTally, call func() T) T {
+func observe(t *testing.T, c *fieldCache, m *mesh.Mesh, avoid []uint64, id int32, tally *scopeTally, call func() uint8) uint8 {
 	t.Helper()
 	if c.slots == nil {
 		return call()
@@ -102,6 +102,11 @@ func observe[T any](t *testing.T, c *fieldCache, m *mesh.Mesh, avoid []uint64, i
 	return out
 }
 
+// maskOf is p's decision for the hop u → d.
+func maskOf(p Provider, m *mesh.Mesh, u, d int32) uint8 {
+	return p.CandidateMaskID(m, u, m.Point(int(u)), d, m.Point(int(d)))
+}
+
 // TestFieldSlotIsOneCacheLine: the pending cut fits in bytes the slot would
 // otherwise pad, so a decision hit touches one 64-byte line of the slot
 // table.
@@ -121,9 +126,10 @@ func TestFieldCacheEpochInvalidation(t *testing.T) {
 	fault.Uniform{Count: 20}.Inject(m, rng.New(3))
 	lab := labeling.Compute(m, grid.PositiveOrientation)
 	set := region.FindMCCs(lab)
-	prov := &MCC{Set: set}
+	prov := NewMCC(set)
 
-	// Warm the cache over a query set.
+	// Warm the cache over a query set: the decision at u toward d for each
+	// healthy forward neighbour v.
 	type q struct{ u, v, d int32 }
 	var queries []q
 	r := rng.New(9)
@@ -144,7 +150,7 @@ func TestFieldCacheEpochInvalidation(t *testing.T) {
 		}
 	}
 	for _, qq := range queries {
-		prov.AllowedID(qq.u, qq.v, qq.d)
+		maskOf(prov, m, qq.u, qq.d)
 	}
 
 	before := snapshotSlots(&prov.cache)
@@ -170,16 +176,15 @@ func TestFieldCacheEpochInvalidation(t *testing.T) {
 
 	// Every answer must now match a from-scratch provider.
 	freshSet := region.FindMCCs(labeling.Compute(m, grid.PositiveOrientation))
-	fresh := &MCC{Set: freshSet}
+	fresh := NewMCC(freshSet)
 	for _, qq := range queries {
 		if qq.v == injected || qq.u == injected || qq.d == injected {
 			continue // the query premise (healthy endpoints) changed
 		}
-		got := observe(t, &prov.cache, m, set.UnionAvoidWords(), qq.d, &tally, func() bool { return prov.AllowedID(qq.u, qq.v, qq.d) })
-		want := fresh.AllowedID(qq.u, qq.v, qq.d)
-		if got != want {
-			t.Fatalf("after epoch invalidation: AllowedID(%v, %v, %v) = %v, fresh provider says %v",
-				qq.u, qq.v, qq.d, got, want)
+		got := observe(t, &prov.cache, m, set.UnionAvoidWords(), qq.d, &tally, func() uint8 { return maskOf(prov, m, qq.u, qq.d) })
+		if want := maskOf(fresh, m, qq.u, qq.d); got != want {
+			t.Fatalf("after epoch invalidation: decision (%v -> %v) = %06b, fresh provider says %06b",
+				qq.u, qq.d, got, want)
 		}
 	}
 	// Touched slots were re-swept in place — the storage reuse the scoped
@@ -195,7 +200,7 @@ func TestFieldCacheEpochInvalidation(t *testing.T) {
 // evicted destinations still answer correctly (they just rebuild).
 func TestFieldCacheEvictsOneEntry(t *testing.T) {
 	m := mesh.NewCube(17) // 4913 nodes > fieldCacheMax
-	o := &Oracle{Mesh: m}
+	o := NewOracle(m)
 	n := m.NodeCount()
 	if n <= fieldCacheMax {
 		t.Fatalf("test mesh too small to overflow the cache: %d <= %d", n, fieldCacheMax)
@@ -208,8 +213,9 @@ func TestFieldCacheEvictsOneEntry(t *testing.T) {
 		if !ok {
 			u, _ = m.Neighbor(d, grid.XNeg)
 		}
-		if uID := m.ID(u); !o.AllowedID(uID, uID, int32(idx)) {
-			t.Fatalf("fault-free mesh: AllowedID(%v, %v, %v) must hold", u, u, d)
+		uID := m.ID(u)
+		if got, want := maskOf(o, m, uID, int32(idx)), ReferenceMask(m, nil, true, uID, int32(idx)); got != want || got == 0 {
+			t.Fatalf("fault-free mesh: decision (%v -> %v) = %06b, want the step onto d (%06b)", u, d, got, want)
 		}
 	}
 	live := 0
@@ -232,7 +238,7 @@ func TestFieldCacheEvictsOneEntry(t *testing.T) {
 	// An evicted destination still answers, and re-caches.
 	d := m.Point(0)
 	u, _ := m.Neighbor(d, grid.XPos)
-	if uID := m.ID(u); !o.AllowedID(uID, uID, 0) {
+	if uID := m.ID(u); maskOf(o, m, uID, 0) != ReferenceMask(m, nil, true, uID, 0) {
 		t.Fatalf("evicted destination answers wrong after rebuild")
 	}
 	if o.cache.slots[0].field == nil {
@@ -251,7 +257,7 @@ func TestFieldCacheEpochInvalidationOnRepair(t *testing.T) {
 	placed := fault.Uniform{Count: 30}.Inject(m, rng.New(5))
 	lab := labeling.Compute(m, grid.PositiveOrientation)
 	set := region.FindMCCs(lab)
-	prov := &MCC{Set: set}
+	prov := NewMCC(set)
 
 	type q struct{ u, v, d int32 }
 	var queries []q
@@ -273,7 +279,7 @@ func TestFieldCacheEpochInvalidationOnRepair(t *testing.T) {
 		}
 	}
 	for _, qq := range queries {
-		prov.AllowedID(qq.u, qq.v, qq.d)
+		maskOf(prov, m, qq.u, qq.d)
 	}
 
 	// Repair a third of the faults through the incremental path.
@@ -287,13 +293,12 @@ func TestFieldCacheEpochInvalidationOnRepair(t *testing.T) {
 	checkUntouched(t, &prov.cache, m, set.UnionAvoidWords(), before, &tally)
 
 	freshSet := region.FindMCCs(labeling.Compute(m, grid.PositiveOrientation))
-	fresh := &MCC{Set: freshSet}
+	fresh := NewMCC(freshSet)
 	for _, qq := range queries {
-		got := observe(t, &prov.cache, m, set.UnionAvoidWords(), qq.d, &tally, func() bool { return prov.AllowedID(qq.u, qq.v, qq.d) })
-		want := fresh.AllowedID(qq.u, qq.v, qq.d)
-		if got != want {
-			t.Fatalf("after repair invalidation: AllowedID(%v, %v, %v) = %v, fresh provider says %v",
-				qq.u, qq.v, qq.d, got, want)
+		got := observe(t, &prov.cache, m, set.UnionAvoidWords(), qq.d, &tally, func() uint8 { return maskOf(prov, m, qq.u, qq.d) })
+		if want := maskOf(fresh, m, qq.u, qq.d); got != want {
+			t.Fatalf("after repair invalidation: decision (%v -> %v) = %06b, fresh provider says %06b",
+				qq.u, qq.d, got, want)
 		}
 	}
 	if tally.reswept == 0 {
@@ -303,19 +308,19 @@ func TestFieldCacheEpochInvalidationOnRepair(t *testing.T) {
 	// The oracle takes the same scoped invalidation on repair; check it
 	// against a fresh oracle over the repaired mesh (the live mesh is its
 	// source of truth).
-	o := &Oracle{Mesh: m}
+	o := NewOracle(m)
 	for _, qq := range queries {
-		o.AllowedID(qq.u, qq.v, qq.d)
+		maskOf(o, m, qq.u, qq.d)
 	}
 	beforeO := snapshotSlots(&o.cache)
 	m.RemoveFaults(placed[len(placed)/3 : 2*len(placed)/3]...)
 	o.InvalidateCache()
 	checkUntouched(t, &o.cache, m, m.FaultyWords(), beforeO, &tally)
-	freshO := &Oracle{Mesh: m}
+	freshO := NewOracle(m)
 	for _, qq := range queries {
-		got := observe(t, &o.cache, m, m.FaultyWords(), qq.d, &tally, func() bool { return o.AllowedID(qq.u, qq.v, qq.d) })
-		if want := freshO.AllowedID(qq.u, qq.v, qq.d); got != want {
-			t.Fatalf("oracle after repair: AllowedID(%v, %v, %v) = %v, fresh oracle says %v", qq.u, qq.v, qq.d, got, want)
+		got := observe(t, &o.cache, m, m.FaultyWords(), qq.d, &tally, func() uint8 { return maskOf(o, m, qq.u, qq.d) })
+		if want := maskOf(freshO, m, qq.u, qq.d); got != want {
+			t.Fatalf("oracle after repair: decision (%v -> %v) = %06b, fresh oracle says %06b", qq.u, qq.d, got, want)
 		}
 	}
 }
@@ -324,14 +329,14 @@ func TestFieldCacheEpochInvalidationOnRepair(t *testing.T) {
 // seeded fail/repair schedules — single nodes and region clusters, repaired
 // in random order — on random 8³–12³ meshes, through the incremental update
 // path (labeling.AddFaults/RemoveFaults, Refresh, InvalidateCache). After
-// every event their CandidateMaskID and AllowedID answers over a fixed query
-// set, preceded by a few roaming sources, must equal those of freshly built
-// providers, untouched fields must be
+// every event their CandidateMaskID answers over a fixed query set, preceded
+// by a few roaming sources, must equal those of freshly built providers, on
+// the miss path and on the hit path that follows it; untouched fields must be
 // exact as they stand, and stale ones exact after their re-sweep. Against a
 // vacuous pass, each of the three outcomes — kept untouched, re-swept in
 // place, fully rebuilt — must happen at least once.
 func TestScopedInvalidationMatchesFresh(t *testing.T) {
-	type q struct{ u, v, d int32 }
+	type q struct{ u, d int32 }
 	var tally scopeTally
 	for _, seed := range []uint64{1, 7, 42} {
 		r := rng.New(seed)
@@ -339,9 +344,11 @@ func TestScopedInvalidationMatchesFresh(t *testing.T) {
 		fault.Uniform{Count: m.NodeCount() / 40}.Inject(m, r)
 		lab := labeling.Compute(m, grid.PositiveOrientation)
 		set := region.FindMCCs(lab)
-		mcc := &MCC{Set: set}
-		oracle := &Oracle{Mesh: m}
+		mcc := NewMCC(set)
+		oracle := NewOracle(m)
 
+		// One query per unresolved axis, as many as the per-direction form
+		// of this test put.
 		var queries []q
 		for len(queries) < 300 {
 			u, d := r.Intn(m.NodeCount()), r.Intn(m.NodeCount())
@@ -351,27 +358,22 @@ func TestScopedInvalidationMatchesFresh(t *testing.T) {
 			uP, dP := m.Point(u), m.Point(d)
 			for _, a := range m.Axes() {
 				if uP.Axis(a) != dP.Axis(a) {
-					v := m.NeighborID(int32(u), grid.OrientationOf(uP, dP).Forward(a))
-					queries = append(queries, q{int32(u), v, int32(d)})
+					queries = append(queries, q{int32(u), int32(d)})
 				}
 			}
 		}
-		// ask puts qq to p; with a cache, each of its two lookups is
-		// observed.
-		ask := func(p interface {
-			Provider
-			AllowedID(u, v, d int32) bool
-		}, c *fieldCache, avoid []uint64, qq q) (uint8, bool) {
-			mask := func() uint8 { return p.CandidateMaskID(m, qq.u, m.Point(int(qq.u)), qq.d, m.Point(int(qq.d))) }
-			ok := func() bool { return p.AllowedID(qq.u, qq.v, qq.d) }
-			if c == nil {
-				return mask(), ok()
+		// ask puts qq to p twice, the second time on the hit path the first
+		// leaves behind; with avoid set, each lookup is observed.
+		ask := func(p *FieldProvider, avoid []uint64, qq q) (uint8, uint8) {
+			mask := func() uint8 { return maskOf(p, m, qq.u, qq.d) }
+			if avoid == nil {
+				return mask(), mask()
 			}
-			return observe(t, c, m, avoid, qq.d, &tally, mask), observe(t, c, m, avoid, qq.d, &tally, ok)
+			return observe(t, &p.cache, m, avoid, qq.d, &tally, mask), observe(t, &p.cache, m, avoid, qq.d, &tally, mask)
 		}
 		for _, qq := range queries {
-			ask(mcc, &mcc.cache, set.UnionAvoidWords(), qq)
-			ask(oracle, &oracle.cache, m.FaultyWords(), qq)
+			ask(mcc, set.UnionAvoidWords(), qq)
+			ask(oracle, m.FaultyWords(), qq)
 		}
 
 		var groups [][]grid.Point
@@ -406,20 +408,19 @@ func TestScopedInvalidationMatchesFresh(t *testing.T) {
 				qq := queries[r.Intn(len(queries))]
 				qq.u = int32(r.Intn(m.NodeCount()))
 				if qq.u != qq.d {
-					qq.v = qq.u
 					roam = append(roam, qq)
 				}
 			}
-			freshMCC := &MCC{Set: region.FindMCCs(labeling.Compute(m, grid.PositiveOrientation))}
-			freshOracle := &Oracle{Mesh: m}
+			freshMCC := NewMCC(region.FindMCCs(labeling.Compute(m, grid.PositiveOrientation)))
+			freshOracle := NewOracle(m)
 			for _, qq := range append(roam, queries...) {
-				gotM, okM := ask(mcc, &mcc.cache, set.UnionAvoidWords(), qq)
-				gotO, okO := ask(oracle, &oracle.cache, m.FaultyWords(), qq)
-				wantM, wantOKM := ask(freshMCC, nil, nil, qq)
-				wantO, wantOKO := ask(freshOracle, nil, nil, qq)
-				if gotM != wantM || okM != wantOKM || gotO != wantO || okO != wantOKO {
-					t.Fatalf("seed %d event %d: query %v answers mcc (%06b, %v) oracle (%06b, %v), fresh providers mcc (%06b, %v) oracle (%06b, %v)",
-						seed, ev, qq, gotM, okM, gotO, okO, wantM, wantOKM, wantO, wantOKO)
+				gotM, hitM := ask(mcc, set.UnionAvoidWords(), qq)
+				gotO, hitO := ask(oracle, m.FaultyWords(), qq)
+				wantM, wantHitM := ask(freshMCC, nil, qq)
+				wantO, wantHitO := ask(freshOracle, nil, qq)
+				if gotM != wantM || hitM != wantHitM || gotO != wantO || hitO != wantHitO {
+					t.Fatalf("seed %d event %d: query %v answers mcc (%06b, %06b) oracle (%06b, %06b), fresh providers mcc (%06b, %06b) oracle (%06b, %06b)",
+						seed, ev, qq, gotM, hitM, gotO, hitO, wantM, wantHitM, wantO, wantHitO)
 				}
 			}
 		}

@@ -1,10 +1,10 @@
 package routing_test
 
 // Parity tests for the packed-decision fast path: for every built-in
-// provider, CandidateMaskID must agree bit for bit with the reference
-// decision assembled from per-direction AllowedID consultations — on fresh
-// fault sets, after incremental fault additions and after repairs, at every
-// point of the epoch lifecycle (cold slot, warm slot, stale slot).
+// provider, CandidateMaskID must agree bit for bit with the first-principles
+// reference decision (ReferenceMask over the provider's obstacle set) — on
+// fresh fault sets, after incremental fault additions and after repairs, at
+// every point of the epoch lifecycle (cold slot, warm slot, stale slot).
 
 import (
 	"fmt"
@@ -21,40 +21,42 @@ import (
 	"mccmesh/internal/routing"
 )
 
-// parityProvider is a Provider with the dense-ID per-direction AllowedID
-// every caching or label-based built-in one carries: the reference its masks
-// are checked against.
-type parityProvider interface {
-	routing.Provider
-	AllowedID(u, v, d int32) bool
+// refCase pairs a provider with the rule of its reference decision: the
+// obstacle set toward d and whether ReferenceMask tests reachability.
+type refCase struct {
+	prov  routing.Provider
+	avoid func(d int32) []uint64
+	reach bool
 }
 
-// referenceMask assembles the decision mask the slow way: the healthy forward
-// directions from u toward d, filtered through per-direction AllowedID.
-func referenceMask(m *mesh.Mesh, prov parityProvider, u int32, uPt grid.Point, d int32, dPt grid.Point) uint8 {
-	var mk uint8
-	for _, a := range m.Axes() {
-		delta := dPt.Axis(a) - uPt.Axis(a)
-		if delta == 0 {
-			continue
+// fieldCase is the reference rule of a field provider over the obstacle set
+// source; carve applies the block baselines' destination carve-out.
+func fieldCase(p *routing.FieldProvider, source func() []uint64, carve bool) refCase {
+	return refCase{p, func(d int32) []uint64 {
+		if carve {
+			return routing.CarveOut(source(), d)
 		}
-		dir := grid.DirectionOf(a, grid.Sign(delta))
-		v := m.NeighborID(u, dir)
-		if v == mesh.NoNeighbor || m.FaultyAt(int(v)) {
-			continue
-		}
-		if prov.AllowedID(u, v, d) {
-			mk |= 1 << uint(dir)
-		}
+		return source()
+	}, true}
+}
+
+// blockCases are fresh rfb and fb-rule providers over m's current faults.
+func blockCases(m *mesh.Mesh) []refCase {
+	var out []refCase
+	for _, variant := range []block.Model{block.BoundingBox, block.ConvexityRule} {
+		r := block.Build(m, variant)
+		out = append(out, fieldCase(routing.NewBlock(r), r.AvoidWords, true))
 	}
-	return mk
+	return out
 }
 
-// checkParity compares CandidateMaskID against referenceMask over count
+// checkParity compares CandidateMaskID against the reference over count
 // random (u, d) pairs of healthy nodes. Each pair is checked twice in a row,
 // so both the miss path (cold or stale slot) and the immediately-warm hit
-// path of the caching providers are exercised on the same query.
-func checkParity(t *testing.T, m *mesh.Mesh, prov parityProvider, r *rng.Rand, count int, stage string) {
+// path of the caching providers are exercised on the same query. A field
+// provider's derived AllowedID is checked against the reference bit of every
+// forward neighbour too.
+func checkParity(t *testing.T, m *mesh.Mesh, rc refCase, r *rng.Rand, count int, stage string) {
 	t.Helper()
 	for n := 0; n < count; n++ {
 		u := int32(r.Intn(m.NodeCount()))
@@ -63,23 +65,37 @@ func checkParity(t *testing.T, m *mesh.Mesh, prov parityProvider, r *rng.Rand, c
 			continue
 		}
 		uPt, dPt := m.Point(int(u)), m.Point(int(d))
-		want := referenceMask(m, prov, u, uPt, d, dPt)
+		want := routing.ReferenceMask(m, rc.avoid(d), rc.reach, u, d)
 		for pass := 0; pass < 2; pass++ {
-			got := prov.CandidateMaskID(m, u, uPt, d, dPt)
+			got := rc.prov.CandidateMaskID(m, u, uPt, d, dPt)
 			if got != want {
-				t.Fatalf("%s/%s pass %d: CandidateMaskID(%v -> %v) = %06b, per-direction AllowedID gives %06b",
-					stage, prov.Name(), pass, uPt, dPt, bits.Reverse8(got)>>2, bits.Reverse8(want)>>2)
+				t.Fatalf("%s/%s pass %d: CandidateMaskID(%v -> %v) = %06b, reference gives %06b",
+					stage, rc.prov.Name(), pass, uPt, dPt, bits.Reverse8(got)>>2, bits.Reverse8(want)>>2)
+			}
+		}
+		fp, ok := rc.prov.(*routing.FieldProvider)
+		if !ok {
+			continue
+		}
+		for _, dir := range m.Directions() {
+			v := m.NeighborID(u, dir)
+			if v == mesh.NoNeighbor || grid.Manhattan(m.Point(int(v)), dPt) >= grid.Manhattan(uPt, dPt) {
+				continue // not a forward neighbour
+			}
+			if got, want := fp.AllowedID(u, v, d), want&(1<<uint(dir)) != 0; got != want {
+				t.Fatalf("%s/%s: AllowedID(%v -> %v toward %v) = %v, reference gives %v",
+					stage, fp.Name(), uPt, m.Point(int(v)), dPt, got, want)
 			}
 		}
 	}
 }
 
-// TestDecisionMaskParity runs every built-in provider that carries AllowedID
-// through fresh, post-addition and post-repair fault states over several
-// random seeds. The caching providers take the same incremental update path
+// TestDecisionMaskParity runs every built-in provider except Records through
+// fresh, post-addition and post-repair fault states over several random
+// seeds. The oracle and MCC providers take the same incremental update path
 // the traffic engine uses (AddFaults/RemoveFaults + Refresh +
-// InvalidateCache); the Block provider, whose snapshot has no in-place
-// refresh, is rebuilt wholesale.
+// InvalidateCache); the block providers, whose snapshot has no in-place
+// refresh, are rebuilt wholesale.
 func TestDecisionMaskParity(t *testing.T) {
 	for _, seed := range []uint64{2, 19, 101} {
 		t.Run(fmt.Sprintf("seed=%d", seed), func(t *testing.T) {
@@ -88,25 +104,22 @@ func TestDecisionMaskParity(t *testing.T) {
 			lab := labeling.Compute(m, grid.PositiveOrientation)
 			set := region.FindMCCs(lab)
 
-			oracle := &routing.Oracle{Mesh: m}
-			mcc := &routing.MCC{Set: set}
-			labeled := &routing.Labeled{Labeling: lab}
-			cached := []parityProvider{oracle, mcc}
-			blockProvs := func() []parityProvider {
-				return []parityProvider{
-					&routing.Block{Regions: block.Build(m, block.BoundingBox)},
-					&routing.Block{Regions: block.Build(m, block.ConvexityRule)},
-				}
+			oracle := routing.NewOracle(m)
+			mcc := routing.NewMCC(set)
+			all := []refCase{
+				{&routing.Labeled{Labeling: lab}, func(int32) []uint64 { return lab.UnsafeWords() }, false},
+				{routing.LocalGreedy{}, func(int32) []uint64 { return m.FaultyWords() }, false},
+				fieldCase(oracle, m.FaultyWords, false),
+				fieldCase(mcc, set.UnionAvoidWords, false),
 			}
 
 			r := rng.New(seed * 7)
-			stageAll := func(stage string, provs ...parityProvider) {
-				for _, p := range provs {
-					checkParity(t, m, p, r, 300, stage)
+			stageAll := func(stage string, cases ...refCase) {
+				for _, rc := range cases {
+					checkParity(t, m, rc, r, 300, stage)
 				}
 			}
-			all := append([]parityProvider{labeled, routing.LocalGreedy{}}, cached...)
-			stageAll("fresh", append(all, blockProvs()...)...)
+			stageAll("fresh", append(all, blockCases(m)...)...)
 
 			// Incremental fault additions, one node at a time.
 			for i := 0; i < 4; i++ {
@@ -125,7 +138,7 @@ func TestDecisionMaskParity(t *testing.T) {
 				oracle.InvalidateCache()
 				mcc.InvalidateCache()
 			}
-			stageAll("after-add", append(all, blockProvs()...)...)
+			stageAll("after-add", append(all, blockCases(m)...)...)
 
 			// Repair a batch through the removal path.
 			repaired := placed[:len(placed)/2]
@@ -134,9 +147,60 @@ func TestDecisionMaskParity(t *testing.T) {
 			set.Refresh()
 			oracle.InvalidateCache()
 			mcc.InvalidateCache()
-			stageAll("after-repair", append(all, blockProvs()...)...)
+			stageAll("after-repair", append(all, blockCases(m)...)...)
 		})
 	}
+}
+
+// FuzzDecisionMatchesReference drives the four field models — oracle, mcc,
+// rfb and fb-rule — through a random fail/repair schedule on a random mesh
+// of up to 6³ nodes (2-D when an extent is 1), and checks CandidateMaskID
+// against ReferenceMask before the first step and after every step. The
+// oracle and mcc providers follow each step in place (labelling update,
+// Refresh, InvalidateCache), as the traffic engine's models do, so their
+// caches go through cold, warm, stale and widened slots; rfb and fb-rule are
+// rebuilt over the new faults, as core.Model rebuilds them.
+func FuzzDecisionMatchesReference(f *testing.F) {
+	f.Add(uint64(1), uint8(6), uint8(6), uint8(6), uint8(20), uint8(8))
+	f.Fuzz(func(t *testing.T, seed uint64, nx, ny, nz, faults, steps uint8) {
+		m := mesh.New3D(1+int(nx)%6, 1+int(ny)%6, 1+int(nz)%6)
+		n := m.NodeCount()
+		r := rng.New(seed)
+		fault.Uniform{Count: int(faults) % (n/3 + 1)}.Inject(m, r)
+		lab := labeling.Compute(m, grid.OrientationFromIndex(int(seed%8)))
+		set := region.FindMCCs(lab)
+		oracle, mcc := routing.NewOracle(m), routing.NewMCC(set)
+		check := func(stage string) {
+			cases := append([]refCase{fieldCase(oracle, m.FaultyWords, false), fieldCase(mcc, set.UnionAvoidWords, false)}, blockCases(m)...)
+			for _, rc := range cases {
+				checkParity(t, m, rc, r, 64, stage)
+			}
+		}
+		check("fresh")
+		var groups [][]grid.Point
+		for step := 0; step < int(steps)%16; step++ {
+			if len(groups) == 0 || (r.Intn(3) < 2 && m.FaultCount() < n/2) {
+				var placed []grid.Point
+				if r.Intn(2) == 0 {
+					placed = fault.Uniform{Count: 1}.Inject(m, r)
+				} else {
+					placed = fault.Clustered{Clusters: 1, Size: 2 + r.Intn(3)}.Inject(m, r)
+				}
+				lab.AddFaults(placed)
+				groups = append(groups, placed)
+			} else {
+				k := r.Intn(len(groups))
+				g := groups[k]
+				groups = append(groups[:k], groups[k+1:]...)
+				m.RemoveFaults(g...)
+				lab.RemoveFaults(g)
+			}
+			set.Refresh()
+			oracle.InvalidateCache()
+			mcc.InvalidateCache()
+			check(fmt.Sprintf("step %d", step))
+		}
+	})
 }
 
 // TestRecordsMaskWithoutRecords: a Records provider whose nodes hold no

@@ -14,33 +14,6 @@ import (
 	"mccmesh/internal/telemetry"
 )
 
-// CacheInvalidator is implemented by providers that memoise reachability
-// fields derived from fault information. Invalidation is scoped to the fault:
-// the provider compares its obstacle bitset with the copy its fields were
-// swept over, and marks stale only the fields whose box meets the cells that
-// changed. A stale field is brought up to date in place (reusing its bitset
-// storage) the next time its destination is routed to, re-sweeping only the
-// rows the change can reach.
-//
-// For the Oracle the live mesh is the source of truth, so invalidating alone
-// is always correct. For MCC the provider reads a snapshot (the
-// ComponentSet); invalidating its cache is correct only when that snapshot
-// has itself been brought up to date — region.ComponentSet.Refresh updates an
-// MCC set in place. A Block snapshot has no in-place refresh; after mesh
-// mutations it must be rebuilt wholesale, so Block does not implement
-// CacheInvalidator.
-//
-// core.Model, which owns and caches the providers, applies exactly this
-// rule on ApplyFaults / RepairFaults: it keeps the providers that implement
-// CacheInvalidator and calls InvalidateCache (MCC's after its ComponentSet
-// is refreshed), and drops every other provider for lazy rebuild.
-type CacheInvalidator interface {
-	// InvalidateCache marks stale every memoised reachability field the
-	// fault information changed since the last call (or since the first
-	// field was built), so the next decision brings it up to date.
-	InvalidateCache()
-}
-
 // fieldCacheMax bounds the number of live reachability fields per provider.
 // On overflow the oldest entry is evicted (FIFO); eviction order cannot
 // affect results, only speed. 4096 fields cover every destination of the
@@ -72,8 +45,8 @@ type fieldCache struct {
 	spare []*minimal.Field
 
 	// snap is the obstacle bitset the live fields were swept over, copied
-	// when the slot table is allocated and brought up to date by each
-	// invalidate. (Block never invalidates, so its copy goes unread.)
+	// from the provider's uncarved obstacle set when the slot table is
+	// allocated and brought up to date by each invalidate.
 	snap []uint64
 
 	// slab and arena chunk the allocation of cold builds: Field structs come
@@ -93,12 +66,12 @@ type fieldCache struct {
 // plus a flattened view of it — the bitset words and the box geometry as
 // int32s — that the per-hop decision fast path reads without touching the
 // Field struct. The view is restamped on every full build, so it always
-// matches the live field even when an AllowedID lookup widens the box (a
-// re-sweep keeps box and storage). Geometry is stored as min corner plus
-// extents so the in-box check is three subtract-and-unsigned-compare pairs
-// whose results double as the box-local coordinates of the bit probes, and as
-// int32s so the whole slot is one 64-byte cache line: a decision() hit
-// touches exactly one line of the slot array plus one to three field words.
+// matches the live field even when a build widens the box (a re-sweep keeps
+// box and storage). Geometry is stored as min corner plus extents so the
+// in-box check is three subtract-and-unsigned-compare pairs whose results
+// double as the box-local coordinates of the bit probes, and as int32s so the
+// whole slot is one 64-byte cache line: a decision() hit touches exactly one
+// line of the slot array plus one to three field words.
 //
 // cutY, cutZ are the field's pending cut (minimal.Cut), in bytes the struct
 // would otherwise pad: the rows a fault change since the last sweep can
@@ -125,74 +98,6 @@ func (s *fieldSlot) pendingCut() minimal.Cut {
 		return int(v)
 	}
 	return minimal.Cut{Y: unpack(s.cutY), Z: unpack(s.cutZ)}
-}
-
-// lookup returns an up-to-date field for destination d that covers v,
-// re-sweeping, building or widening one in place when needed. avoid is the
-// provider's obstacle bitset the field is swept over.
-func (c *fieldCache) lookup(m *mesh.Mesh, u, v, d grid.Point, dID int32, avoid []uint64) *minimal.Field {
-	if c.slots == nil {
-		c.slots = make([]fieldSlot, m.NodeCount())
-		c.snap = append([]uint64(nil), avoid...)
-	}
-	s := &c.slots[dID]
-	if f := s.field; f != nil && f.Covers(v) {
-		if s.cutY == noCut {
-			c.tel.Inc(telemetry.FieldHits)
-			return f
-		}
-		// Stale but covering: re-sweep the rows the fault change reaches.
-		// Box and storage stay, so the decision view stays valid.
-		f.Resweep(avoid, s.pendingCut())
-		c.tel.Inc(telemetry.FieldRebuilds)
-		s.cutY, s.cutZ = noCut, noCut
-		return f
-	}
-	// Build over the whole octant behind u rather than just BoxOf(u, d):
-	// every later source approaching d from the same side is then covered by
-	// the one build, so a destination slot builds once instead of widening
-	// toward that same converged box one source at a time (each widening
-	// being a full rebuild). Enlarging the box is exact — each cell's value
-	// depends only on the cells between it and d.
-	src := octantSource(m.Dims(), u, d)
-	reuse := s.field
-	if reuse != nil {
-		// A field that doesn't cover v: widen the box so the old coverage and
-		// the new source both fit, when d stays a corner of the union. This
-		// stops two sources with the same destination from rebuilding the
-		// field back and forth (e.g. axes resolved at the first build's
-		// source that a later source approaches from either side).
-		if wide, ok := widenSource(reuse.Box(), src, d); ok {
-			src = wide
-		}
-	}
-	if reuse == nil {
-		c.tel.Inc(telemetry.FieldColdBuilds)
-		if len(c.order)-c.head >= fieldCacheMax {
-			c.evictOldest()
-		}
-		if k := len(c.spare); k > 0 {
-			reuse = c.spare[k-1]
-			c.spare = c.spare[:k-1]
-		} else {
-			reuse = c.newField(src, d)
-		}
-		c.order = append(c.order, dID)
-	} else {
-		c.tel.Inc(telemetry.FieldRebuilds)
-	}
-	f := minimal.ReachabilityWordsInto(reuse, m, avoid, src, d)
-	s.field = f
-	s.cutY, s.cutZ = noCut, noCut
-	// Restamp the decision view: the build may have widened the box or grown
-	// the bitset storage, and the probes index the live words directly.
-	box := f.Box()
-	s.words = f.BitWords()
-	s.minX, s.minY, s.minZ = int32(box.Min.X), int32(box.Min.Y), int32(box.Min.Z)
-	s.boxW = int32(box.Max.X - box.Min.X + 1)
-	s.boxH = int32(box.Max.Y - box.Min.Y + 1)
-	s.boxD = int32(box.Max.Z - box.Min.Z + 1)
-	return f
 }
 
 // decision answers a hop from the memoised reachability field — the per-hop
@@ -253,35 +158,83 @@ func (s *fieldSlot) dirMask(uPt, dPt grid.Point, x, y, z int32) uint8 {
 	return mk
 }
 
-// decisionMask is the miss path of decision: resolve an up-to-date field
-// covering u through the ordinary lookup — building it, re-sweeping it in
-// place when stale, widening its box when u lies outside — which also
-// restamps the slot's decision view, then answer the hop with the same bit
-// probes the fast path uses. Every later hop toward d from inside the box is
-// then a decision() hit until a fault change reaches the field.
-func (c *fieldCache) decisionMask(m *mesh.Mesh, uPt grid.Point, d int32, dPt grid.Point, avoid []uint64) uint8 {
-	c.lookup(m, uPt, uPt, dPt, d, avoid)
+// decisionMask is the miss path of decision: it brings destination dID's
+// field up to date for u — re-sweeping it in place over its pending cut when
+// u lies inside its box, else building or widening one (build) — then
+// answers the hop with the same bit probes the fast path uses. Every later
+// hop toward d from inside the box is then a decision() hit until a fault
+// change reaches the field. live is the provider's obstacle set, which the
+// first call copies into snap; avoid is the set fields toward d are swept
+// over (live itself, or live with d carved out for the block baselines).
+func (c *fieldCache) decisionMask(m *mesh.Mesh, u grid.Point, dID int32, d grid.Point, live, avoid []uint64) uint8 {
 	c.tel.Inc(telemetry.DecisionBuilds)
-	s := &c.slots[d]
-	x := int32(uPt.X) - s.minX
-	y := int32(uPt.Y) - s.minY
-	z := int32(uPt.Z) - s.minZ
-	return s.dirMask(uPt, dPt, x, y, z)
-}
-
-// covered returns the live field for destination dID when it covers v, nil
-// otherwise — the branch AllowedID takes on a cache hit, with no closure and
-// no second box check (CanReachCovered pairs with it).
-func (c *fieldCache) covered(dID int32, v grid.Point) *minimal.Field {
 	if c.slots == nil {
-		return nil
+		c.slots = make([]fieldSlot, m.NodeCount())
+		c.snap = append([]uint64(nil), live...)
 	}
 	s := &c.slots[dID]
-	if s.field != nil && s.cutY == noCut && s.field.Covers(v) {
-		c.tel.Inc(telemetry.FieldHits)
-		return s.field
+	if f := s.field; f != nil && f.Covers(u) {
+		// decision() missed, so a field covering u is stale: re-sweep the
+		// rows the fault change reaches. Box and storage stay, so the
+		// decision view stays valid.
+		f.Resweep(avoid, s.pendingCut())
+		c.tel.Inc(telemetry.FieldRebuilds)
+		s.cutY, s.cutZ = noCut, noCut
+	} else {
+		c.build(m, s, u, dID, d, avoid)
 	}
-	return nil
+	return s.dirMask(u, d, int32(u.X)-s.minX, int32(u.Y)-s.minY, int32(u.Z)-s.minZ)
+}
+
+// build gives s, destination dID's slot, a field covering u: a new one when
+// the slot is empty, else its field rebuilt in place over a box widened to
+// take u. The field is swept over avoid, and the slot's decision view is
+// restamped.
+func (c *fieldCache) build(m *mesh.Mesh, s *fieldSlot, u grid.Point, dID int32, d grid.Point, avoid []uint64) {
+	// Build over the whole octant behind u rather than just BoxOf(u, d):
+	// every later source approaching d from the same side is then covered by
+	// the one build, so a destination slot builds once instead of widening
+	// toward that same converged box one source at a time (each widening
+	// being a full rebuild). Enlarging the box is exact — each cell's value
+	// depends only on the cells between it and d.
+	src := octantSource(m.Dims(), u, d)
+	reuse := s.field
+	if reuse != nil {
+		// A field that doesn't cover u: widen the box so the old coverage and
+		// the new source both fit, when d stays a corner of the union. This
+		// stops two sources with the same destination from rebuilding the
+		// field back and forth (e.g. axes resolved at the first build's
+		// source that a later source approaches from either side).
+		if wide, ok := widenSource(reuse.Box(), src, d); ok {
+			src = wide
+		}
+	}
+	if reuse == nil {
+		c.tel.Inc(telemetry.FieldColdBuilds)
+		if len(c.order)-c.head >= fieldCacheMax {
+			c.evictOldest()
+		}
+		if k := len(c.spare); k > 0 {
+			reuse = c.spare[k-1]
+			c.spare = c.spare[:k-1]
+		} else {
+			reuse = c.newField(src, d)
+		}
+		c.order = append(c.order, dID)
+	} else {
+		c.tel.Inc(telemetry.FieldRebuilds)
+	}
+	f := minimal.ReachabilityWordsInto(reuse, m, avoid, src, d)
+	s.field = f
+	s.cutY, s.cutZ = noCut, noCut
+	// Restamp the decision view: the build may have widened the box or grown
+	// the bitset storage, and the probes index the live words directly.
+	box := f.Box()
+	s.words = f.BitWords()
+	s.minX, s.minY, s.minZ = int32(box.Min.X), int32(box.Min.Y), int32(box.Min.Z)
+	s.boxW = int32(box.Max.X - box.Min.X + 1)
+	s.boxH = int32(box.Max.Y - box.Min.Y + 1)
+	s.boxD = int32(box.Max.Z - box.Min.Z + 1)
 }
 
 // newField takes a Field struct from the slab and carves its bitset storage
@@ -417,104 +370,119 @@ func (c *fieldCache) invalidate(m *mesh.Mesh, live []uint64) {
 	}
 }
 
-// Oracle is the omniscient provider: it permits a step exactly when a
-// minimal path from the neighbour to the destination avoiding all faulty
-// nodes still exists. It realises the theoretical optimum every model is
-// measured against.
-type Oracle struct {
-	Mesh *mesh.Mesh
+// FieldProvider is the field-backed provider of the oracle, the MCC model and
+// the rectangular-faulty-block baselines. In the paper a step into neighbour
+// v is excluded exactly when the merged forbidden regions block every
+// monotone v→d path, so these models ask one reachability question and
+// differ only in the obstacle set it is asked over:
+//
+//   - oracle (NewOracle): the faulty nodes — the theoretical optimum every
+//     model is measured against;
+//   - mcc (NewMCC): the union of the MCCs, which is what the merged boundary
+//     records of the paper's information model encode;
+//   - rfb and fb-rule (NewBlock): the union of the rectangular faulty
+//     blocks, given the same merging treatment as the MCC model for a fair
+//     comparison.
+//
+// A hop is answered from the memoised reachability field of the destination
+// over that set (fieldCache): bit v is set exactly when a monotone v→d path
+// avoids every obstacle. Every obstacle set contains the faults, and an
+// obstacle neighbour reaches nothing, so a set bit also means the neighbour
+// is healthy and outside every fault region — the paper never forwards into
+// one. A destination inside a block (healthy, but swallowed by the coarse
+// model) is carved out of the obstacle set of the fields toward it, so
+// routes can at least try to terminate.
+type FieldProvider struct {
+	name      string
+	mesh      *mesh.Mesh
+	obstacles func() []uint64 // the live obstacle set
+	// blocks is the block table of the block baselines, nil otherwise: the
+	// source of the destination carve-out, and a snapshot that cannot
+	// follow fault changes (see Follows).
+	blocks *block.Regions
 
-	cache fieldCache
+	cache    fieldCache
+	scratchW []uint64 // destination-carve-out copy of the obstacle set
+}
+
+// NewOracle returns the omniscient provider: a step is permitted exactly when
+// a minimal path from the neighbour to the destination avoiding every faulty
+// node of m still exists. The live mesh is its obstacle source.
+func NewOracle(m *mesh.Mesh) *FieldProvider {
+	return &FieldProvider{name: "oracle", mesh: m, obstacles: m.FaultyWords}
+}
+
+// NewMCC returns the paper's provider backed by globally known MCC boundary
+// information: a step is excluded when the merged forbidden regions of the
+// MCCs in set block every monotone path from the neighbour to the
+// destination.
+func NewMCC(set *region.ComponentSet) *FieldProvider {
+	return &FieldProvider{name: "mcc", mesh: set.Mesh, obstacles: set.UnionAvoidWords}
+}
+
+// NewBlock returns the block baseline of r's variant (rfb or fb-rule): a step
+// is excluded when the union of r's blocks closes off every monotone path
+// from the neighbour to the destination.
+func NewBlock(r *block.Regions) *FieldProvider {
+	return &FieldProvider{name: r.Model.String(), mesh: r.Mesh, obstacles: r.AvoidWords, blocks: r}
 }
 
 // Name implements Provider.
-func (o *Oracle) Name() string { return "oracle" }
-
-// InvalidateCache implements CacheInvalidator.
-func (o *Oracle) InvalidateCache() { o.cache.invalidate(o.Mesh, o.Mesh.FaultyWords()) }
+func (p *FieldProvider) Name() string { return p.name }
 
 // SetTelemetry implements telemetry.Instrumentable.
-func (o *Oracle) SetTelemetry(s *telemetry.Sink) { o.cache.tel = s }
+func (p *FieldProvider) SetTelemetry(s *telemetry.Sink) { p.cache.tel = s }
 
-// field looks up d's field. The oracle's obstacle set is exactly the mesh's
-// fault bitset, consumed word-level by the row-at-a-time sweep.
-func (o *Oracle) field(u, v, d grid.Point, dID int32) *minimal.Field {
-	return o.cache.lookup(o.Mesh, u, v, d, dID, o.Mesh.FaultyWords())
-}
+// Follows reports whether InvalidateCache alone keeps p correct after a fault
+// change. The oracle reads the live mesh, and an MCC provider reads a
+// ComponentSet that region.ComponentSet.Refresh brings up to date in place,
+// so both follow. A block table has no in-place refresh: after a fault
+// change a block provider must be rebuilt over a rebuilt table.
+func (p *FieldProvider) Follows() bool { return p.blocks == nil }
 
-// AllowedID reports whether forwarding from u to its preferred neighbour v
-// is permitted toward d: the per-direction reference the decision-parity
-// tests check CandidateMaskID against.
-func (o *Oracle) AllowedID(u, v, d int32) bool {
-	m := o.Mesh
-	vP := m.Point(int(v))
-	if f := o.cache.covered(d, vP); f != nil {
-		return f.CanReachCovered(vP)
-	}
-	return o.field(m.Point(int(u)), vP, m.Point(int(d)), d).CanReach(vP)
-}
+// InvalidateCache marks stale every memoised field the obstacle set changed
+// under since the last call (or since the first field was built), so the
+// next decision brings it up to date. Invalidation is scoped to the fault
+// (see fieldCache): only the fields whose box meets the changed cells go
+// stale, and each is re-swept in place over the rows the change can reach
+// the next time its destination is routed to. It is correct only for a
+// provider that Follows, after its source has been brought up to date.
+func (p *FieldProvider) InvalidateCache() { p.cache.invalidate(p.mesh, p.obstacles()) }
 
-// CandidateMaskID implements Provider.
-func (o *Oracle) CandidateMaskID(_ *mesh.Mesh, _ int32, uPt grid.Point, d int32, dPt grid.Point) uint8 {
-	if b, ok := o.cache.decision(uPt, dPt, d); ok {
-		return b
-	}
-	return o.cache.decisionMask(o.Mesh, uPt, d, dPt, o.Mesh.FaultyWords())
-}
-
-// MCC is the paper's fault-information provider backed by globally known MCC
-// boundary information: a preferred neighbour v is excluded when it is unsafe
-// or when the (merged) forbidden regions of the MCCs block every monotone v→d
-// path — the destination being in the critical region and v in the forbidden
-// region of the merged records. The merged information is exactly "the union
-// of the fault regions", so the provider consults a cached reachability field
-// over the unsafe set.
-type MCC struct {
-	Set *region.ComponentSet
-
-	cache fieldCache
-}
-
-// Name implements Provider.
-func (p *MCC) Name() string { return "mcc" }
-
-// InvalidateCache implements CacheInvalidator. It is correct on its own only
-// when p.Set has been refreshed in place (region.ComponentSet.Refresh after
-// labeling.AddFaults); see CacheInvalidator.
-func (p *MCC) InvalidateCache() { p.cache.invalidate(p.Set.Mesh, p.Set.UnionAvoidWords()) }
-
-// SetTelemetry implements telemetry.Instrumentable.
-func (p *MCC) SetTelemetry(s *telemetry.Sink) { p.cache.tel = s }
-
-// field looks up d's field, swept over the union of the fault regions.
-func (p *MCC) field(u, v, d grid.Point, dID int32) *minimal.Field {
-	return p.cache.lookup(p.Set.Mesh, u, v, d, dID, p.Set.UnionAvoidWords())
-}
-
-// AllowedID is the per-direction reference decision (see Oracle.AllowedID).
-func (p *MCC) AllowedID(u, v, d int32) bool {
-	// v inside a fault region is excluded: the paper never forwards into an
-	// MCC. The destination itself is permitted so that routes can terminate
-	// even if the destination is a labelled (healthy) node.
-	if v != d && p.Set.Labeling != nil && p.Set.Labeling.UnsafeAt(int(v)) {
-		return false
-	}
-	m := p.Set.Mesh
-	vP := m.Point(int(v))
-	if f := p.cache.covered(d, vP); f != nil {
-		return f.CanReachCovered(vP)
-	}
-	return p.field(m.Point(int(u)), vP, m.Point(int(d)), d).CanReach(vP)
-}
-
-// CandidateMaskID implements Provider. The unsafe-node pre-check of
-// AllowedID is subsumed by the field: the union reachability field is built
-// over the unsafe set, so an unsafe neighbour's bit is already clear.
-func (p *MCC) CandidateMaskID(_ *mesh.Mesh, _ int32, uPt grid.Point, d int32, dPt grid.Point) uint8 {
+// CandidateMaskID implements Provider: a decision() hit, or on a miss the
+// field lookup of decisionMask.
+func (p *FieldProvider) CandidateMaskID(_ *mesh.Mesh, _ int32, uPt grid.Point, d int32, dPt grid.Point) uint8 {
 	if b, ok := p.cache.decision(uPt, dPt, d); ok {
 		return b
 	}
-	return p.cache.decisionMask(p.Set.Mesh, uPt, d, dPt, p.Set.UnionAvoidWords())
+	live := p.obstacles()
+	return p.cache.decisionMask(p.mesh, uPt, d, dPt, live, p.carve(live, d))
+}
+
+// carve returns the obstacle set of the fields toward d: live itself, or,
+// when d sits inside a block, a scratch copy of live with d's bit cleared.
+func (p *FieldProvider) carve(live []uint64, d int32) []uint64 {
+	if p.blocks == nil || !p.blocks.ContainsID(d) {
+		return live
+	}
+	if cap(p.scratchW) < len(live) {
+		p.scratchW = make([]uint64, len(live))
+	}
+	w := p.scratchW[:len(live)]
+	copy(w, live)
+	w[d>>6] &^= 1 << uint(d&63)
+	return w
+}
+
+// AllowedID reports whether the step from u to v toward d is permitted: the
+// bit of the u→v direction in CandidateMaskID. It is valid only for v a
+// forward neighbour of u toward d. Nothing in the module calls it; it stays
+// while the traced benchmark's decision sampler wraps only providers that
+// carry it, and goes with the benchmark-mending step on the ROADMAP.
+func (p *FieldProvider) AllowedID(u, v, d int32) bool {
+	m := p.mesh
+	uPt := m.Point(int(u))
+	return p.CandidateMaskID(m, u, uPt, d, m.Point(int(d)))&healthyForwardMask(m, u, uPt, m.Point(int(v))) != 0
 }
 
 // Records is the boundary-information provider: each node holds only the MCC
@@ -581,69 +549,6 @@ func RecordsMask(m *mesh.Mesh, set *region.ComponentSet, known []int, u int32, u
 	return mk
 }
 
-// Block is the rectangular-faulty-block baseline provider: the routing avoids
-// every node inside a fault block and excludes a step when the union of the
-// blocks closes off every monotone path from the neighbour to the destination
-// (the block model's own boundary information, given the same merging
-// treatment as the MCC model for a fair comparison).
-type Block struct {
-	Regions *block.Regions
-
-	cache    fieldCache
-	scratchW []uint64 // destination-carve-out copy of the avoid bitset
-}
-
-// Name implements Provider.
-func (p *Block) Name() string { return p.Regions.Model.String() }
-
-// SetTelemetry implements telemetry.Instrumentable.
-func (p *Block) SetTelemetry(s *telemetry.Sink) { p.cache.tel = s }
-
-// avoidFor returns the obstacle bitset of fields toward dst: the union of the
-// blocks. When the destination sits inside a block (healthy but swallowed by
-// the coarse model), its bit is carved out of a scratch copy so routes can at
-// least try to terminate.
-func (p *Block) avoidFor(dst grid.Point, dID int32) []uint64 {
-	avoid := p.Regions.AvoidWords()
-	if p.Regions.Contains(dst) {
-		if cap(p.scratchW) < len(avoid) {
-			p.scratchW = make([]uint64, len(avoid))
-		}
-		w := p.scratchW[:len(avoid)]
-		copy(w, avoid)
-		w[dID>>6] &^= 1 << uint(dID&63)
-		avoid = w
-	}
-	return avoid
-}
-
-func (p *Block) field(u, v, d grid.Point, dID int32) *minimal.Field {
-	return p.cache.lookup(p.Regions.Mesh, u, v, d, dID, p.avoidFor(d, dID))
-}
-
-// AllowedID is the per-direction reference decision (see Oracle.AllowedID).
-func (p *Block) AllowedID(u, v, d int32) bool {
-	if v != d && p.Regions.ContainsID(v) {
-		return false
-	}
-	m := p.Regions.Mesh
-	vP := m.Point(int(v))
-	if f := p.cache.covered(d, vP); f != nil {
-		return f.CanReachCovered(vP)
-	}
-	return p.field(m.Point(int(u)), vP, m.Point(int(d)), d).CanReach(vP)
-}
-
-// CandidateMaskID implements Provider. As with MCC, the
-// inside-a-block pre-check is subsumed by the avoid set the field is built
-// over (with the same destination carve-out as AllowedID's v == d escape).
-func (p *Block) CandidateMaskID(_ *mesh.Mesh, _ int32, uPt grid.Point, d int32, dPt grid.Point) uint8 {
-	if b, ok := p.cache.decision(uPt, dPt, d); ok {
-		return b
-	}
-	return p.cache.decisionMask(p.Regions.Mesh, uPt, d, dPt, p.avoidFor(dPt, d))
-}
-
 // LocalGreedy is the floor baseline: it only knows the fault status of the
 // current node's neighbours and therefore accepts any healthy preferred
 // neighbour. It can run into dead ends, which count as routing failures.
@@ -651,9 +556,6 @@ type LocalGreedy struct{}
 
 // Name implements Provider.
 func (LocalGreedy) Name() string { return "local-greedy" }
-
-// AllowedID is the per-direction reference decision (see Oracle.AllowedID).
-func (LocalGreedy) AllowedID(_, _, _ int32) bool { return true }
 
 // CandidateMaskID implements Provider: with no fault information
 // beyond the neighbours, the decision is exactly the healthy forward set.
@@ -669,11 +571,6 @@ type Labeled struct {
 
 // Name implements Provider.
 func (p *Labeled) Name() string { return "labels-only" }
-
-// AllowedID is the per-direction reference decision (see Oracle.AllowedID).
-func (p *Labeled) AllowedID(_, v, d int32) bool {
-	return v == d || !p.Labeling.UnsafeAt(int(v))
-}
 
 // CandidateMaskID implements Provider: the healthy forward set minus
 // unsafe neighbours (the destination excepted), computed on the fly — the

@@ -13,7 +13,10 @@
 // Providers range from the omniscient oracle, through the per-MCC model
 // (the paper's contribution), the rectangular-faulty-block baselines, down to
 // a purely local greedy router, so the experiments can compare them on equal
-// footing.
+// footing. The oracle, the MCC model and the block baselines are one type,
+// FieldProvider: they ask the same reachability question over different
+// obstacle sets (the faults, the union of the MCCs, the union of the blocks)
+// and answer it from one memoised field per destination.
 package routing
 
 import (
@@ -29,10 +32,10 @@ import (
 // Provider supplies the fault information consulted at each routing step.
 // One call answers the whole hop, addressed by dense mesh node IDs.
 //
-// The field-cache providers (Oracle, MCC, Block) answer from the memoised
-// reachability field of the destination: while no fault change reaches that
-// field, a hop is one slot read plus at most three bit probes. The other providers
-// compute the mask on the fly.
+// FieldProvider (the oracle, mcc, rfb and fb-rule models) answers from the
+// memoised reachability field of the destination: while no fault change
+// reaches that field, a hop is one slot read plus at most three bit probes.
+// The other providers compute the mask on the fly.
 type Provider interface {
 	// CandidateMaskID returns the packed candidate-direction mask for a hop
 	// from u toward d: bit i is set exactly when grid.Direction(i) is a

@@ -16,10 +16,10 @@ import (
 	"mccmesh/internal/rng"
 )
 
-func mccProvider(m *mesh.Mesh, s, d grid.Point) (*MCC, *region.ComponentSet) {
+func mccProvider(m *mesh.Mesh, s, d grid.Point) (*FieldProvider, *region.ComponentSet) {
 	l := labeling.Compute(m, grid.OrientationOf(s, d))
 	cs := region.FindMCCs(l)
-	return &MCC{Set: cs}, cs
+	return NewMCC(cs), cs
 }
 
 func TestRouteFaultFree(t *testing.T) {
@@ -45,14 +45,14 @@ func TestCandidateDirsMatchesRouteDecisions(t *testing.T) {
 	m := mesh.New3D(6, 6, 6)
 	m.AddFaults(grid.Point{X: 1, Y: 0, Z: 0}, grid.Point{X: 2, Y: 1, Z: 1})
 	s, d := grid.Point{}, grid.Point{X: 5, Y: 5, Z: 5}
-	p, _ := mccProvider(m, s, d)
+	p, cs := mccProvider(m, s, d)
 	tr := New(m, p, nil).Route(s, d)
 	if !tr.Succeeded() {
 		t.Fatalf("route failed: %v", tr.Err)
 	}
 	// Replaying the decision mask along the delivered path on a fresh
 	// provider must reproduce the candidate counts the Router recorded.
-	replay := &MCC{Set: p.Set}
+	replay := NewMCC(cs)
 	dID := m.ID(d)
 	for i, u := range tr.Path[:len(tr.Path)-1] {
 		dirs := AppendMaskDirs(nil, replay.CandidateMaskID(m, m.ID(u), u, dID, d))
@@ -77,10 +77,10 @@ func TestRouteRejectsEndpointsOutsideTheMesh(t *testing.T) {
 	lab := labeling.Compute(m, grid.PositiveOrientation)
 	set := region.FindMCCs(lab)
 	provs := []Provider{
-		&Oracle{Mesh: m},
-		&MCC{Set: set},
+		NewOracle(m),
+		NewMCC(set),
 		&Records{Set: set, CarryAlong: true},
-		&Block{Regions: block.Build(m, block.BoundingBox)},
+		NewBlock(block.Build(m, block.BoundingBox)),
 		&Labeled{Labeling: lab},
 		LocalGreedy{},
 	}
@@ -107,19 +107,19 @@ func TestRouteRejectsEndpointsOutsideTheMesh(t *testing.T) {
 func TestInvalidateCachesDropsStaleFields(t *testing.T) {
 	m := mesh.New3D(5, 5, 5)
 	s, d := grid.Point{}, grid.Point{X: 4, Y: 4, Z: 4}
-	o := &Oracle{Mesh: m}
-	v := grid.Point{X: 1}
-	sID, vID, dID := m.ID(s), m.ID(v), m.ID(d)
-	if !o.AllowedID(sID, vID, dID) {
-		t.Fatal("fault-free step should be allowed")
+	o := NewOracle(m)
+	sID, dID := m.ID(s), m.ID(d)
+	const stepX = 1 << uint(grid.XPos) // the step onto v = (1,0,0)
+	if mk := o.CandidateMaskID(m, sID, s, dID, d); mk&stepX == 0 || mk != ReferenceMask(m, m.FaultyWords(), true, sID, dID) {
+		t.Fatalf("fault-free step should be allowed: mask %06b", mk)
 	}
 	// Wall off the destination's approach through (1,0,0) region: make every
 	// neighbour of v faulty except s so no minimal path through v survives.
 	m.AddFaults(grid.Point{X: 2}, grid.Point{X: 1, Y: 1}, grid.Point{X: 1, Z: 1})
 	// The stale cached field still says yes until the cache is invalidated.
 	o.InvalidateCache()
-	if o.AllowedID(sID, vID, dID) {
-		t.Error("after invalidation the oracle must see the new faults")
+	if mk := o.CandidateMaskID(m, sID, s, dID, d); mk&stepX != 0 || mk != ReferenceMask(m, m.FaultyWords(), true, sID, dID) {
+		t.Errorf("after invalidation the oracle must see the new faults: mask %06b", mk)
 	}
 }
 
@@ -194,7 +194,7 @@ func TestOracleMatchesMCC(t *testing.T) {
 		provider, cs := mccProvider(m, s, d)
 		feasible := feasibility.GroundTruth(cs, s, d)
 
-		oracleTrace := New(m, &Oracle{Mesh: m}, nil).Route(s, d)
+		oracleTrace := New(m, NewOracle(m), nil).Route(s, d)
 		mccTrace := New(m, provider, nil).Route(s, d)
 		if oracleTrace.Succeeded() != feasible {
 			t.Fatalf("trial %d: oracle success=%v, feasible=%v", trial, oracleTrace.Succeeded(), feasible)
@@ -222,7 +222,7 @@ func TestBlockProviderNeverBeatsMCC(t *testing.T) {
 		if regions.Contains(s) || regions.Contains(d) {
 			continue // the block model cannot even represent this pair
 		}
-		blockTrace := New(m, &Block{Regions: regions}, nil).Route(s, d)
+		blockTrace := New(m, NewBlock(regions), nil).Route(s, d)
 		mccTrace := New(m, provider, nil).Route(s, d)
 		_ = cs
 		if blockTrace.Succeeded() && !mccTrace.Succeeded() {
@@ -330,7 +330,9 @@ func TestPolicyNames(t *testing.T) {
 			t.Errorf("%T has empty name", p)
 		}
 	}
-	for _, pr := range []Provider{&Oracle{}, &MCC{}, &Records{}, LocalGreedy{}, &Labeled{}} {
+	m := mesh.NewCube(3)
+	set := region.FindMCCs(labeling.Compute(m, grid.PositiveOrientation))
+	for _, pr := range []Provider{NewOracle(m), NewMCC(set), NewBlock(block.Build(m, block.BoundingBox)), &Records{}, LocalGreedy{}, &Labeled{}} {
 		if pr.Name() == "" {
 			t.Errorf("%T has empty name", pr)
 		}

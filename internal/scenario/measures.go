@@ -220,7 +220,7 @@ func measureSuccess(ctx context.Context, sc *Scenario) (*Report, error) {
 
 				// MCC model: feasibility check + routing (Algorithm 6).
 				if feasibility.Theorem(cs, s, d) {
-					tr := routing.New(m, &routing.MCC{Set: cs}, nil).Route(s, d)
+					tr := routing.New(m, routing.NewMCC(cs), nil).Route(s, d)
 					mcc.AddBool(tr.Succeeded())
 				} else {
 					mcc.AddBool(false)
@@ -479,7 +479,7 @@ func measureAdaptivity(ctx context.Context, sc *Scenario) (*Report, error) {
 		freePaths.Add(float64(minimal.CountPaths(m, nil, s, d, pathCap)))
 		mccPaths.Add(float64(minimal.CountPaths(m, l.UnsafeWords(), s, d, pathCap)))
 		rfbPaths.Add(float64(minimal.CountPaths(m, bb.AvoidWords(), s, d, pathCap)))
-		tr := routing.New(m, &routing.MCC{Set: cs}, nil).Route(s, d)
+		tr := routing.New(m, routing.NewMCC(cs), nil).Route(s, d)
 		if tr.Succeeded() {
 			mccMinCand.Add(float64(tr.MinAdaptivity()))
 		}

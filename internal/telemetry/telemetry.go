@@ -43,8 +43,6 @@ const (
 	// the calendar queue (arena chunks plus big bucket arrays), in events.
 	SimBucketStoragePeak
 
-	// FieldHits counts reachability-field cache hits on the per-hop path.
-	FieldHits
 	// FieldColdBuilds counts fields built from scratch (new destination).
 	FieldColdBuilds
 	// FieldRebuilds counts in-place rebuilds of an existing field: a stale
@@ -135,7 +133,6 @@ var counterNames = [NumCounters]string{
 	SimBucketReuses:      "simnet.bucket_reuses",
 	SimBucketPeak:        "simnet.bucket_peak",
 	SimBucketStoragePeak: "simnet.bucket_storage_peak",
-	FieldHits:            "routing.field_hits",
 	FieldColdBuilds:      "routing.field_cold_builds",
 	FieldRebuilds:        "routing.field_rebuilds",
 	FieldEvictions:       "routing.field_evictions",

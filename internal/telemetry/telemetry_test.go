@@ -7,11 +7,11 @@ import (
 
 func TestNilSinkIsInert(t *testing.T) {
 	var s *Sink
-	s.Inc(FieldHits)
+	s.Inc(FieldColdBuilds)
 	s.Add(PacketsInjected, 7)
 	s.Max(SimBucketPeak, 9)
 	s.Merge(NewSink())
-	if got := s.Get(FieldHits); got != 0 {
+	if got := s.Get(FieldColdBuilds); got != 0 {
 		t.Errorf("nil sink Get = %d, want 0", got)
 	}
 	if snap := s.Snapshot(); snap != nil {
@@ -21,19 +21,19 @@ func TestNilSinkIsInert(t *testing.T) {
 
 func TestSinkCountersAndSnapshot(t *testing.T) {
 	s := NewSink()
-	s.Inc(FieldHits)
-	s.Inc(FieldHits)
+	s.Inc(FieldColdBuilds)
+	s.Inc(FieldColdBuilds)
 	s.Add(PacketsInjected, 5)
 	s.Max(SimBucketPeak, 3)
 	s.Max(SimBucketPeak, 2) // lower value must not shrink the gauge
-	if got := s.Get(FieldHits); got != 2 {
-		t.Errorf("FieldHits = %d, want 2", got)
+	if got := s.Get(FieldColdBuilds); got != 2 {
+		t.Errorf("FieldColdBuilds = %d, want 2", got)
 	}
 	snap := s.Snapshot()
 	want := map[string]int64{
-		"routing.field_hits": 2,
-		"traffic.injected":   5,
-		"simnet.bucket_peak": 3,
+		"routing.field_cold_builds": 2,
+		"traffic.injected":          5,
+		"simnet.bucket_peak":        3,
 	}
 	if len(snap) != len(want) {
 		t.Fatalf("Snapshot = %v, want %v", snap, want)

@@ -37,9 +37,7 @@ func TestTelemetryCountersMatchResult(t *testing.T) {
 	}
 	// The MCC model routes through the field cache, so a run with traffic must
 	// have built fields, and — with repeated destinations — answered later
-	// hops with decision probes into the memoised fields. FieldHits stays
-	// near zero here by design: the decision fast path short-cuts the
-	// per-direction field consultations it used to count.
+	// hops with decision probes into the memoised fields.
 	if tel.Get(telemetry.FieldColdBuilds) == 0 {
 		t.Error("FieldColdBuilds = 0; the MCC provider should have built fields")
 	}
