@@ -75,43 +75,3 @@ func (s *ComponentSet) UnionAvoidWords() []uint64 {
 	}
 	return s.avoidW
 }
-
-// InForbidden reports whether node v lies in the forbidden region of component
-// c with respect to destination d: moving onto v while the destination is in
-// c's critical region dooms the route to a detour around c. The membership is
-// destination-relative, exactly as used by Algorithm 3/6 step 2.
-func (s *ComponentSet) InForbidden(c *Component, v, d grid.Point) bool {
-	if !s.Mesh.InBounds(v) || c.Has(v) {
-		return true
-	}
-	return s.Blocked(c, v, d)
-}
-
-// InCritical reports whether destination d lies in the critical region of
-// component c as seen from a current node u: c stands between u and d in the
-// sense that some monotone u→d path meets c's bounding box and c restricts
-// which forward steps keep the route minimal.
-func (s *ComponentSet) InCritical(c *Component, u, d grid.Point) bool {
-	if c.Has(d) {
-		return false
-	}
-	if !c.Bounds.Intersects(grid.BoxOf(u, d)) {
-		return false
-	}
-	// d is critical w.r.t. c when at least one forward neighbour of u is
-	// blocked by c alone while u itself is not (yet) blocked.
-	if s.Blocked(c, u, d) {
-		return false
-	}
-	orient := grid.OrientationOf(u, d)
-	for _, a := range s.Mesh.Axes() {
-		if u.Axis(a) == d.Axis(a) {
-			continue
-		}
-		v := orient.Ahead(u, a)
-		if s.Mesh.InBounds(v) && !c.Has(v) && s.Blocked(c, v, d) {
-			return true
-		}
-	}
-	return false
-}

@@ -84,60 +84,6 @@ func (s *ComponentSet) Corners2D(c *Component) Corners2D {
 	return res
 }
 
-// IntermediateCorners2D returns the corner nodes of the MCC perimeter other
-// than the initialization and opposite corners: safe nodes with two edge nodes
-// or two unsafe nodes of the same MCC in different dimensions. These are the
-// nodes whose coordinates the identification messages record to describe the
-// MCC's shape.
-func (s *ComponentSet) IntermediateCorners2D(c *Component) []grid.Point {
-	m := s.Mesh
-	corners := s.Corners2D(c)
-	edgeNodes := s.EdgeNodes(c)
-	edgeSet := nodeset.FromPoints(m, edgeNodes)
-	edge := func(p grid.Point) bool { return edgeSet.Has(m.ID(p)) }
-	isMember := func(p grid.Point) bool { return c.Has(p) }
-
-	seen := nodeset.New(m.NodeCount())
-	var out []grid.Point
-	consider := func(p grid.Point) {
-		if seen.Has(m.ID(p)) || !s.isSafe(p) {
-			return
-		}
-		if corners.Found && (p == corners.Initialization || p == corners.Opposite) {
-			return
-		}
-		countEdgeX, countEdgeY := false, false
-		countMemX, countMemY := false, false
-		for _, d := range grid.Directions2D {
-			q, ok := m.Neighbor(p, d)
-			if !ok {
-				continue
-			}
-			if d.Axis() == grid.AxisX {
-				countEdgeX = countEdgeX || edge(q)
-				countMemX = countMemX || isMember(q)
-			} else {
-				countEdgeY = countEdgeY || edge(q)
-				countMemY = countMemY || isMember(q)
-			}
-		}
-		if (countEdgeX && countEdgeY) || (countMemX && countMemY) {
-			seen.Add(m.ID(p))
-			out = append(out, p)
-		}
-	}
-	for _, e := range edgeNodes {
-		consider(e)
-		for _, d := range grid.Directions2D {
-			if q, ok := m.Neighbor(e, d); ok {
-				consider(q)
-			}
-		}
-	}
-	sort.Slice(out, func(i, j int) bool { return m.Index(out[i]) < m.Index(out[j]) })
-	return out
-}
-
 // PerimeterRing returns the closed ring of safe edge nodes around a 2-D
 // component, ordered as a walk (each consecutive pair is a mesh link or a
 // diagonal step across a concave corner is bridged through its shared safe

@@ -188,34 +188,6 @@ func TestBlockedFarComponentFastPath(t *testing.T) {
 	}
 }
 
-func TestInForbiddenInCritical(t *testing.T) {
-	// A 3-wide wall in a 2-D mesh: routing from below to above it.
-	m := mesh.New2D(10, 10)
-	m.AddFaults(grid.Point{X: 3, Y: 5}, grid.Point{X: 4, Y: 5}, grid.Point{X: 5, Y: 5})
-	l := labeling.Compute(m, grid.PositiveOrientation)
-	cs := FindMCCs(l)
-	c := cs.Components[0]
-
-	d := grid.Point{X: 4, Y: 9} // directly above the wall: inside Q'_Y
-	u := grid.Point{X: 2, Y: 2} // below and left of the wall, not yet committed
-	if !cs.InCritical(c, u, d) {
-		t.Error("destination right above the wall should be critical as seen from below-left")
-	}
-	v := grid.Point{X: 4, Y: 4} // directly below the wall: forbidden for this destination
-	if !cs.InForbidden(c, v, d) {
-		t.Error("node right below the wall should be forbidden for a destination above it")
-	}
-	clear := grid.Point{X: 6, Y: 4} // right of the wall: allowed
-	if cs.InForbidden(c, clear, d) {
-		t.Error("node beside the wall should not be forbidden")
-	}
-	// A destination to the right of the wall is not critical.
-	dRight := grid.Point{X: 9, Y: 4}
-	if cs.InCritical(c, u, dRight) {
-		t.Error("destination beside the wall should not be critical")
-	}
-}
-
 func TestEdgeNodesSurroundComponent(t *testing.T) {
 	m := mesh.New2D(10, 10)
 	m.AddFaults(grid.Point{X: 4, Y: 4}, grid.Point{X: 5, Y: 4})
@@ -271,28 +243,6 @@ func TestCorners2DOrientationDependence(t *testing.T) {
 	}
 	if corners.Opposite != (grid.Point{X: 3, Y: 3}) {
 		t.Errorf("opposite corner = %v, want (3,3)", corners.Opposite)
-	}
-}
-
-func TestIntermediateCornersLShape(t *testing.T) {
-	m := mesh.New2D(12, 12)
-	// An L-shaped fault region (already orthogonally convex for this
-	// orientation, no absorption happens).
-	m.AddFaults(
-		grid.Point{X: 4, Y: 4}, grid.Point{X: 5, Y: 4}, grid.Point{X: 6, Y: 4},
-		grid.Point{X: 4, Y: 5}, grid.Point{X: 4, Y: 6},
-	)
-	cs := FindMCCs(labeling.Compute(m, grid.PositiveOrientation))
-	c := cs.Components[0]
-	inter := cs.IntermediateCorners2D(c)
-	if len(inter) == 0 {
-		t.Fatal("an L-shaped MCC must have intermediate corners")
-	}
-	corners := cs.Corners2D(c)
-	for _, p := range inter {
-		if p == corners.Initialization || p == corners.Opposite {
-			t.Errorf("intermediate corner %v duplicates a primary corner", p)
-		}
 	}
 }
 
