@@ -42,7 +42,7 @@ func WithFaultCounts(counts ...int) Option {
 }
 
 // WithFaultSchedule appends a mid-run fault event: the named injector fires
-// at simulated tick `at` while traffic is in flight.
+// at simulated tick `at` while traffic is in flight (traffic measure only).
 func WithFaultSchedule(at int, name string, params ...Params) Option {
 	return func(sc *Scenario) {
 		sc.spec.Faults.Schedule = append(sc.spec.Faults.Schedule, ScheduledFault{At: at, Inject: component(name, params)})

@@ -792,6 +792,16 @@ func TestTimelineSpecValidation(t *testing.T) {
 		want   string
 	}{
 		{"routing measure", func(s *Spec) { s.Measure.Kind = MeasureSuccess }, "churn timeline needs"},
+		{"schedule under a routing measure", func(s *Spec) {
+			s.Faults.Timeline = nil
+			s.Faults.Schedule = []ScheduledFault{{At: 40, Inject: Component{Name: "uniform", Params: map[string]any{"count": 5}}}}
+			s.Measure.Kind = MeasureSuccess
+		}, "fault schedule needs"},
+		{"schedule under the bench measure", func(s *Spec) {
+			s.Faults.Timeline = nil
+			s.Faults.Schedule = []ScheduledFault{{At: 40, Inject: Component{Name: "uniform", Params: map[string]any{"count": 5}}}}
+			s.Measure.Kind = MeasureBench
+		}, "fault schedule needs"},
 		{"unknown shape", func(s *Spec) { s.Faults.Timeline.Shape = C("regoin") }, "did you mean"},
 		{"negative mttf", func(s *Spec) { s.Faults.Timeline.MTTF = -1 }, "non-negative"},
 		{"empty timeline", func(s *Spec) { s.Faults.Timeline.MTTF = 0 }, "empty"},

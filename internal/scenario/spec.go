@@ -297,8 +297,9 @@ type FaultSpec struct {
 	// set. When empty it is derived from Inject's "count" parameter.
 	Counts []int `json:"counts,omitempty"`
 	// Schedule injects additional faults at fixed simulated times while
-	// traffic is in flight ("traffic" measure only). Scheduled faults are
-	// never repaired; for fail/repair churn use Timeline.
+	// traffic is in flight ("traffic" measure only: Validate rejects a
+	// schedule under any other measure). Scheduled faults are never
+	// repaired; for fail/repair churn use Timeline.
 	Schedule []ScheduledFault `json:"schedule,omitempty"`
 	// Timeline runs a stochastic fault-churn process — failure groups
 	// arriving with mean gap MTTF, each repaired after a mean delay MTTR —
@@ -562,6 +563,12 @@ func (s Spec) Validate() error {
 	}
 	if _, err := s.Faults.Timeline.Build(); err != nil {
 		return err
+	}
+	// Only the traffic measure reads the schedule; any other would run as if
+	// it were absent.
+	if len(s.Faults.Schedule) > 0 && kind != MeasureTraffic {
+		return fmt.Errorf("faults: a fault schedule needs the %q measure (got %q)",
+			MeasureTraffic, s.Measure.Kind)
 	}
 	if kind == MeasureTraffic || kind == MeasureBench {
 		for _, c := range s.Workload.Patterns {
