@@ -37,6 +37,12 @@ func cmdBench(args []string) int {
 		return fail("bench", fmt.Errorf("-json is required (mcc bench runs the event-core benchmark only); "+
 			"for the evaluation tables E1..E7 use `mcc run -spec specs/eN.json`"))
 	}
+	// A path that starts with "-" is a flag the value of -json swallowed:
+	// `-json -baseline F` would write a file named -baseline and gate
+	// nothing.
+	if strings.HasPrefix(*jsonPath, "-") {
+		return fail("bench", fmt.Errorf("-json needs an output path, got the flag %q", *jsonPath))
+	}
 
 	stopProf, err := prof.start("bench")
 	if err != nil {

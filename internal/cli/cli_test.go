@@ -322,3 +322,25 @@ func TestBenchWithoutJSONPointsAtRunSpec(t *testing.T) {
 		}
 	}
 }
+
+// TestBenchRejectsFlagAsJSONPath: in `mcc bench -json -baseline F`, -json
+// takes "-baseline" as its path. The run must fail before doing any work
+// and create no file of that name.
+func TestBenchRejectsFlagAsJSONPath(t *testing.T) {
+	dir := t.TempDir()
+	wd, err := os.Getwd()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := os.Chdir(dir); err != nil {
+		t.Fatal(err)
+	}
+	defer os.Chdir(wd)
+	code, _, errOut := capture(t, "bench", "-json", "-baseline", "BENCH_traffic.json")
+	if code == 0 || !strings.Contains(errOut, "-baseline") {
+		t.Errorf("code=%d err=%q, want a non-zero exit naming -baseline", code, errOut)
+	}
+	if _, err := os.Stat(filepath.Join(dir, "-baseline")); !os.IsNotExist(err) {
+		t.Errorf("a file named -baseline was created (stat err %v)", err)
+	}
+}

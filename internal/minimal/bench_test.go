@@ -2,8 +2,8 @@ package minimal_test
 
 // Benchmarks for the reachability-field sweep, the kernel under every
 // field-backed routing provider. The corner-to-corner 16^3 case is the
-// worst-case box of the PERFORMANCE.md reference mesh. The 32^3 pair compares
-// a full rebuild with the row re-sweep the caches run after a fault change.
+// worst-case box of the PERFORMANCE.md reference mesh. The 32^3 case is the
+// octant build the routing providers run after a fault change reaches it.
 
 import (
 	"testing"
@@ -39,7 +39,7 @@ func BenchmarkReachability16(b *testing.B) {
 
 // fieldChurn32 is a 32^3 mesh with 5% random obstacles, the octant field
 // toward its centre from the origin corner, and 64 seeded 3-node regions
-// inside that box: the fault events the field-cache benchmarks replay.
+// inside that box: the fault events the field-build benchmark replays.
 type fieldChurn32 struct {
 	m       *mesh.Mesh
 	avoid   []uint64
@@ -62,21 +62,17 @@ func newFieldChurn32() *fieldChurn32 {
 	return fc
 }
 
-// flip toggles region i's obstacles (failing or repairing it) and returns the
-// box they span.
-func (fc *fieldChurn32) flip(i int) grid.Box {
-	reg := fc.regions[i&63]
-	changed := grid.BoxOf(reg[0], reg[2])
-	for _, p := range reg {
+// flip toggles region i's obstacles, failing or repairing it.
+func (fc *fieldChurn32) flip(i int) {
+	for _, p := range fc.regions[i&63] {
 		id := fc.m.ID(p)
 		fc.avoid[id>>6] ^= 1 << uint(id&63)
 	}
-	return changed
 }
 
 // BenchmarkFieldBuild32 brings a 32^3 octant field up to date after each
-// 3-node region fault by a full rebuild in place: the "reachability build"
-// layer cost an epoch-wide invalidation pays per stale field.
+// 3-node region fault by a full rebuild in place: the sweep a routing
+// provider runs per octant a fault change reaches.
 func BenchmarkFieldBuild32(b *testing.B) {
 	fc := newFieldChurn32()
 	f := minimal.ReachabilityWordsInto(nil, fc.m, fc.avoid, fc.s, fc.d)
@@ -85,19 +81,5 @@ func BenchmarkFieldBuild32(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		fc.flip(i)
 		minimal.ReachabilityWordsInto(f, fc.m, fc.avoid, fc.s, fc.d)
-	}
-}
-
-// BenchmarkFieldResweep32 is BenchmarkFieldBuild32 with the routing caches'
-// scoped update: only the rows the region's flips can reach are re-swept.
-func BenchmarkFieldResweep32(b *testing.B) {
-	fc := newFieldChurn32()
-	f := minimal.ReachabilityWordsInto(nil, fc.m, fc.avoid, fc.s, fc.d)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if cut, ok := f.CutOf(fc.flip(i)); ok {
-			f.Resweep(fc.avoid, cut)
-		}
 	}
 }

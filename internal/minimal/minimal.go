@@ -17,12 +17,14 @@
 // box-local indices, and one sweep fills it, a box row at a time with a
 // word-parallel shift cascade; boxes wider than 64 nodes are swept as strips
 // of at most 64 columns. ReachabilityWordsInto rebuilds a field in place,
-// reusing the previous bitset storage, and Resweep brings a field up to date
-// after an obstacle change by re-sweeping only the rows the change can reach;
-// the routing providers' field caches lean on both under fault churn.
+// reusing the previous bitset storage, and AppendBlocked reads off the few
+// nodes of a finished field that are free but cannot reach the destination:
+// the routing providers keep only those, not the field.
 package minimal
 
 import (
+	"math/bits"
+
 	"mccmesh/internal/grid"
 	"mccmesh/internal/mesh"
 )
@@ -37,22 +39,29 @@ func Exists(m *mesh.Mesh, avoid []uint64, s, d grid.Point) bool {
 // Field is the monotone-reachability field toward a fixed destination within
 // the box spanned by a source and destination: for every node p in the box,
 // whether a monotone path p → d avoiding the obstacle set exists. Membership
-// is stored as a flat bitset over box-local indices.
+// is stored as a bitset with each box row starting on a word boundary: row
+// (y, z) of the box is the words [(y + h·z)·wpr, (y + h·z + 1)·wpr), with
+// wpr = ⌈width/64⌉ and bit x%64 of word x/64 for box-local column x.
 type Field struct {
 	m      *mesh.Mesh
 	orient grid.Orientation
 	box    grid.Box
 	d      grid.Point
-	words  []uint64 // bitset over box-local indices
+	words  []uint64 // the rows, wpr words each
 	dims   [3]int
+	wpr    int // words per row
+	// blockedRows has bit y + h·z set for each box row (y, z) the sweep
+	// found a free node in that cannot reach d; AppendBlocked reads only
+	// those rows.
+	blockedRows []uint64
 }
 
 // ReachabilityWordsInto computes the monotone-reachability field toward d
 // over the box spanned by s and d, treating the nodes set in the bitset avoid
 // as obstacles. Both endpoints must lie inside m. It reuses f's struct and
 // bitset storage when f is non-nil (growing the storage only if the new box
-// needs more words) and then returns f: the routing providers' field caches
-// rebuild fields this way without allocating.
+// needs more words) and then returns f: the routing providers rebuild their
+// scratch field this way without allocating.
 func ReachabilityWordsInto(f *Field, m *mesh.Mesh, avoid []uint64, s, d grid.Point) *Field {
 	box := grid.BoxOf(s, d)
 	if f == nil {
@@ -63,61 +72,17 @@ func ReachabilityWordsInto(f *Field, m *mesh.Mesh, avoid []uint64, s, d grid.Poi
 	f.box = box
 	f.d = d
 	f.dims = [3]int{box.Max.X - box.Min.X + 1, box.Max.Y - box.Min.Y + 1, box.Max.Z - box.Min.Z + 1}
-	nbits := f.dims[0] * f.dims[1] * f.dims[2]
-	nwords := (nbits + 63) / 64
+	f.wpr = (f.dims[0] + 63) / 64
+	// Every word is overwritten whole by the sweep, so recycled storage
+	// needs no clearing.
+	nwords := f.wpr * f.dims[1] * f.dims[2]
 	if cap(f.words) < nwords {
 		f.words = make([]uint64, nwords)
 	} else {
 		f.words = f.words[:nwords]
 	}
-	// Every bit below nbits is overwritten row by row; only the tail of the
-	// last word needs clearing, so recycled storage cannot leak garbage bits
-	// to word-level consumers of the finished bitset.
-	if t := uint(nbits & 63); t != 0 {
-		f.words[nwords-1] &= 1<<t - 1
-	}
-	dc := f.orient.Canon(s, d)
-	f.sweepRows(avoid, dc.Y, dc.Z)
+	f.sweepRows(avoid)
 	return f
-}
-
-// Cut names the rows of a field that a change of obstacles can reach: every
-// row whose canonical coordinates (distance from the source corner, so the
-// destination's row is the highest) are at most Y and at most Z. A row only
-// reads the rows nearer to the destination, so a flipped obstacle at canonical
-// (y0, z0) can change no row outside Cut{y0, z0}.
-type Cut struct{ Y, Z int }
-
-// CutOf returns the rows of f that obstacle changes confined to the box
-// changed can reach, or false when changed misses f's box (no bit of f can
-// change).
-func (f *Field) CutOf(changed grid.Box) (Cut, bool) {
-	b := f.box
-	if !b.Intersects(changed) {
-		return Cut{}, false
-	}
-	// The source corner sits at canonical 0, so the reach on an axis is the
-	// distance from the source's side of the box to the far edge of the
-	// overlap. (A flat axis has lo == hi == dv and reaches 0 either way.)
-	top := func(lo, hi, clo, chi, dv int) int {
-		if dv == hi {
-			return min(hi, chi) - lo
-		}
-		return hi - max(lo, clo)
-	}
-	return Cut{
-		Y: top(b.Min.Y, b.Max.Y, changed.Min.Y, changed.Max.Y, f.d.Y),
-		Z: top(b.Min.Z, b.Max.Z, changed.Min.Z, changed.Max.Z, f.d.Z),
-	}, true
-}
-
-// Resweep brings f up to date with the obstacle bitset avoid after a change
-// confined to cut, re-running the row sweep of ReachabilityWordsInto only over
-// the rows the change can reach; every other row is kept as it is. avoid must
-// equal the obstacle set f was built over outside the changed cells.
-func (f *Field) Resweep(avoid []uint64, cut Cut) {
-	dc := f.orient.Canon(f.source(), f.d)
-	f.sweepRows(avoid, min(cut.Y, dc.Y), min(cut.Z, dc.Z))
 }
 
 // source returns the corner of f's box opposite the destination.
@@ -126,79 +91,73 @@ func (f *Field) source() grid.Point {
 	return grid.Point{X: b.Min.X + b.Max.X - f.d.X, Y: b.Min.Y + b.Max.Y - f.d.Y, Z: b.Min.Z + b.Max.Z - f.d.Z}
 }
 
-// sweepRows runs the row sweep over every row of f with canonical
-// coordinates cy ≤ yTop and cz ≤ zTop. The box is cut into strips of at most
-// 64 columns, swept one after another starting with the strip nearest d, so
-// each strip reads only finished cells: its own forward-Y/Z rows and, at its
-// d-side edge, the column of the strip swept before it. A box at most 64
-// wide is one strip.
-func (f *Field) sweepRows(avoid []uint64, yTop, zTop int) {
+// sweepRows runs the row sweep over every row of f. The box is cut into
+// strips of one word per row (64 columns, fewer in the last), swept one after
+// another starting with the strip nearest d, so each strip reads only
+// finished cells: its own forward-Y/Z rows and, at its d-side edge, the
+// column of the strip swept before it. A box at most 64 wide is one strip.
+func (f *Field) sweepRows(avoid []uint64) {
+	nrows := f.dims[1] * f.dims[2]
+	f.blockedRows = append(f.blockedRows[:0], make([]uint64, (nrows+63)/64)...)
 	if avoid == nil {
 		// No obstacles: an empty bitset keeps the row loop free of a
 		// per-row nil test.
 		avoid = make([]uint64, (f.m.NodeCount()+63)/64)
 	}
-	w := f.dims[0]
-	for done := 0; done < w; done += 64 {
-		n := min(w-done, 64)
-		x0 := done
+	for k := 0; k < f.wpr; k++ {
+		j := k
 		if f.orient.SX > 0 {
-			x0 = w - done - n
+			j = f.wpr - 1 - k
 		}
-		f.sweepStrip(avoid, x0, n, done > 0, yTop, zTop)
+		f.sweepStrip(avoid, j, k > 0)
 	}
 }
 
-// sweepStrip sweeps box-local columns [x0, x0+n) of the rows sweepRows names,
-// in decreasing order of remaining distance to d, so the forward-Y and
-// forward-Z rows a row reads are either swept before it or lie outside the
-// range and already hold their final bits. Each row is one word: extract its
-// free bits and the forward rows' bits, then resolve the X recurrence
-// ok(x) = free(x) ∧ (seed(x) ∨ ok(x±1)) with a logarithmic shift-propagate
-// cascade. In the first strip d seeds its own row (d sits in the strip's
-// d-side column); in a later one (carry), each row's d-side edge cell is
-// seeded by its forward-X neighbour in the finished strip beside it.
-func (f *Field) sweepStrip(avoid []uint64, x0, n int, carry bool, yTop, zTop int) {
+// sweepStrip sweeps strip j — word j of every row, box-local columns from
+// 64·j — in decreasing order of remaining distance to d, so the forward-Y
+// and forward-Z rows a row reads are swept before it. Each row is one word:
+// extract its free bits and the forward rows' bits, then resolve the X
+// recurrence ok(x) = free(x) ∧ (seed(x) ∨ ok(x±1)) with a logarithmic
+// shift-propagate cascade. In the first strip d seeds its own row (d sits in
+// the strip's d-side column); in a later one (carry), each row's d-side edge
+// cell is seeded by its forward-X neighbour in the finished strip beside it.
+func (f *Field) sweepStrip(avoid []uint64, j int, carry bool) {
 	dims := f.m.Dims()
-	orient, box, words, w, h := f.orient, f.box, f.words, f.dims[0], f.dims[1]
+	orient, box, words, h, wpr := f.orient, f.box, f.words, f.dims[1], f.wpr
+	x0 := 64 * j
+	n := min(f.dims[0]-x0, 64)
 	s := f.source()
 	dc := orient.Canon(s, f.d)
-	// Forward Y/Z steps as box-local and mesh-ID deltas; a row's start moves
+	// Forward Y/Z steps as word and mesh-ID deltas; a row's start moves
 	// back by one Y step per cy.
-	locDY, locDZ := orient.SY*w, orient.SZ*w*h
+	wDY, wDZ := orient.SY*wpr, orient.SZ*wpr*h
 	idDY := orient.SY * dims.X
-	rowMask := ^uint64(0)
-	if n < 64 {
-		rowMask = 1<<uint(n) - 1
-	}
-	// edge is the strip bit of its d-side column, next the offset from the
-	// strip's first cell to that cell's forward-X neighbour.
-	edge := uint(0)
+	rowMask := ^uint64(0) >> uint(64-n)
+	// edge is the strip bit of its d-side column; its forward-X neighbour
+	// in the strip beside it is bit nextBit of the word nextW words on.
+	edge, nextW, nextBit := uint(0), -1, uint(63)
 	if orient.SX > 0 {
-		edge = uint(n - 1)
+		edge, nextW, nextBit = uint(n-1), 1, 0
 	}
-	next := int(edge) + orient.SX
-	for cz := zTop; cz >= 0; cz-- {
-		// idRow and locRow address the strip's first cell in the row.
-		py, pz := s.Y+yTop*orient.SY, s.Z+cz*orient.SZ
+	for cz := dc.Z; cz >= 0; cz-- {
+		// idRow and wRow address the strip's first cell in the row.
+		py, pz := s.Y+dc.Y*orient.SY, s.Z+cz*orient.SZ
 		idRow := x0 + box.Min.X + dims.X*(py+dims.Y*pz)
-		locRow := x0 + w*((py-box.Min.Y)+h*(pz-box.Min.Z))
-		for cy := yTop; cy >= 0; cy, idRow, locRow = cy-1, idRow-idDY, locRow-locDY {
+		wRow := j + wpr*((py-box.Min.Y)+h*(pz-box.Min.Z))
+		for cy := dc.Y; cy >= 0; cy, idRow, wRow = cy-1, idRow-idDY, wRow-wDY {
 			free := rowMask &^ rowBits(avoid, idRow, n)
 			// seed(x): reachable through a forward Y or Z step, or through
 			// the edge; the X recurrence then extends each seed through runs
-			// of free cells toward the source side. Bits past the row in
-			// seed are cleared by free.
+			// of free cells toward the source side.
 			var seed uint64
 			if cy < dc.Y {
-				seed = rowBits(words, locRow+locDY, n)
+				seed = words[wRow+wDY]
 			}
 			if cz < dc.Z {
-				seed |= rowBits(words, locRow+locDZ, n)
+				seed |= words[wRow+wDZ]
 			}
 			if carry {
-				q := locRow + next
-				seed |= (words[q>>6] >> uint(q&63) & 1) << edge
+				seed |= (words[wRow+nextW] >> nextBit & 1) << edge
 			} else if cy == dc.Y && cz == dc.Z {
 				seed |= 1 << edge
 			}
@@ -231,41 +190,22 @@ func (f *Field) sweepStrip(avoid []uint64, x0, n int, carry bool, yTop, zTop int
 				run &= run << 16
 				r |= (r << 32) & run
 			}
-			setBitsRange(words, locRow, n, r)
+			words[wRow] = r
+			if free&^r != 0 {
+				row := (wRow - j) / wpr
+				f.blockedRows[row>>6] |= 1 << uint(row&63)
+			}
 		}
 	}
-}
-
-// setBitsRange writes v's low n bits into bits [start, start+n) of the
-// bitset, leaving every other bit untouched. start must be non-negative and
-// n at most 64.
-func setBitsRange(words []uint64, start, n int, v uint64) {
-	m := ^uint64(0)
-	if n < 64 {
-		m = 1<<uint(n) - 1
-		v &= m
-	}
-	w, off := start>>6, uint(start&63)
-	words[w] = words[w]&^(m<<off) | v<<off
-	if off != 0 && int(off)+n > 64 {
-		sh := 64 - off
-		words[w+1] = words[w+1]&^(m>>sh) | v>>sh
-	}
-}
-
-func (f *Field) index(p grid.Point) int {
-	x := p.X - f.box.Min.X
-	y := p.Y - f.box.Min.Y
-	z := p.Z - f.box.Min.Z
-	return x + f.dims[0]*(y+f.dims[1]*z)
 }
 
 func (f *Field) at(p grid.Point) bool {
 	if !f.box.Contains(p) {
 		return false
 	}
-	i := f.index(p)
-	return f.words[i>>6]&(1<<uint(i&63)) != 0
+	x := p.X - f.box.Min.X
+	row := p.Y - f.box.Min.Y + f.dims[1]*(p.Z-f.box.Min.Z)
+	return f.words[row*f.wpr+x>>6]>>uint(x&63)&1 != 0
 }
 
 // CanReach reports whether a monotone path from p to the field's destination
@@ -273,39 +213,49 @@ func (f *Field) at(p grid.Point) bool {
 // report false.
 func (f *Field) CanReach(p grid.Point) bool { return f.at(p) }
 
+// AppendBlocked appends to dst, in ascending node-ID order, every node of
+// f's box that is free in avoid (not set in it; nil for none) but has no
+// monotone path to the destination: the field's exceptions to "free means
+// reachable". avoid must be the obstacle set f was built over. Each row is
+// read a word at a time as free &^ reach, and only the rows the sweep found
+// such a node in are read.
+func (f *Field) AppendBlocked(dst []int32, avoid []uint64) []int32 {
+	dims := f.m.Dims()
+	box, w, h := f.box, f.dims[0], f.dims[1]
+	for i, rows := range f.blockedRows {
+		for ; rows != 0; rows &= rows - 1 {
+			row := i<<6 | bits.TrailingZeros64(rows)
+			y, z := row%h, row/h
+			id := box.Min.X + dims.X*(box.Min.Y+y+dims.Y*(box.Min.Z+z))
+			words := f.words[f.wpr*row:]
+			for j := 0; j < f.wpr; j++ {
+				x := 64 * j
+				n := min(w-x, 64)
+				blocked := ^words[j] & (^uint64(0) >> uint(64-n))
+				if avoid != nil {
+					blocked &^= rowBits(avoid, id+x, n)
+				}
+				for ; blocked != 0; blocked &= blocked - 1 {
+					dst = append(dst, int32(id+x+bits.TrailingZeros64(blocked)))
+				}
+			}
+		}
+	}
+	return dst
+}
+
 // rowBits returns bits [start, start+n) of a bitset in the low n bits of a
 // word, for a range wholly inside the bitset; the bits above n are garbage
 // the caller masks off. n is at most 64.
+//
+// It is branchless, as row offsets vary row to row: the next word is always
+// read, clamped to the last word of the bitset; when the range ends inside
+// the first word, what it contributes lands above n (or nowhere, off being
+// 0).
 func rowBits(words []uint64, start, n int) uint64 {
 	w, off := start>>6, uint(start&63)
-	out := words[w] >> off
-	if int(off)+n > 64 {
-		out |= words[w+1] << (64 - off)
-	}
-	return out
+	return words[w]>>off | words[min(w+1, len(words)-1)]<<(64-off)
 }
-
-// BitWords exposes the field's bitset words (box-local row-major indexing,
-// row width the box's X extent). The routing decision fast path probes
-// neighbour bits in place through this view. Callers must not mutate the
-// slice, and must treat it as stale after the next build into this field.
-func (f *Field) BitWords() []uint64 { return f.words }
-
-// PrepareStorage hands the field a words buffer to use for its next build:
-// ReachabilityWordsInto reuses the buffer as long as its capacity suffices. The
-// routing caches carve these from arena chunks so cold builds don't allocate
-// per field.
-func (f *Field) PrepareStorage(words []uint64) { f.words = words[:0] }
-
-// Covers reports whether p lies inside the field's box, i.e. whether the
-// field can answer CanReach(p) affirmatively at all.
-func (f *Field) Covers(p grid.Point) bool { return f.box.Contains(p) }
-
-// Orientation returns the travel orientation of the field.
-func (f *Field) Orientation() grid.Orientation { return f.orient }
-
-// Box returns the box the field spans.
-func (f *Field) Box() grid.Box { return f.box }
 
 // Path returns one monotone path from s to d avoiding every node set in
 // avoid, or nil if none exists (as when an endpoint lies outside the mesh).

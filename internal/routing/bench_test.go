@@ -3,9 +3,9 @@ package routing_test
 // Benchmarks for the per-hop provider decision, with and without fault churn.
 // The churn variants model the traffic engine's steady state around a mid-run
 // fault injection: the labelling absorbs the new fault incrementally, the
-// component set refreshes in place, the provider marks stale the fields whose
-// box holds the fault, and the next queries re-sweep only the stale fields
-// they actually touch.
+// component set refreshes in place, the provider drops the octants whose box
+// holds the fault, and the next queries sweep again only the octants they
+// actually need.
 
 import (
 	"testing"
@@ -37,8 +37,14 @@ type benchState struct {
 }
 
 func newBenchState(tb testing.TB) *benchState {
-	m := mesh.NewCube(16)
-	fault.Uniform{Count: 120}.Inject(m, rng.New(11))
+	return newBenchStateOf(tb, 16, 120, 4096)
+}
+
+// newBenchStateOf is benchState over an n³ mesh with the given number of
+// uniform faults and queries.
+func newBenchStateOf(tb testing.TB, n, faults, queries int) *benchState {
+	m := mesh.NewCube(n)
+	fault.Uniform{Count: faults}.Inject(m, rng.New(11))
 	lab := labeling.Compute(m, grid.PositiveOrientation)
 	set := region.FindMCCs(lab)
 	st := &benchState{m: m, lab: lab, set: set}
@@ -46,34 +52,42 @@ func newBenchState(tb testing.TB) *benchState {
 		st.provs[i] = routing.NewMCC(set)
 	}
 	r := rng.New(23)
-	for len(st.u) < 4096 {
+	for len(st.u) < queries {
 		ui := int32(r.Intn(m.NodeCount()))
 		di := int32(r.Intn(m.NodeCount()))
-		uP, dP := m.Point(int(ui)), m.Point(int(di))
-		if m.FaultyAt(int(ui)) || m.FaultyAt(int(di)) || ui == di {
-			continue
-		}
-		orient := grid.OrientationOf(uP, dP)
-		var vi int32 = mesh.NoNeighbor
-		for _, a := range m.Axes() {
-			if uP.Axis(a) == dP.Axis(a) {
-				continue
-			}
-			if q := m.NeighborID(ui, orient.Forward(a)); q != mesh.NoNeighbor && !m.FaultyAt(int(q)) {
-				vi = q
-				break
-			}
-		}
-		if vi == mesh.NoNeighbor {
-			continue
-		}
-		st.u = append(st.u, ui)
-		st.d = append(st.d, di)
-		st.oi = append(st.oi, uint8(orient.Index()))
-		st.uP = append(st.uP, uP)
-		st.dP = append(st.dP, dP)
+		st.add(r, ui, di)
 	}
 	return st
+}
+
+// add appends the query u → d when both are healthy and u has a healthy
+// forward neighbour toward d.
+func (st *benchState) add(r *rng.Rand, ui, di int32) bool {
+	m := st.m
+	uP, dP := m.Point(int(ui)), m.Point(int(di))
+	if m.FaultyAt(int(ui)) || m.FaultyAt(int(di)) || ui == di {
+		return false
+	}
+	orient := grid.OrientationOf(uP, dP)
+	var vi int32 = mesh.NoNeighbor
+	for _, a := range m.Axes() {
+		if uP.Axis(a) == dP.Axis(a) {
+			continue
+		}
+		if q := m.NeighborID(ui, orient.Forward(a)); q != mesh.NoNeighbor && !m.FaultyAt(int(q)) {
+			vi = q
+			break
+		}
+	}
+	if vi == mesh.NoNeighbor {
+		return false
+	}
+	st.u = append(st.u, ui)
+	st.d = append(st.d, di)
+	st.oi = append(st.oi, uint8(orient.Index()))
+	st.uP = append(st.uP, uP)
+	st.dP = append(st.dP, dP)
+	return true
 }
 
 // churn injects one extra fault and pushes it through the incremental update
@@ -113,10 +127,38 @@ func BenchmarkMCCDecisionHit16(b *testing.B) {
 	}
 }
 
-// BenchmarkMCCDecisionBuild16 is the decision miss path: the queried field is
-// marked stale over all its rows before every call, so each decision
-// resolves through a whole-field sweep in place (the most the first query
-// toward a destination pays after a fault event reaches its field).
+// BenchmarkMCCDecisionHit32 is the per-hop decision hit at the scale of the
+// benchmark workloads: a 32³ mesh with 400 faults, every healthy node a
+// destination once, from a random healthy source, in random order, over the
+// eight orientation providers. After a warm-up pass every call is a hit, but
+// the tables of 32768 destinations do not stay in the core's caches, so this
+// is the memory-bound hit the traffic engine pays, next to
+// BenchmarkMCCDecisionHit16's hot one.
+func BenchmarkMCCDecisionHit32(b *testing.B) {
+	st := newBenchStateOf(b, 32, 400, 0)
+	r := rng.New(29)
+	n := st.m.NodeCount()
+	for _, d := range r.Perm(n) {
+		for !st.add(r, int32(r.Intn(n)), int32(d)) && !st.m.FaultyAt(d) {
+		}
+	}
+	for k := range st.u {
+		st.provs[st.oi[k]].CandidateMaskID(st.m, st.u[k], st.uP[k], st.d[k], st.dP[k])
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i, k := 0, 0; i < b.N; i, k = i+1, k+1 {
+		if k == len(st.u) {
+			k = 0
+		}
+		st.provs[st.oi[k]].CandidateMaskID(st.m, st.u[k], st.uP[k], st.d[k], st.dP[k])
+	}
+}
+
+// BenchmarkMCCDecisionBuild16 is the decision miss path: the queried
+// destination's octants are dropped before every call, so each decision
+// resolves through a whole-octant sweep (what the first query toward a
+// destination pays after a fault event reaches its octant).
 func BenchmarkMCCDecisionBuild16(b *testing.B) {
 	st := newBenchState(b)
 	for k := range st.u {
@@ -126,7 +168,7 @@ func BenchmarkMCCDecisionBuild16(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		k := i & 4095
-		routing.StaleField(st.provs[st.oi[k]], st.d[k])
+		routing.DropField(st.provs[st.oi[k]], st.d[k])
 		st.provs[st.oi[k]].CandidateMaskID(st.m, st.u[k], st.uP[k], st.d[k], st.dP[k])
 	}
 }
@@ -134,10 +176,10 @@ func BenchmarkMCCDecisionBuild16(b *testing.B) {
 // BenchmarkMCCDecisionChurn16 drives the decision path through sustained
 // fault churn: an incremental fault injection (relabel, refresh, scoped
 // invalidation) every 2048 decisions. The query stream cycles through 4096
-// distinct destinations, so every revisit to a field the fault reached
-// re-sweeps it — this measures the lazy-rebuild regime, the worst case the
-// engine approaches only around fault events (its hit ratio between events
-// is what BenchmarkMCCDecisionHit16 measures).
+// distinct destinations, so every revisit to an octant the fault reached
+// sweeps it again — this measures the lazy-rebuild regime, the worst case
+// the engine approaches only around fault events (its hit ratio between
+// events is what BenchmarkMCCDecisionHit16 measures).
 func BenchmarkMCCDecisionChurn16(b *testing.B) {
 	st := newBenchState(b)
 	r := rng.New(31)

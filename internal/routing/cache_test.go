@@ -1,9 +1,9 @@
 package routing
 
-// White-box tests for the destination-ID-indexed field cache: invalidation
-// must be scoped and exact — fields the fault change cannot reach stay live
-// untouched, the others are re-swept in place — and eviction must drop one
-// entry (never the whole cache) and never change answers.
+// White-box tests for the sparse exception tables: invalidation must be
+// scoped and exact — octants the fault change cannot reach stay as they are,
+// the others are dropped and swept again when next needed — and the table
+// keeps every destination, within its stated byte bound.
 
 import (
 	"slices"
@@ -17,87 +17,113 @@ import (
 	"mccmesh/internal/minimal"
 	"mccmesh/internal/region"
 	"mccmesh/internal/rng"
+	"mccmesh/internal/telemetry"
 )
 
-// slotSnap is one live slot as it stood before an invalidation.
-type slotSnap struct {
-	field *minimal.Field
-	box   grid.Box
-	base  *uint64  // first word of the field's storage
-	words []uint64 // copy of the bitset
+// entrySnap is one built entry as it stood before an invalidation.
+type entrySnap struct {
+	built uint8
+	list  []int32
 }
 
-func snapshotSlots(c *fieldCache) map[int32]slotSnap {
-	out := make(map[int32]slotSnap)
-	for _, id := range c.order[c.head:] {
-		if f := c.slots[id].field; f != nil {
-			w := f.BitWords()
-			out[id] = slotSnap{f, f.Box(), &w[0], append([]uint64(nil), w...)}
+func list(c *fieldCache, d int32) []int32 {
+	s := c.slots[d]
+	return c.exc[s.off : s.off+s.n]
+}
+
+func snapshotTable(c *fieldCache) map[int32]entrySnap {
+	out := make(map[int32]entrySnap)
+	for d, head := range c.heads {
+		if built := uint8(head); built != 0 {
+			out[int32(d)] = entrySnap{built, slices.Clone(list(c, int32(d)))}
 		}
 	}
 	return out
 }
 
-// freshWords is the bitset a from-scratch sweep over box toward d produces.
-func freshWords(m *mesh.Mesh, avoid []uint64, box grid.Box, d grid.Point) []uint64 {
-	src := grid.Point{X: box.Min.X + box.Max.X - d.X, Y: box.Min.Y + box.Max.Y - d.Y, Z: box.Min.Z + box.Max.Z - d.Z}
-	return minimal.ReachabilityWordsInto(nil, m, avoid, src, d).BitWords()
+// freshList is d's exception list a from-scratch sweep of the octants built
+// produces over avoid.
+func freshList(m *mesh.Mesh, avoid []uint64, d int32, built uint8) []int32 {
+	c := fieldCache{}
+	c.init(m, avoid)
+	dPt := m.Point(int(d))
+	var out []int32
+	for k := 0; k < 8; k++ {
+		if built&(1<<uint(k)) != 0 {
+			f := minimal.ReachabilityWordsInto(nil, m, avoid, c.corner(k), dPt)
+			out = f.AppendBlocked(out, avoid)
+		}
+	}
+	slices.Sort(out)
+	return slices.Compact(out)
 }
 
-// scopeTally counts what scoped invalidation did to a cache's live fields.
-type scopeTally struct{ untouched, reswept, rebuilt int }
+// headFlags is the list-flag half of a head over list toward d.
+func headFlags(m *mesh.Mesh, d int32, list []int32) uint16 {
+	var f uint16
+	for _, v := range list {
+		f |= planes(m.Point(int(v)), m.Point(int(d)))
+	}
+	return f
+}
 
-// checkUntouched runs right after InvalidateCache: every live slot left
-// without a pending cut must hold the same field with the same words, and
-// those words must equal a fresh sweep over the live obstacles avoid — the
-// scoping skipped no field the change reached.
-func checkUntouched(t *testing.T, c *fieldCache, m *mesh.Mesh, avoid []uint64, before map[int32]slotSnap, tally *scopeTally) {
+// checkEntry asserts that d's entry is exact over the live obstacles avoid:
+// its list equals a fresh sweep of its built octants, and its head flags
+// match the list.
+func checkEntry(t *testing.T, c *fieldCache, m *mesh.Mesh, avoid []uint64, d int32, what string) {
 	t.Helper()
-	for id, b := range before {
-		s := &c.slots[id]
-		if s.cutY != noCut {
-			continue
-		}
-		tally.untouched++
-		if s.field != b.field || !slices.Equal(s.field.BitWords(), b.words) {
-			t.Fatalf("untouched slot %d changed on invalidation", id)
-		}
-		if !slices.Equal(b.words, freshWords(m, avoid, b.box, m.Point(int(id)))) {
-			t.Fatalf("slot %d left live, but the fault change reached its box %v", id, b.box)
-		}
+	built := uint8(c.heads[d])
+	got := list(c, d)
+	if want := freshList(m, avoid, d, built); !slices.Equal(got, want) {
+		t.Fatalf("%s: entry %d (octants %08b) lists %v, a fresh sweep %v", what, d, built, got, want)
+	}
+	if got, want := c.heads[d]&^0xff, headFlags(m, d, got); got != want {
+		t.Fatalf("%s: entry %d head flags %04b, its list gives %04b", what, d, got>>8, want>>8)
 	}
 }
 
-// observe runs call, a decision toward destination id, and when id's slot was
-// stale classifies what the lookup did to it: re-swept in place (same field,
-// box and storage; the lookup's point was inside the box) or fully rebuilt
-// over a new box (it was not). Either way the field must then equal a fresh
-// sweep over the live obstacles avoid.
-func observe(t *testing.T, c *fieldCache, m *mesh.Mesh, avoid []uint64, id int32, tally *scopeTally, call func() uint8) uint8 {
+// scopeTally counts what scoped invalidation did to a table's entries.
+type scopeTally struct{ untouched, trimmed, rebuilt int }
+
+// checkUntouched runs right after InvalidateCache: every entry that kept all
+// its octants must hold the same list, every entry that kept some of them
+// the list trimmed to those, and both must equal a fresh sweep over the live
+// obstacles avoid — the scoping skipped no octant the change reached.
+func checkUntouched(t *testing.T, c *fieldCache, m *mesh.Mesh, avoid []uint64, before map[int32]entrySnap, tally *scopeTally) {
 	t.Helper()
-	if c.slots == nil {
+	for d, b := range before {
+		built := uint8(c.heads[d])
+		switch {
+		case built == b.built:
+			tally.untouched++
+			if !slices.Equal(list(c, d), b.list) {
+				t.Fatalf("untouched entry %d changed on invalidation", d)
+			}
+		case built != 0:
+			tally.trimmed++
+			if built&^b.built != 0 {
+				t.Fatalf("entry %d gained octants %08b on invalidation", d, built&^b.built)
+			}
+		}
+		checkEntry(t, c, m, avoid, d, "after invalidation")
+	}
+}
+
+// observe runs call, a decision toward destination d, and when the call
+// swept an octant invalidation had dropped, counts a rebuild. Either way d's
+// entry must then equal a fresh sweep over the live obstacles avoid.
+func observe(t *testing.T, c *fieldCache, m *mesh.Mesh, avoid []uint64, d int32, tally *scopeTally, call func() uint8) uint8 {
+	t.Helper()
+	if c.heads == nil {
 		return call()
 	}
-	s := &c.slots[id]
-	f := s.field
-	if f == nil || s.cutY == noCut {
-		return call()
-	}
-	box, base := f.Box(), &f.BitWords()[0]
+	stale := c.slots[d].stale
 	out := call()
-	if s.cutY != noCut {
-		t.Fatalf("stale slot %d still stale after a lookup", id)
-	}
-	if s.field.Box() == box {
-		if s.field != f || &s.field.BitWords()[0] != base {
-			t.Fatalf("stale slot %d was reallocated, not re-swept in place", id)
-		}
-		tally.reswept++
-	} else {
+	if c.slots[d].stale != stale {
 		tally.rebuilt++
 	}
-	if !slices.Equal(s.field.BitWords(), freshWords(m, avoid, s.field.Box(), m.Point(int(id)))) {
-		t.Fatalf("slot %d after its re-sweep differs from a fresh sweep over %v", id, s.field.Box())
+	if uint8(c.heads[d]) != 0 {
+		checkEntry(t, c, m, avoid, d, "after a lookup")
 	}
 	return out
 }
@@ -107,20 +133,99 @@ func maskOf(p Provider, m *mesh.Mesh, u, d int32) uint8 {
 	return p.CandidateMaskID(m, u, m.Point(int(u)), d, m.Point(int(d)))
 }
 
-// TestFieldSlotIsOneCacheLine: the pending cut fits in bytes the slot would
-// otherwise pad, so a decision hit touches one 64-byte line of the slot
-// table.
-func TestFieldSlotIsOneCacheLine(t *testing.T) {
-	if n := unsafe.Sizeof(fieldSlot{}); n != 64 {
-		t.Fatalf("fieldSlot is %d bytes, want 64", n)
+// TestFieldTableStorageBound pins the storage the fieldCache comment states:
+// 14 bytes per destination plus the live arena entries (4 bytes per
+// exception and 8 per list header), reported by routing.field_storage_peak,
+// and an arena whose garbage compaction keeps below max(live, N/4) entries
+// between invalidations. An oracle queried toward every destination
+// of a faulty 12³ mesh from sources in every octant, with fault changes in
+// between, exercises merges, trims and compaction.
+func TestFieldTableStorageBound(t *testing.T) {
+	if n := unsafe.Sizeof(fieldSlot{}) + unsafe.Sizeof(uint16(0)); n != 14 {
+		t.Fatalf("a destination takes %d bytes of table, the comment states 14", n)
+	}
+	m := mesh.NewCube(12)
+	r := rng.New(5)
+	placed := fault.Uniform{Count: 150}.Inject(m, r)
+	o := NewOracle(m)
+	tel := telemetry.NewSink()
+	o.SetTelemetry(tel)
+	n := m.NodeCount()
+	peak := 0
+	for round := 0; round < 6; round++ {
+		for q := 0; q < 4*n; q++ {
+			maskOf(o, m, int32(r.Intn(n)), int32(r.Intn(n)))
+			c := &o.cache
+			peak = max(peak, c.live)
+			if c.dead > max(c.live, n/4) {
+				t.Fatalf("arena garbage %d above max(live %d, N/4)", c.dead, c.live)
+			}
+		}
+		if round%2 == 0 {
+			m.RemoveFaults(placed[:20]...)
+		} else {
+			m.AddFaults(placed[:20]...)
+		}
+		o.InvalidateCache()
+	}
+	c := &o.cache
+	live := 0
+	for d := range c.slots {
+		if n := int(c.slots[d].n); n > 0 {
+			live += n + 2
+		}
+	}
+	if live != c.live || len(c.exc) != c.live+c.dead {
+		t.Fatalf("arena accounting: lists hold %d, live %d, dead %d, arena %d", live, c.live, c.dead, len(c.exc))
+	}
+	if got, want := tel.Get(telemetry.FieldStoragePeak), int64(14*n+4*peak); got != want || peak == 0 {
+		t.Fatalf("routing.field_storage_peak = %d, want 14·N + 4·(peak live entries %d) = %d", got, peak, want)
+	}
+	if tel.Get(telemetry.FieldEvictions) != 0 {
+		t.Fatalf("the table evicted")
+	}
+}
+
+// TestFieldTableKeepsEveryDestination: a provider queried toward every node
+// of a 17³ mesh keeps every destination's octant (there is no eviction), and
+// each answers the step onto d without another build.
+func TestFieldTableKeepsEveryDestination(t *testing.T) {
+	m := mesh.NewCube(17)
+	o := NewOracle(m)
+	tel := telemetry.NewSink()
+	o.SetTelemetry(tel)
+	n := m.NodeCount()
+	step := func(idx int) (int32, int32) {
+		d := m.Point(idx)
+		u, ok := m.Neighbor(d, grid.XPos)
+		if !ok {
+			u, _ = m.Neighbor(d, grid.XNeg)
+		}
+		return m.ID(u), int32(idx)
+	}
+	for pass := 0; pass < 2; pass++ {
+		for idx := 0; idx < n; idx++ {
+			u, d := step(idx)
+			if got, want := maskOf(o, m, u, d), ReferenceMask(m, nil, true, u, d); got != want || got == 0 {
+				t.Fatalf("fault-free mesh: decision (%v -> %v) = %06b, want the step onto d (%06b)", u, d, got, want)
+			}
+		}
+		if got := tel.Get(telemetry.FieldColdBuilds); got != int64(n) {
+			t.Fatalf("pass %d: %d cold builds, want one per destination (%d)", pass, got, n)
+		}
+	}
+	for d, head := range o.cache.heads {
+		if uint8(head) == 0 {
+			t.Fatalf("destination %d lost its octant", d)
+		}
 	}
 }
 
 // TestFieldCacheEpochInvalidation: after a fault injection flows through the
 // incremental update path (AddFaults + Refresh + InvalidateCache), every
 // decision must match a provider built from scratch over the same mesh.
-// Fields the change cannot reach stay live untouched; the ones it reaches are
-// re-swept in place, reusing their Field storage.
+// Octants the change cannot reach stay as they are; the ones it reaches are
+// dropped and swept again when a lookup needs them.
 func TestFieldCacheEpochInvalidation(t *testing.T) {
 	m := mesh.NewCube(8)
 	fault.Uniform{Count: 20}.Inject(m, rng.New(3))
@@ -153,8 +258,8 @@ func TestFieldCacheEpochInvalidation(t *testing.T) {
 		maskOf(prov, m, qq.u, qq.d)
 	}
 
-	before := snapshotSlots(&prov.cache)
-	if before[queries[0].d].field == nil {
+	before := snapshotTable(&prov.cache)
+	if before[queries[0].d].built == 0 {
 		t.Fatal("probe destination not cached after warmup")
 	}
 
@@ -187,62 +292,10 @@ func TestFieldCacheEpochInvalidation(t *testing.T) {
 				qq.u, qq.d, got, want)
 		}
 	}
-	// Touched slots were re-swept in place — the storage reuse the scoped
-	// scheme buys — and untouched ones were never stale.
-	if tally.untouched == 0 || tally.reswept == 0 {
-		t.Errorf("want untouched and re-swept slots, got %+v", tally)
-	}
-}
-
-// TestFieldCacheEvictsOneEntry: filling a provider with more destinations
-// than fieldCacheMax must evict oldest entries one at a time — the live count
-// stays at the cap, early destinations are gone, late ones survive — and
-// evicted destinations still answer correctly (they just rebuild).
-func TestFieldCacheEvictsOneEntry(t *testing.T) {
-	m := mesh.NewCube(17) // 4913 nodes > fieldCacheMax
-	o := NewOracle(m)
-	n := m.NodeCount()
-	if n <= fieldCacheMax {
-		t.Fatalf("test mesh too small to overflow the cache: %d <= %d", n, fieldCacheMax)
-	}
-	// Touch every node as a destination, with the neighbouring source so each
-	// field is tiny.
-	for idx := 0; idx < n; idx++ {
-		d := m.Point(idx)
-		u, ok := m.Neighbor(d, grid.XPos)
-		if !ok {
-			u, _ = m.Neighbor(d, grid.XNeg)
-		}
-		uID := m.ID(u)
-		if got, want := maskOf(o, m, uID, int32(idx)), ReferenceMask(m, nil, true, uID, int32(idx)); got != want || got == 0 {
-			t.Fatalf("fault-free mesh: decision (%v -> %v) = %06b, want the step onto d (%06b)", u, d, got, want)
-		}
-	}
-	live := 0
-	for _, s := range o.cache.slots {
-		if s.field != nil {
-			live++
-		}
-	}
-	if live != fieldCacheMax {
-		t.Fatalf("live entries = %d, want exactly the cap %d (one-at-a-time eviction)", live, fieldCacheMax)
-	}
-	// The first destinations were evicted, the last ones survived.
-	firstID := int32(0)
-	if o.cache.slots[firstID].field != nil {
-		t.Errorf("oldest destination still cached after overflow")
-	}
-	if o.cache.slots[n-1].field == nil {
-		t.Errorf("newest destination missing from the cache")
-	}
-	// An evicted destination still answers, and re-caches.
-	d := m.Point(0)
-	u, _ := m.Neighbor(d, grid.XPos)
-	if uID := m.ID(u); maskOf(o, m, uID, 0) != ReferenceMask(m, nil, true, uID, 0) {
-		t.Fatalf("evicted destination answers wrong after rebuild")
-	}
-	if o.cache.slots[0].field == nil {
-		t.Errorf("evicted destination was not re-cached on demand")
+	// Some entries kept every octant, and some dropped octant was swept
+	// again.
+	if tally.untouched == 0 || tally.rebuilt == 0 {
+		t.Errorf("want untouched entries and rebuilt octants, got %+v", tally)
 	}
 }
 
@@ -250,8 +303,9 @@ func TestFieldCacheEvictsOneEntry(t *testing.T) {
 // TestFieldCacheEpochInvalidation: after a fault repair flows through the
 // incremental update path (labeling.RemoveFaults + Refresh + InvalidateCache),
 // every decision must match a provider built from scratch over the repaired
-// mesh. Repairs *open* directions that were excluded before, so a stale field
-// that survived the epoch bump would be visible as an over-restrictive answer.
+// mesh. Repairs *open* directions that were excluded before, so a stale list
+// that survived the invalidation would be visible as an over-restrictive
+// answer.
 func TestFieldCacheEpochInvalidationOnRepair(t *testing.T) {
 	m := mesh.NewCube(8)
 	placed := fault.Uniform{Count: 30}.Inject(m, rng.New(5))
@@ -283,7 +337,7 @@ func TestFieldCacheEpochInvalidationOnRepair(t *testing.T) {
 	}
 
 	// Repair a third of the faults through the incremental path.
-	before := snapshotSlots(&prov.cache)
+	before := snapshotTable(&prov.cache)
 	repaired := placed[:len(placed)/3]
 	m.RemoveFaults(repaired...)
 	lab.RemoveFaults(repaired)
@@ -301,8 +355,8 @@ func TestFieldCacheEpochInvalidationOnRepair(t *testing.T) {
 				qq.u, qq.d, got, want)
 		}
 	}
-	if tally.reswept == 0 {
-		t.Errorf("no touched slot was re-swept in place: %+v", tally)
+	if tally.rebuilt == 0 {
+		t.Errorf("no dropped octant was swept again: %+v", tally)
 	}
 
 	// The oracle takes the same scoped invalidation on repair; check it
@@ -312,7 +366,7 @@ func TestFieldCacheEpochInvalidationOnRepair(t *testing.T) {
 	for _, qq := range queries {
 		maskOf(o, m, qq.u, qq.d)
 	}
-	beforeO := snapshotSlots(&o.cache)
+	beforeO := snapshotTable(&o.cache)
 	m.RemoveFaults(placed[len(placed)/3 : 2*len(placed)/3]...)
 	o.InvalidateCache()
 	checkUntouched(t, &o.cache, m, m.FaultyWords(), beforeO, &tally)
@@ -331,10 +385,10 @@ func TestFieldCacheEpochInvalidationOnRepair(t *testing.T) {
 // path (labeling.AddFaults/RemoveFaults, Refresh, InvalidateCache). After
 // every event their CandidateMaskID answers over a fixed query set, preceded
 // by a few roaming sources, must equal those of freshly built providers, on
-// the miss path and on the hit path that follows it; untouched fields must be
-// exact as they stand, and stale ones exact after their re-sweep. Against a
-// vacuous pass, each of the three outcomes — kept untouched, re-swept in
-// place, fully rebuilt — must happen at least once.
+// the miss path and on the hit path that follows it; entries must be exact
+// as invalidation leaves them, and after every lookup. Against a vacuous
+// pass, each of the three outcomes — kept whole, trimmed to the octants the
+// change missed, an octant swept again — must happen at least once.
 func TestScopedInvalidationMatchesFresh(t *testing.T) {
 	type q struct{ u, d int32 }
 	var tally scopeTally
@@ -378,7 +432,7 @@ func TestScopedInvalidationMatchesFresh(t *testing.T) {
 
 		var groups [][]grid.Point
 		for ev := 0; ev < 30; ev++ {
-			beforeM, beforeO := snapshotSlots(&mcc.cache), snapshotSlots(&oracle.cache)
+			beforeM, beforeO := snapshotTable(&mcc.cache), snapshotTable(&oracle.cache)
 			if len(groups) == 0 || r.Intn(5) < 3 {
 				var placed []grid.Point
 				if r.Intn(2) == 0 {
@@ -402,7 +456,7 @@ func TestScopedInvalidationMatchesFresh(t *testing.T) {
 			checkUntouched(t, &oracle.cache, m, m.FaultyWords(), beforeO, &tally)
 
 			// A few roaming sources toward already-cached destinations come
-			// first: one outside a stale field's box forces the full rebuild.
+			// first, from any octant.
 			roam := queries[:0:0]
 			for len(roam) < 20 {
 				qq := queries[r.Intn(len(queries))]
@@ -425,8 +479,8 @@ func TestScopedInvalidationMatchesFresh(t *testing.T) {
 			}
 		}
 	}
-	if tally.untouched == 0 || tally.reswept == 0 || tally.rebuilt == 0 {
+	if tally.untouched == 0 || tally.trimmed == 0 || tally.rebuilt == 0 {
 		t.Fatalf("a scoping outcome never happened: %+v", tally)
 	}
-	t.Logf("slots kept untouched %d, re-swept in place %d, rebuilt %d", tally.untouched, tally.reswept, tally.rebuilt)
+	t.Logf("entries kept whole %d, trimmed %d, octants rebuilt %d", tally.untouched, tally.trimmed, tally.rebuilt)
 }

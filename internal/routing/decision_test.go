@@ -231,3 +231,107 @@ func TestRecordsMaskWithoutRecords(t *testing.T) {
 		}
 	}
 }
+
+// TestFieldTableMatchesFreshUnderChurn drives the four field models — oracle,
+// mcc, rfb and fb-rule — through a seeded fail/repair schedule on random
+// 2-D and 3-D meshes. Each step asks every model, for a set of destinations,
+// the hop from sources in all eight octants and from sources tied with d on
+// one or two coordinates, so d's list merges several octants and planes. The
+// oracle and mcc providers follow every step in place (their tables are
+// trimmed and rebuilt); rfb and fb-rule are rebuilt per step, as core.Model
+// rebuilds them, and then serve the whole step. Every answer must equal that
+// of a provider built fresh for the one query and ReferenceMask.
+func TestFieldTableMatchesFreshUnderChurn(t *testing.T) {
+	for _, seed := range []uint64{3, 11, 29, 47} {
+		r := rng.New(seed)
+		var m *mesh.Mesh
+		if seed%2 == 0 {
+			m = mesh.New2D(9+r.Intn(6), 9+r.Intn(6))
+		} else {
+			m = mesh.New3D(6+r.Intn(4), 6+r.Intn(4), 6+r.Intn(4))
+		}
+		n := m.NodeCount()
+		fault.Uniform{Count: n / 20}.Inject(m, r)
+		lab := labeling.Compute(m, grid.OrientationFromIndex(int(seed%8)))
+		set := region.FindMCCs(lab)
+		oracle, mcc := routing.NewOracle(m), routing.NewMCC(set)
+		dims := m.Dims()
+		far := grid.Point{X: dims.X - 1, Y: dims.Y - 1, Z: dims.Z - 1}
+		// sources returns hop sources toward d: one drawn from each octant
+		// of d, and ones sharing one or two of d's coordinates.
+		sources := func(d grid.Point) []grid.Point {
+			pick := func(lo, hi int) int { return lo + r.Intn(hi-lo+1) }
+			var out []grid.Point
+			for k := 0; k < 8; k++ {
+				var p grid.Point
+				for a, c := range []*int{&p.X, &p.Y, &p.Z} {
+					dc, hi := d.Axis(grid.Axis(a)), far.Axis(grid.Axis(a))
+					if k>>a&1 == 0 {
+						*c = pick(0, dc)
+					} else {
+						*c = pick(dc, hi)
+					}
+				}
+				out = append(out, p)
+				tie := p
+				switch r.Intn(3) {
+				case 0:
+					tie.X = d.X
+				case 1:
+					tie.Y, tie.Z = d.Y, d.Z
+				default:
+					tie.Z = d.Z
+				}
+				out = append(out, tie)
+			}
+			return out
+		}
+		var groups [][]grid.Point
+		for step := 0; step < 12; step++ {
+			if step > 0 {
+				if len(groups) == 0 || r.Intn(3) < 2 {
+					var placed []grid.Point
+					if r.Intn(2) == 0 {
+						placed = fault.Uniform{Count: 1}.Inject(m, r)
+					} else {
+						placed = fault.Clustered{Clusters: 1, Size: 2 + r.Intn(3)}.Inject(m, r)
+					}
+					lab.AddFaults(placed)
+					groups = append(groups, placed)
+				} else {
+					k := r.Intn(len(groups))
+					m.RemoveFaults(groups[k]...)
+					lab.RemoveFaults(groups[k])
+					groups = append(groups[:k], groups[k+1:]...)
+				}
+				set.Refresh()
+				oracle.InvalidateCache()
+				mcc.InvalidateCache()
+			}
+			cases := append([]refCase{fieldCase(oracle, m.FaultyWords, false), fieldCase(mcc, set.UnionAvoidWords, false)}, blockCases(m)...)
+			fresh := []func() routing.Provider{
+				func() routing.Provider { return routing.NewOracle(m) },
+				func() routing.Provider {
+					return routing.NewMCC(region.FindMCCs(labeling.Compute(m, lab.Orientation())))
+				},
+				func() routing.Provider { return routing.NewBlock(block.Build(m, block.BoundingBox)) },
+				func() routing.Provider { return routing.NewBlock(block.Build(m, block.ConvexityRule)) },
+			}
+			for q := 0; q < 6; q++ {
+				d := int32(r.Intn(n))
+				dPt := m.Point(int(d))
+				for _, uPt := range sources(dPt) {
+					u := m.ID(uPt)
+					for i, rc := range cases {
+						got := rc.prov.CandidateMaskID(m, u, uPt, d, dPt)
+						want := fresh[i]().CandidateMaskID(m, u, uPt, d, dPt)
+						if ref := routing.ReferenceMask(m, rc.avoid(d), rc.reach, u, d); got != want || got != ref {
+							t.Fatalf("seed %d step %d: %s (%v -> %v) = %06b, fresh provider %06b, reference %06b",
+								seed, step, rc.prov.Name(), uPt, dPt, got, want, ref)
+						}
+					}
+				}
+			}
+		}
+	}
+}

@@ -1,19 +1,19 @@
 package routing
 
 import (
-	"math"
-
 	"mccmesh/internal/grid"
 	"mccmesh/internal/mesh"
 	"mccmesh/internal/minimal"
 )
 
-// StaleField marks d's field in p stale with a cut over all its rows, as if a
-// fault change had reached every row: the next lookup re-sweeps the whole
-// field in place.
-func StaleField(p *FieldProvider, d int32) {
-	if s := &p.cache.slots[d]; s.field != nil {
-		s.cutY, s.cutZ = math.MaxInt16, math.MaxInt16
+// DropField drops every built octant of d's entry in p, as if a fault
+// change had reached all of them: the next lookup toward d sweeps an octant
+// again as a stale rebuild.
+func DropField(p *FieldProvider, d int32) {
+	c := &p.cache
+	if built := uint8(c.heads[d]); built != 0 {
+		c.slots[d].stale |= built
+		c.drop(p.mesh, d, p.mesh.Point(int(d)), built)
 	}
 }
 

@@ -1,9 +1,9 @@
 package routing
 
 import (
-	"math"
 	"math/bits"
 	"slices"
+	"unsafe"
 
 	"mccmesh/internal/block"
 	"mccmesh/internal/grid"
@@ -14,337 +14,313 @@ import (
 	"mccmesh/internal/telemetry"
 )
 
-// fieldCacheMax bounds the number of live reachability fields per provider.
-// On overflow the oldest entry is evicted (FIFO); eviction order cannot
-// affect results, only speed. 4096 fields cover every destination of the
-// reference 16³ mesh; larger meshes recycle.
-const fieldCacheMax = 4096
-
-// fieldCache memoises reachability fields per destination, indexed by the
-// destination's dense node ID — no map, no hashing on the per-hop path.
-// CanReach(v) for a point inside a field's box depends only on the cells
-// between v and the destination — never on the source the field was built
-// from — so reusing a field across packets (and across sources) is exact, not
-// approximate.
+// fieldCache is a field provider's sparse reachability table: for each
+// destination d, one sorted list of d's exceptions, the nodes free in the
+// provider's obstacle set (carved for d) with no monotone path to d. Under
+// the paper's fault models almost every free node reaches d, so a list
+// holds a handful of nodes where a bitset field held a whole box (the IWPP
+// principle: store only the elements that matter).
 //
-// Invalidation follows the fault. invalidate XORs the live obstacle bitset
-// against snap, the copy every live field was swept over, and takes the
-// bounding box of the flipped cells. Since a field's bits depend only on the
-// obstacles inside its box, only the live fields whose box meets that
-// bounding box can have changed; each of those records the rows the flips
-// can reach (minimal.Field.CutOf) as a pending cut, and every other field
-// stays live untouched. A stale field is re-swept in place over its cut when
-// its destination is next looked up, so a mid-run fault costs one bitset
-// compare immediately and, over time, a partial sweep per field that
-// actually holds the fault — the IWPP principle of processing only the
-// active wavefront.
+// A list covers the closed octants of d built so far, each the box from d
+// to a mesh corner, swept in full into one scratch field whose exceptions
+// are merged into the list. One list is exact: whether v reaches d depends
+// only on the obstacles in BoxOf(v, d), so a node on a plane through d has
+// the same status in every octant that holds it. A hop from u is answered
+// by any built octant holding u, which holds every neighbour the hop can
+// take (see mask). Exceptions cluster on the planes through d, so d's head
+// flags which of them hold one; most hits read the head and the obstacle
+// bits in snap, and nothing per destination else.
+//
+// invalidate drops the octants whose box meets the bounding box of the
+// cells that flipped and trims the lists to the octants left; a dropped
+// octant is swept again when next queried.
+//
+// Storage: 14 bytes per destination (a 2-byte head, a 12-byte slot), and
+// in the arena 4 bytes per live exception plus an 8-byte header per
+// non-empty list. compact reclaims the arena's garbage in place once it
+// exceeds both the live entries and N/4 (N destinations), so the arena
+// holds at most 2·live + N/4 entries plus what one invalidation frees.
+// There is no eviction; routing.field_storage_peak reports the peak of the
+// per-destination tables plus the live arena entries.
 type fieldCache struct {
+	heads []uint16    // indexed by destination node ID: built octants, list flags
 	slots []fieldSlot // indexed by destination node ID
-	order []int32     // FIFO of destinations holding a field
-	head  int         // consumed prefix of order
-	spare []*minimal.Field
+	exc   []int32     // arena of the slots' exception lists, each behind a header
+	live  int         // arena entries of live lists, headers included
+	dead  int         // arena entries no live list holds
 
-	// snap is the obstacle bitset the live fields were swept over, copied
-	// from the provider's uncarved obstacle set when the slot table is
-	// allocated and brought up to date by each invalidate.
+	// snap is the obstacle set the lists were built over, copied from the
+	// provider's uncarved obstacle set when the tables are allocated and
+	// brought up to date by each invalidate. The hop path reads it in place
+	// of a per-destination field.
 	snap []uint64
 
-	// slab and arena chunk the allocation of cold builds: Field structs come
-	// from slab, their bitset words are carved from arena, so populating the
-	// cache costs O(1) allocations per few hundred destinations instead of
-	// two per destination.
-	slab  []minimal.Field
-	arena []uint64
+	// strideY and strideZ are the node-ID steps along Y and Z (X steps by
+	// one); hi is the mesh's far corner.
+	strideY, strideZ int32
+	hi               grid.Point
 
-	// tel receives cache counters (hits, cold builds, rebuilds, evictions,
-	// invalidations, decision hits/builds); nil — the default — costs one
+	field   minimal.Field // scratch: the octant being built
+	blocked []int32       // scratch: its exceptions
+
+	// tel receives cache counters (builds, invalidations, decision
+	// hits/builds, the storage gauge); nil — the default — costs one
 	// predicted branch per hook.
 	tel *telemetry.Sink
 }
 
-// fieldSlot is one destination's cache entry: the memoised reachability field
-// plus a flattened view of it — the bitset words and the box geometry as
-// int32s — that the per-hop decision fast path reads without touching the
-// Field struct. The view is restamped on every full build, so it always
-// matches the live field even when a build widens the box (a re-sweep keeps
-// box and storage). Geometry is stored as min corner plus extents so the
-// in-box check is three subtract-and-unsigned-compare pairs whose results
-// double as the box-local coordinates of the bit probes, and as int32s so the
-// whole slot is one 64-byte cache line: a decision() hit touches exactly one
-// line of the slot array plus one to three field words.
-//
-// cutY, cutZ are the field's pending cut (minimal.Cut), in bytes the struct
-// would otherwise pad: the rows a fault change since the last sweep can
-// reach, saturating at math.MaxInt16 (read back as every row). noCut (-1) in
-// cutY marks the field live; any cut is non-negative, so the fast path tests
-// cutY alone. The zero slot reads as stale and has an empty box.
+// A destination's head holds its built octants in the low byte, a bit per
+// octant index k (bit 0 of k set: the octant's corner is on the high side of
+// d in X; bit 1 in Y; bit 2 in Z), and above them the list flags: whether
+// the list holds a node on d's X, Y or Z plane (sharing that coordinate with
+// d), and whether it holds one on none of them.
+const (
+	headPlaneX uint16 = 1 << (8 + iota)
+	headPlaneY
+	headPlaneZ
+	headOffPlane
+)
+
+// fieldSlot is the cold half of one destination's entry: its exception list
+// exc[off:off+n] and the octants invalidate dropped since they were last
+// built (stale, bits as in the head). The zero slot is an empty list.
 type fieldSlot struct {
-	field            *minimal.Field
-	words            []uint64
-	cutY, cutZ       int16
-	minX, minY, minZ int32
-	boxW, boxH, boxD int32
+	off, n int32
+	stale  uint8
 }
 
-// noCut is the pending cut of a live field.
-const noCut = -1
-
-// pendingCut widens the slot's pending cut back to a minimal.Cut.
-func (s *fieldSlot) pendingCut() minimal.Cut {
-	unpack := func(v int16) int {
-		if v == math.MaxInt16 {
-			return math.MaxInt
+// octants returns the octants of d whose closed box meets the box [lo, hi]:
+// for a single point p (lo = hi = p), the octants a hop from p toward d can
+// be answered from.
+func octants(lo, hi, d grid.Point) uint8 {
+	axis := func(lo, hi, dc int, low uint8) uint8 {
+		var mk uint8
+		if lo <= dc {
+			mk = low
 		}
-		return int(v)
-	}
-	return minimal.Cut{Y: unpack(s.cutY), Z: unpack(s.cutZ)}
-}
-
-// decision answers a hop from the memoised reachability field — the per-hop
-// fast path: one staleness compare, one box check and at most three bit probes
-// into the field's bitset (the forward neighbour on each unresolved axis; a
-// set bit means the neighbour still reaches d, and since every provider's
-// obstacle set contains the faults, it also means the neighbour is healthy).
-// A miss (no field, a stale one, or u outside its box) falls to
-// decisionMask. Probing the field directly instead of a precomputed byte
-// table keeps the hot working set at the fields themselves — an eighth the
-// footprint of one byte per node — which is what the per-hop latency is
-// bound by.
-func (c *fieldCache) decision(uPt, dPt grid.Point, d int32) (uint8, bool) {
-	if c.slots == nil {
-		return 0, false
-	}
-	s := &c.slots[d]
-	if s.cutY != noCut {
-		return 0, false
-	}
-	x := int32(uPt.X) - s.minX
-	y := int32(uPt.Y) - s.minY
-	z := int32(uPt.Z) - s.minZ
-	if uint32(x) >= uint32(s.boxW) || uint32(y) >= uint32(s.boxH) || uint32(z) >= uint32(s.boxD) {
-		return 0, false
-	}
-	c.tel.Inc(telemetry.DecisionHits)
-	return s.dirMask(uPt, dPt, x, y, z), true
-}
-
-// dirMask probes the forward neighbour's field bit on each axis still
-// unresolved toward d and packs the answers into a direction mask (bit
-// grid.Direction). (x, y, z) are u's box-local coordinates, already
-// bounds-checked. Each probe stays inside the box: a nonzero delta means d
-// lies strictly beyond u on that axis, and d's plane bounds the box, so the
-// one-step neighbour is between them. Zero-delta axes contribute no bit,
-// which matches the field's geometry — u then sits on d's corner plane where
-// a forward step would leave the box.
-//
-// The probes are branchless: which side of u the destination lies on varies
-// packet to packet, so sign branches here would mispredict constantly. Each
-// axis derives a step of -1, 0 or +1 rows/planes from the delta's sign bits,
-// probes loc+step (loc itself when the axis is resolved — always in range)
-// and nulls the resolved-axis bit with the nonzero mask.
-func (s *fieldSlot) dirMask(uPt, dPt grid.Point, x, y, z int32) uint8 {
-	words := s.words
-	loc := x + s.boxW*(y+s.boxH*z)
-	probe := func(delta, stride int32, axisShift uint32) uint8 {
-		neg := uint32(delta) >> 31
-		nz := uint32(delta|-delta) >> 31
-		n := loc + int32(nz)*(1-2*int32(neg))*stride
-		bit := uint8(words[n>>6]>>(uint32(n)&63)) & uint8(nz)
-		return bit << (axisShift + neg)
-	}
-	mk := probe(int32(dPt.X-uPt.X), 1, uint32(grid.XPos))
-	mk |= probe(int32(dPt.Y-uPt.Y), s.boxW, uint32(grid.YPos))
-	mk |= probe(int32(dPt.Z-uPt.Z), s.boxW*s.boxH, uint32(grid.ZPos))
-	return mk
-}
-
-// decisionMask is the miss path of decision: it brings destination dID's
-// field up to date for u — re-sweeping it in place over its pending cut when
-// u lies inside its box, else building or widening one (build) — then
-// answers the hop with the same bit probes the fast path uses. Every later
-// hop toward d from inside the box is then a decision() hit until a fault
-// change reaches the field. live is the provider's obstacle set, which the
-// first call copies into snap; avoid is the set fields toward d are swept
-// over (live itself, or live with d carved out for the block baselines).
-func (c *fieldCache) decisionMask(m *mesh.Mesh, u grid.Point, dID int32, d grid.Point, live, avoid []uint64) uint8 {
-	c.tel.Inc(telemetry.DecisionBuilds)
-	if c.slots == nil {
-		c.slots = make([]fieldSlot, m.NodeCount())
-		c.snap = append([]uint64(nil), live...)
-	}
-	s := &c.slots[dID]
-	if f := s.field; f != nil && f.Covers(u) {
-		// decision() missed, so a field covering u is stale: re-sweep the
-		// rows the fault change reaches. Box and storage stay, so the
-		// decision view stays valid.
-		f.Resweep(avoid, s.pendingCut())
-		c.tel.Inc(telemetry.FieldRebuilds)
-		s.cutY, s.cutZ = noCut, noCut
-	} else {
-		c.build(m, s, u, dID, d, avoid)
-	}
-	return s.dirMask(u, d, int32(u.X)-s.minX, int32(u.Y)-s.minY, int32(u.Z)-s.minZ)
-}
-
-// build gives s, destination dID's slot, a field covering u: a new one when
-// the slot is empty, else its field rebuilt in place over a box widened to
-// take u. The field is swept over avoid, and the slot's decision view is
-// restamped.
-func (c *fieldCache) build(m *mesh.Mesh, s *fieldSlot, u grid.Point, dID int32, d grid.Point, avoid []uint64) {
-	// Build over the whole octant behind u rather than just BoxOf(u, d):
-	// every later source approaching d from the same side is then covered by
-	// the one build, so a destination slot builds once instead of widening
-	// toward that same converged box one source at a time (each widening
-	// being a full rebuild). Enlarging the box is exact — each cell's value
-	// depends only on the cells between it and d.
-	src := octantSource(m.Dims(), u, d)
-	reuse := s.field
-	if reuse != nil {
-		// A field that doesn't cover u: widen the box so the old coverage and
-		// the new source both fit, when d stays a corner of the union. This
-		// stops two sources with the same destination from rebuilding the
-		// field back and forth (e.g. axes resolved at the first build's
-		// source that a later source approaches from either side).
-		if wide, ok := widenSource(reuse.Box(), src, d); ok {
-			src = wide
+		if hi >= dc {
+			mk |= ^low
 		}
+		return mk
 	}
-	if reuse == nil {
-		c.tel.Inc(telemetry.FieldColdBuilds)
-		if len(c.order)-c.head >= fieldCacheMax {
-			c.evictOldest()
-		}
-		if k := len(c.spare); k > 0 {
-			reuse = c.spare[k-1]
-			c.spare = c.spare[:k-1]
-		} else {
-			reuse = c.newField(src, d)
-		}
-		c.order = append(c.order, dID)
-	} else {
-		c.tel.Inc(telemetry.FieldRebuilds)
-	}
-	f := minimal.ReachabilityWordsInto(reuse, m, avoid, src, d)
-	s.field = f
-	s.cutY, s.cutZ = noCut, noCut
-	// Restamp the decision view: the build may have widened the box or grown
-	// the bitset storage, and the probes index the live words directly.
-	box := f.Box()
-	s.words = f.BitWords()
-	s.minX, s.minY, s.minZ = int32(box.Min.X), int32(box.Min.Y), int32(box.Min.Z)
-	s.boxW = int32(box.Max.X - box.Min.X + 1)
-	s.boxH = int32(box.Max.Y - box.Min.Y + 1)
-	s.boxD = int32(box.Max.Z - box.Min.Z + 1)
+	return axis(lo.X, hi.X, d.X, 0x55) & axis(lo.Y, hi.Y, d.Y, 0x33) & axis(lo.Z, hi.Z, d.Z, 0x0f)
 }
 
-// newField takes a Field struct from the slab and carves its bitset storage
-// from the arena, sized for BoxOf(src, d) rounded up to a power of two so
-// box-widening rebuilds usually fit in place.
-func (c *fieldCache) newField(src, d grid.Point) *minimal.Field {
-	if len(c.slab) == 0 {
-		c.slab = make([]minimal.Field, 256)
+// planes returns the head flags of a list entry at p toward d.
+func planes(p, d grid.Point) uint16 {
+	var f uint16
+	if p.X == d.X {
+		f |= headPlaneX
 	}
-	f := &c.slab[0]
-	c.slab = c.slab[1:]
-	nwords := (grid.BoxOf(src, d).Volume() + 63) / 64
-	capW := 1
-	for capW < nwords {
-		capW <<= 1
+	if p.Y == d.Y {
+		f |= headPlaneY
 	}
-	if len(c.arena) < capW {
-		n := 4096
-		if n < capW {
-			n = capW
-		}
-		c.arena = make([]uint64, n)
+	if p.Z == d.Z {
+		f |= headPlaneZ
 	}
-	f.PrepareStorage(c.arena[:0:capW])
-	c.arena = c.arena[capW:]
+	if f == 0 {
+		f = headOffPlane
+	}
 	return f
 }
 
-// evictOldest drops the least-recently-inserted live field, parking its
-// storage for reuse. The slot is zeroed so the decision fast path cannot
-// answer from a view whose words the parked field will overwrite for another
-// destination.
-func (c *fieldCache) evictOldest() {
-	c.tel.Inc(telemetry.FieldEvictions)
-	for c.head < len(c.order) {
-		id := c.order[c.head]
-		c.head++
-		if s := &c.slots[id]; s.field != nil {
-			if len(c.spare) < 8 {
-				c.spare = append(c.spare, s.field)
-			}
-			*s = fieldSlot{}
-			break
-		}
-	}
-	if c.head >= fieldCacheMax {
-		c.order = append(c.order[:0], c.order[c.head:]...)
-		c.head = 0
-	}
+// corner returns the mesh corner of octant k.
+func (c *fieldCache) corner(k int) grid.Point {
+	return grid.Point{X: c.hi.X * (k & 1), Y: c.hi.Y * (k >> 1 & 1), Z: c.hi.Z * (k >> 2 & 1)}
 }
 
-// octantSource returns the far corner of u's octant behind d: the source
-// whose box with d covers every node approaching d from u's side on each
-// unresolved axis. Axes already resolved at u stay flat — a later source on
-// either side of such an axis still widens the box, with d staying a corner.
-func octantSource(dims mesh.Dims, u, d grid.Point) grid.Point {
-	pick := func(uc, dc, hi int) int {
+// init allocates the tables for m and copies live into snap.
+func (c *fieldCache) init(m *mesh.Mesh, live []uint64) {
+	dims := m.Dims()
+	c.heads = make([]uint16, m.NodeCount())
+	c.slots = make([]fieldSlot, m.NodeCount())
+	c.snap = append([]uint64(nil), live...)
+	c.strideY, c.strideZ = int32(dims.X), int32(dims.X*dims.Y)
+	c.hi = grid.Point{X: dims.X - 1, Y: dims.Y - 1, Z: dims.Z - 1}
+}
+
+// toward returns the octants of d whose closed box holds a node at offset
+// (dx, dy, dz) = d - u from it: the octants a hop from u toward d can be
+// answered from. It is octants(u, u, d) without the sign branches, which a
+// random packet mix would mispredict.
+func toward(dx, dy, dz int) uint8 {
+	axis := func(delta int, high uint8) uint8 {
+		above := uint8(delta >> 63)  // 0xff when u lies above d
+		below := uint8(-delta >> 63) // 0xff when u lies below d
+		return ^(below & high) &^ (above &^ high)
+	}
+	return axis(dx, 0xaa) & axis(dy, 0xcc) & axis(dz, 0xf0)
+}
+
+// mask answers the hop from u toward d, at offset (dx, dy, dz) = d - u and
+// held by a built octant of d: the bits of the forward neighbours probe
+// admits, one per unresolved axis.
+func (c *fieldCache) mask(u, d int32, dx, dy, dz int) uint8 {
+	flags := c.heads[d] &^ 0xff
+	// on is the planes of d that u lies on, plus headOffPlane, which every
+	// node matches; needed only when d's list is not empty.
+	on := headOffPlane
+	if flags != 0 {
+		if dx == 0 {
+			on |= headPlaneX
+		}
+		if dy == 0 {
+			on |= headPlaneY
+		}
+		if dz == 0 {
+			on |= headPlaneZ
+		}
+	}
+	return c.probe(u, d, dx, 1, grid.XPos, on, headPlaneX, flags) |
+		c.probe(u, d, dy, c.strideY, grid.YPos, on, headPlaneY, flags) |
+		c.probe(u, d, dz, c.strideZ, grid.ZPos, on, headPlaneZ, flags)
+}
+
+// probe returns the direction bit of u's forward neighbour v along one axis,
+// where d lies delta away: set when v is d, or v is free in snap and not an
+// exception; 0 when the axis is resolved. v lies inside the mesh and inside
+// the octant that answers the hop. d's list is searched only when flags say
+// it holds a node on a plane v lies on: u's planes on, plus the axis's own
+// plane when the step lands on it (|delta| = 1).
+//
+// The step is branchless, as the sign of delta varies packet to packet: v is
+// u ± stride, or u itself (always in range) on a resolved axis, whose bit
+// the nonzero mask then clears.
+func (c *fieldCache) probe(u, d int32, delta int, stride int32, pos grid.Direction, on, plane, flags uint16) uint8 {
+	neg := uint32(int32(delta)) >> 31
+	nz := uint32(int32(delta)|-int32(delta)) >> 31
+	v := u + int32(nz)*(1-2*int32(neg))*stride
+	ok := uint8(^(c.snap[v>>6] >> (uint(v) & 63))) & uint8(nz)
+	on |= plane & uint16((delta*delta-2)>>63) // all ones when |delta| ≤ 1
+	if flags&on != 0 && ok != 0 {
+		s := c.slots[d]
+		if _, blocked := slices.BinarySearch(c.exc[s.off:s.off+s.n], v); blocked {
+			ok = 0
+		}
+	}
+	if v == d {
+		ok = 1
+	}
+	return ok << (uint32(pos) + neg)
+}
+
+// build sweeps the octant of d that holds u, over avoid (the provider's
+// obstacle set carved for d), and merges its exceptions into d's list. On an
+// axis u shares with d it takes the side lean names (octant bits as in the
+// head): the side the provider's sources come from. Every octant whose box
+// lies inside the swept one (flat on an axis where d is on the mesh border)
+// is marked built with it.
+func (c *fieldCache) build(m *mesh.Mesh, u grid.Point, d int32, dPt grid.Point, avoid []uint64, lean uint8) {
+	k := int(lean)
+	side := func(uc, dc, bit int) {
+		if uc < dc {
+			k &^= bit
+		} else if uc > dc {
+			k |= bit
+		}
+	}
+	side(u.X, dPt.X, 1)
+	side(u.Y, dPt.Y, 2)
+	side(u.Z, dPt.Z, 4)
+	far := c.corner(k)
+	f := minimal.ReachabilityWordsInto(&c.field, m, avoid, far, dPt)
+	c.blocked = f.AppendBlocked(c.blocked[:0], avoid)
+	box := grid.BoxOf(far, dPt)
+	var covered uint8
+	for j := 0; j < 8; j++ {
+		if box.Contains(c.corner(j)) {
+			covered |= 1 << uint(j)
+		}
+	}
+	s := &c.slots[d]
+	if s.stale&(1<<uint(k)) != 0 {
+		c.tel.Inc(telemetry.FieldRebuilds)
+	} else {
+		c.tel.Inc(telemetry.FieldColdBuilds)
+	}
+	s.stale &^= covered
+	head := c.heads[d] | uint16(covered)
+	for _, v := range c.blocked {
+		head |= planes(m.Point(int(v)), dPt)
+	}
+	c.heads[d] = head
+	c.merge(d, s, c.blocked)
+	c.tel.Max(telemetry.FieldStoragePeak, int64(len(c.slots))*int64(unsafe.Sizeof(fieldSlot{})+2)+4*int64(c.live))
+}
+
+// merge replaces the list of d's slot s with its sorted union with add
+// (sorted), written at the end of the arena behind a header: the owner d and
+// the list's length.
+func (c *fieldCache) merge(d int32, s *fieldSlot, add []int32) {
+	if len(add) == 0 {
+		return
+	}
+	old := c.exc[s.off : s.off+s.n]
+	start := len(c.exc)
+	c.exc = append(c.exc, d, 0)
+	for len(old) > 0 && len(add) > 0 {
 		switch {
-		case uc < dc:
-			return 0
-		case uc > dc:
-			return hi
+		case old[0] < add[0]:
+			c.exc, old = append(c.exc, old[0]), old[1:]
+		case add[0] < old[0]:
+			c.exc, add = append(c.exc, add[0]), add[1:]
 		default:
-			return dc
+			c.exc, old, add = append(c.exc, old[0]), old[1:], add[1:]
 		}
 	}
-	return grid.Point{
-		X: pick(u.X, d.X, dims.X-1),
-		Y: pick(u.Y, d.Y, dims.Y-1),
-		Z: pick(u.Z, d.Z, dims.Z-1),
-	}
+	c.exc = append(append(c.exc, old...), add...)
+	n := len(c.exc) - start - 2
+	c.exc[start+1] = int32(n)
+	c.free(s)
+	s.off, s.n = int32(start+2), int32(n)
+	c.live += n + 2
+	c.compact()
 }
 
-// widenSource returns the source corner of the union of box and BoxOf(u, d),
-// provided d remains a corner of that union (always true for per-orientation
-// providers, whose sources all lie in the octant behind d; false for the
-// oracle when sources from opposite octants mix).
-func widenSource(box grid.Box, u, d grid.Point) (grid.Point, bool) {
-	un := box.Union(grid.BoxOf(u, d))
-	var src grid.Point
-	pick := func(dc, lo, hi int) (int, bool) {
-		switch dc {
-		case lo:
-			return hi, true
-		case hi:
-			return lo, true
-		default:
-			return 0, false
+// free turns s's list, and its header, into garbage.
+func (c *fieldCache) free(s *fieldSlot) {
+	if s.n == 0 {
+		return
+	}
+	c.exc[s.off-2] = -1
+	c.live -= int(s.n) + 2
+	c.dead += int(s.n) + 2
+	s.n = 0
+}
+
+// compact slides the live lists down over the garbage in place, in arena
+// order, once the garbage exceeds both the live entries and a quarter of the
+// slot count: each entry moved is paid for by at least one entry of
+// garbage, so merges and trims stay amortised O(1) per entry. The headers
+// make the arena walkable: a list whose owner is -1 is garbage, and a live
+// list keeps its owner's first n entries (trims leave garbage behind them).
+func (c *fieldCache) compact() {
+	if c.dead <= max(c.live, len(c.slots)/4) {
+		return
+	}
+	w := 0
+	for i := 0; i < len(c.exc); {
+		owner, next := c.exc[i], i+2+int(c.exc[i+1])
+		if owner >= 0 {
+			s := &c.slots[owner]
+			copy(c.exc[w+2:], c.exc[s.off:s.off+s.n])
+			c.exc[w], c.exc[w+1] = owner, s.n
+			s.off = int32(w + 2)
+			w += 2 + int(s.n)
 		}
+		i = next
 	}
-	var ok bool
-	if src.X, ok = pick(d.X, un.Min.X, un.Max.X); !ok {
-		return grid.Point{}, false
-	}
-	if src.Y, ok = pick(d.Y, un.Min.Y, un.Max.Y); !ok {
-		return grid.Point{}, false
-	}
-	if src.Z, ok = pick(d.Z, un.Min.Z, un.Max.Z); !ok {
-		return grid.Point{}, false
-	}
-	return src, true
+	c.exc = c.exc[:w]
+	c.dead = 0
 }
 
-// invalidate brings snap up to live and marks stale exactly the live fields
-// whose box meets the bounding box of the cells that flipped, merging the
-// rows the flips reach into each one's pending cut.
+// invalidate brings snap up to live and drops, from every entry, the
+// octants whose box meets the bounding box of the cells that flipped,
+// trimming its list to the octants that remain.
 func (c *fieldCache) invalidate(m *mesh.Mesh, live []uint64) {
 	c.tel.Inc(telemetry.FieldEpochBumps)
-	if c.slots == nil {
-		return // no field built yet; the first one copies live
+	if c.heads == nil {
+		return // nothing built yet; the first lookup copies live
 	}
 	flipped := grid.Box{Min: grid.Point{X: 1}} // empty
 	for i, w := range live {
@@ -356,18 +332,44 @@ func (c *fieldCache) invalidate(m *mesh.Mesh, live []uint64) {
 		return
 	}
 	copy(c.snap, live)
-	for _, id := range c.order[c.head:] {
-		s := &c.slots[id]
-		if s.field == nil {
+	for d, head := range c.heads {
+		if uint8(head) == 0 {
 			continue
 		}
-		cut, ok := s.field.CutOf(flipped)
-		if !ok {
-			continue
+		dPt := m.Point(d)
+		if hit := uint8(head) & octants(flipped.Min, flipped.Max, dPt); hit != 0 {
+			c.slots[d].stale |= hit
+			c.drop(m, int32(d), dPt, hit)
 		}
-		s.cutY = max(s.cutY, int16(min(cut.Y, math.MaxInt16)))
-		s.cutZ = max(s.cutZ, int16(min(cut.Z, math.MaxInt16)))
 	}
+	c.compact()
+}
+
+// drop unmarks the octants gone of d's entry and trims its list, in place,
+// to the entries a remaining octant holds; the freed tail of the list is
+// garbage. The head's list flags are recomputed from what is kept.
+func (c *fieldCache) drop(m *mesh.Mesh, d int32, dPt grid.Point, gone uint8) {
+	built := uint8(c.heads[d]) &^ gone
+	head := uint16(built)
+	s := &c.slots[d]
+	ex := c.exc[s.off : s.off+s.n]
+	kept := ex[:0]
+	if built != 0 {
+		for _, v := range ex {
+			if p := m.Point(int(v)); built&octants(p, p, dPt) != 0 {
+				kept = append(kept, v)
+				head |= planes(p, dPt)
+			}
+		}
+	}
+	c.heads[d] = head
+	if len(kept) == 0 {
+		c.free(s)
+		return
+	}
+	c.live -= len(ex) - len(kept)
+	c.dead += len(ex) - len(kept)
+	s.n = int32(len(kept))
 }
 
 // FieldProvider is the field-backed provider of the oracle, the MCC model and
@@ -384,11 +386,11 @@ func (c *fieldCache) invalidate(m *mesh.Mesh, live []uint64) {
 //     blocks, given the same merging treatment as the MCC model for a fair
 //     comparison.
 //
-// A hop is answered from the memoised reachability field of the destination
-// over that set (fieldCache): bit v is set exactly when a monotone v→d path
+// A hop is answered from the destination's exceptions over that set
+// (fieldCache): a neighbour v is allowed exactly when a monotone v→d path
 // avoids every obstacle. Every obstacle set contains the faults, and an
-// obstacle neighbour reaches nothing, so a set bit also means the neighbour
-// is healthy and outside every fault region — the paper never forwards into
+// obstacle neighbour reaches nothing, so an allowed neighbour is also
+// healthy and outside every fault region — the paper never forwards into
 // one. A destination inside a block (healthy, but swallowed by the coarse
 // model) is carved out of the obstacle set of the fields toward it, so
 // routes can at least try to terminate.
@@ -400,6 +402,12 @@ type FieldProvider struct {
 	// source of the destination carve-out, and a snapshot that cannot
 	// follow fault changes (see Follows).
 	blocks *block.Regions
+	// lean names, as octant bits (fieldCache.build), the side of the
+	// destination the provider's sources come from on an axis they share
+	// with it: the side grid.OrientationOf gives them, low on every axis,
+	// except for an MCC provider of an orientation with negative signs,
+	// whose packets approach from the high side.
+	lean uint8
 
 	cache    fieldCache
 	scratchW []uint64 // destination-carve-out copy of the obstacle set
@@ -417,7 +425,11 @@ func NewOracle(m *mesh.Mesh) *FieldProvider {
 // MCCs in set block every monotone path from the neighbour to the
 // destination.
 func NewMCC(set *region.ComponentSet) *FieldProvider {
-	return &FieldProvider{name: "mcc", mesh: set.Mesh, obstacles: set.UnionAvoidWords}
+	p := &FieldProvider{name: "mcc", mesh: set.Mesh, obstacles: set.UnionAvoidWords}
+	if set.Labeling != nil {
+		p.lean = uint8(set.Labeling.Orientation().Index())
+	}
+	return p
 }
 
 // NewBlock returns the block baseline of r's variant (rfb or fb-rule): a step
@@ -440,23 +452,37 @@ func (p *FieldProvider) SetTelemetry(s *telemetry.Sink) { p.cache.tel = s }
 // change a block provider must be rebuilt over a rebuilt table.
 func (p *FieldProvider) Follows() bool { return p.blocks == nil }
 
-// InvalidateCache marks stale every memoised field the obstacle set changed
-// under since the last call (or since the first field was built), so the
-// next decision brings it up to date. Invalidation is scoped to the fault
-// (see fieldCache): only the fields whose box meets the changed cells go
-// stale, and each is re-swept in place over the rows the change can reach
-// the next time its destination is routed to. It is correct only for a
-// provider that Follows, after its source has been brought up to date.
+// InvalidateCache brings p's table up to date with the obstacle set after a
+// change since the last call (or since the first lookup). Invalidation is
+// scoped to the fault (see fieldCache): only the octants whose box meets the
+// changed cells are dropped, and each is swept again the next time a hop
+// toward its destination needs it. It is correct only for a provider that
+// Follows, after its source has been brought up to date.
 func (p *FieldProvider) InvalidateCache() { p.cache.invalidate(p.mesh, p.obstacles()) }
 
-// CandidateMaskID implements Provider: a decision() hit, or on a miss the
-// field lookup of decisionMask.
-func (p *FieldProvider) CandidateMaskID(_ *mesh.Mesh, _ int32, uPt grid.Point, d int32, dPt grid.Point) uint8 {
-	if b, ok := p.cache.decision(uPt, dPt, d); ok {
-		return b
+// CandidateMaskID implements Provider. A hop that needs no field — u is d,
+// or d itself is an obstacle (never for the block baselines, which carve d
+// out), so nothing reaches it — answers at once; otherwise the hop is
+// answered from d's exceptions (fieldCache.mask), after sweeping the octant
+// that holds u when no built one does. Each call counts as exactly one
+// decision hit or one decision build.
+func (p *FieldProvider) CandidateMaskID(_ *mesh.Mesh, u int32, uPt grid.Point, d int32, dPt grid.Point) uint8 {
+	c := &p.cache
+	if c.heads == nil {
+		c.init(p.mesh, p.obstacles())
 	}
-	live := p.obstacles()
-	return p.cache.decisionMask(p.mesh, uPt, d, dPt, live, p.carve(live, d))
+	if u == d || (p.blocks == nil && c.snap[d>>6]>>(uint(d)&63)&1 != 0) {
+		c.tel.Inc(telemetry.DecisionHits)
+		return 0
+	}
+	dx, dy, dz := dPt.X-uPt.X, dPt.Y-uPt.Y, dPt.Z-uPt.Z
+	if uint8(c.heads[d])&toward(dx, dy, dz) == 0 {
+		c.tel.Inc(telemetry.DecisionBuilds)
+		c.build(p.mesh, uPt, d, dPt, p.carve(p.obstacles(), d), p.lean)
+	} else {
+		c.tel.Inc(telemetry.DecisionHits)
+	}
+	return c.mask(u, d, dx, dy, dz)
 }
 
 // carve returns the obstacle set of the fields toward d: live itself, or,

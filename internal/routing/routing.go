@@ -16,7 +16,7 @@
 // footing. The oracle, the MCC model and the block baselines are one type,
 // FieldProvider: they ask the same reachability question over different
 // obstacle sets (the faults, the union of the MCCs, the union of the blocks)
-// and answer it from one memoised field per destination.
+// and answer it from one sparse table of exceptions per destination.
 package routing
 
 import (
@@ -33,8 +33,10 @@ import (
 // One call answers the whole hop, addressed by dense mesh node IDs.
 //
 // FieldProvider (the oracle, mcc, rfb and fb-rule models) answers from the
-// memoised reachability field of the destination: while no fault change
-// reaches that field, a hop is one slot read plus at most three bit probes.
+// destination's exceptions, the few free nodes that cannot reach it: while
+// no fault change reaches the octant that holds the hop, a hop reads the
+// destination's head and the neighbours' obstacle bits, and the exceptions
+// only for a neighbour on a plane through the destination that holds one.
 // The other providers compute the mask on the fly.
 type Provider interface {
 	// CandidateMaskID returns the packed candidate-direction mask for a hop

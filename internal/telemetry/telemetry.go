@@ -43,27 +43,33 @@ const (
 	// the calendar queue (arena chunks plus big bucket arrays), in events.
 	SimBucketStoragePeak
 
-	// FieldColdBuilds counts fields built from scratch (new destination).
+	// FieldColdBuilds counts octant sweeps of a destination's exception
+	// table for an octant never built for it before.
 	FieldColdBuilds
-	// FieldRebuilds counts in-place rebuilds of an existing field: a stale
-	// field re-swept over the rows a fault change reaches, or a full rebuild
-	// (box widening for a new source, or a stale field the lookup falls
-	// outside of).
+	// FieldRebuilds counts octant sweeps of an octant a fault change
+	// dropped since it was last built: the stale rebuilds churn costs.
 	FieldRebuilds
-	// FieldEvictions counts FIFO evictions from a full field cache.
+	// FieldEvictions always reads 0: the sparse exception tables keep every
+	// destination. The slot stays while the benchmark ledger reads it.
 	FieldEvictions
-	// FieldEpochBumps counts field-cache invalidations (fault churn), each
-	// scoped to the fields whose box holds a changed cell.
+	// FieldEpochBumps counts field-table invalidations (fault churn), each
+	// scoped to the octants whose box holds a changed cell.
 	FieldEpochBumps
-	// DecisionHits counts per-hop routing decisions answered entirely from
-	// the memoised reachability field — a staleness check plus at most
-	// three bit probes, the hop fast path.
+	// DecisionHits counts per-hop routing decisions answered without a
+	// sweep: from a built octant of the destination (one slot read, the
+	// obstacle bit of each forward neighbour and, when the destination has
+	// exceptions, a binary search of its list), or at once when the
+	// destination is an obstacle or the hop starts at it.
 	DecisionHits
-	// DecisionBuilds counts decision misses resolved through a field lookup:
-	// they run when a destination's field is first consulted after a fault
-	// change reached it, outside its current box, or cold, and pair
-	// one-to-one with the builds that result.
+	// DecisionBuilds counts decisions that first swept the octant of the
+	// destination holding the hop's node, because no built one held it;
+	// each pairs with one cold build or rebuild.
 	DecisionBuilds
+	// FieldStoragePeak is a gauge: the peak bytes of one field provider's
+	// slot table plus its live exceptions, the table's whole footprint
+	// but for arena garbage compaction reclaims. It checks that the
+	// exception tables stay a few bytes per destination with no eviction.
+	FieldStoragePeak
 
 	// RelabelAddNodes totals the label promotions performed by incremental
 	// AddFaults fixpoints (the relabelled-set size of fault injections).
@@ -139,6 +145,7 @@ var counterNames = [NumCounters]string{
 	FieldEpochBumps:      "routing.epoch_bumps",
 	DecisionHits:         "routing.decision_hits",
 	DecisionBuilds:       "routing.decision_builds",
+	FieldStoragePeak:     "routing.field_storage_peak",
 	RelabelAddNodes:      "labeling.relabel_add_nodes",
 	RelabelRemoveNodes:   "labeling.relabel_remove_nodes",
 	PacketsInjected:      "traffic.injected",
@@ -176,7 +183,7 @@ func (id CounterID) String() string {
 
 // gauge reports whether the slot merges by max instead of by sum.
 func (id CounterID) gauge() bool {
-	return id == SimBucketPeak || id == SimBucketStoragePeak || id == ServerQueueDepth
+	return id == SimBucketPeak || id == SimBucketStoragePeak || id == FieldStoragePeak || id == ServerQueueDepth
 }
 
 // Sink is one trial's counter slice. The zero value is ready to use; a nil
@@ -274,8 +281,8 @@ const (
 	HopDirect HopSource = iota
 	// HopColdBuild built or rebuilt a reachability field for the decision.
 	HopColdBuild
-	// HopDecisionHit answered the whole hop with decision probes into the
-	// memoised reachability field.
+	// HopDecisionHit answered the whole hop from the destination's built
+	// exception table, with no sweep.
 	HopDecisionHit
 )
 

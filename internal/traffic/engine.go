@@ -696,9 +696,8 @@ func (st *run) inject(ctx *simnet.Context) {
 // forward advances a packet one hop using the information model, or records it
 // as stuck when every preferred direction is excluded. The hop runs on dense
 // node IDs end to end with no ID→Point→ID round-trip: one CandidateMaskID
-// call — for the caching providers a staleness compare plus at most three bit
-// probes into the destination's memoised field while no fault change reaches
-// it.
+// call — for the field providers a read of the destination's exception
+// table while no fault change reaches the octant that holds the hop.
 func (st *run) forward(ctx *simnet.Context, ref int32) {
 	pk := &st.pool[ref]
 	prov := st.provs[pk.orient.Index()]
