@@ -1,10 +1,13 @@
 package minimal
 
-// Parity of the partial re-sweep the routing field caches run after a fault
-// change: Resweep over the rows CutOf names must leave the field bit for bit
-// equal to a full ReachabilityWordsInto over the changed obstacles.
+// Parity of the re-sweep the routing field providers run after a fault
+// change: a dropped octant is swept again in full into the provider's one
+// reused scratch field, which last held some other box. That re-sweep must
+// leave the field, and the exceptions AppendBlocked reads off it, equal to a
+// fresh ReachabilityWordsInto over the changed obstacles.
 
 import (
+	"slices"
 	"testing"
 
 	"mccmesh/internal/grid"
@@ -13,41 +16,50 @@ import (
 )
 
 // resweepCase builds the field s → d over avoid, flips the given node IDs in
-// avoid, brings the field up to date with Resweep — once with the cut of the
-// flips' bounding box, once with the per-flip cuts merged by max, as the
-// caches merge pending cuts across fault events — and compares both with a
-// fresh build.
+// avoid and re-sweeps s → d over the result into the same field: once
+// straight away, once after the field held another octant of d (the box from
+// d to the mesh corner opposite s), as the scratch field does between
+// octants. Both must equal a fresh build, node by node and in their
+// exceptions.
 func resweepCase(t testing.TB, m *mesh.Mesh, avoid []uint64, s, d grid.Point, flips []int) {
 	t.Helper()
-	byBox := ReachabilityWordsInto(nil, m, avoid, s, d)
-	byMerge := ReachabilityWordsInto(nil, m, avoid, s, d)
+	again := ReachabilityWordsInto(nil, m, avoid, s, d)
+	between := ReachabilityWordsInto(nil, m, avoid, s, d)
 	live := append([]uint64(nil), avoid...)
-	changed := grid.Box{Min: grid.Point{X: 1}} // empty
-	merged, reached := Cut{Y: -1, Z: -1}, false
 	for _, id := range flips {
 		live[id>>6] ^= 1 << uint(id&63)
-		p := m.Point(id)
-		changed = changed.Extend(p)
-		if c, ok := byMerge.CutOf(grid.Box{Min: p, Max: p}); ok {
-			merged, reached = Cut{Y: max(merged.Y, c.Y), Z: max(merged.Z, c.Z)}, true
-		}
 	}
-	want := ReachabilityWordsInto(nil, m, live, s, d).BitWords()
-	check := func(name string, f *Field, cut Cut, ok bool) {
-		if ok {
-			f.Resweep(live, cut)
-		}
-		got := f.BitWords()
-		for i := range want {
-			if got[i] != want[i] {
-				t.Fatalf("%v → %v on %v, flips %v, %s %+v (reached %v): word %d = %#x, full build %#x",
-					s, d, m.Dims(), flips, name, cut, ok, i, got[i], want[i])
+	dims := m.Dims()
+	far := grid.Point{X: opposite(s.X, d.X, dims.X), Y: opposite(s.Y, d.Y, dims.Y), Z: opposite(s.Z, d.Z, dims.Z)}
+	ReachabilityWordsInto(between, m, avoid, far, d)
+
+	fresh := ReachabilityWordsInto(nil, m, live, s, d)
+	want := fresh.AppendBlocked(nil, live)
+	for _, c := range []struct {
+		name string
+		f    *Field
+	}{{"re-sweep", again}, {"re-sweep after another box", between}} {
+		f := ReachabilityWordsInto(c.f, m, live, s, d)
+		m.ForEach(func(p grid.Point) {
+			if got, full := f.CanReach(p), fresh.CanReach(p); got != full {
+				t.Fatalf("%v → %v on %v, flips %v, %s: CanReach(%v) = %v, full build %v",
+					s, d, dims, flips, c.name, p, got, full)
 			}
+		})
+		if got := f.AppendBlocked(nil, live); !slices.Equal(got, want) {
+			t.Fatalf("%v → %v on %v, flips %v, %s: AppendBlocked = %v, full build %v",
+				s, d, dims, flips, c.name, got, want)
 		}
 	}
-	boxCut, boxOK := byBox.CutOf(changed)
-	check("bounding-box cut", byBox, boxCut, boxOK)
-	check("merged cut", byMerge, merged, reached)
+}
+
+// opposite returns the mesh border on the far side of d from s along one
+// axis of extent n: the corner coordinate of another octant of d.
+func opposite(s, d, n int) int {
+	if s > d {
+		return 0
+	}
+	return n - 1
 }
 
 // randomCase draws obstacles, endpoints and 1–4 flips on m. Flips land inside
@@ -123,7 +135,7 @@ func TestResweepMatchesFullBuild(t *testing.T) {
 	}
 }
 
-// FuzzFieldResweep checks Resweep ≡ full build ≡ the map reference on random
+// FuzzFieldResweep checks re-sweep ≡ full build ≡ the map reference on random
 // meshes up to 72×12×12 (2-D when the Z extent is 1), obstacle sets,
 // endpoints and flips, all drawn from seed.
 func FuzzFieldResweep(f *testing.F) {

@@ -65,11 +65,12 @@ func TestPanicIsolation(t *testing.T) {
 func TestJobTimeout(t *testing.T) {
 	s, ts := newTestServer(t, Config{Jobs: 1})
 	// Many fast cells so the deadline reliably lands between trials (trial
-	// granularity is where cancellation is observed).
+	// granularity is where cancellation is observed). The untimed job runs
+	// for seconds, so the 0.25 s deadline fires however fast routing gets.
 	spec := testSpec()
 	spec.Workload.Rates = []float64{0.01, 0.02, 0.03, 0.04, 0.05, 0.06}
 	spec.Measure.Window = 2000
-	spec.Trials = 8
+	spec.Trials = 200
 	spec.SetTimeout(0.25)
 
 	info, _ := submitSpec(t, ts, specJSON(t, spec))
@@ -107,7 +108,7 @@ func TestServerJobTimeoutCapsSpec(t *testing.T) {
 	spec := testSpec()
 	spec.Workload.Rates = []float64{0.01, 0.02, 0.03, 0.04, 0.05, 0.06}
 	spec.Measure.Window = 2000
-	spec.Trials = 8
+	spec.Trials = 200 // seconds of work untimed, as in TestJobTimeout
 	// The spec asks for an hour; the server cap wins.
 	spec.SetTimeout(3600)
 
