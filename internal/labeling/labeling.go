@@ -97,8 +97,8 @@ type Options struct {
 
 // Labeling is the result of running the labelling procedure over a mesh for a
 // fixed orientation. The status array is indexed by dense node ID; the
-// worklist fixpoint runs entirely on IDs through the mesh's precomputed
-// neighbour table. A Labeling can be updated in place after the fault set
+// worklist fixpoint runs entirely on IDs through the mesh's neighbour IDs
+// (Mesh.NeighborID). A Labeling can be updated in place after the fault set
 // changes: AddFaults absorbs new faults and RemoveFaults absorbs repairs,
 // both relabelling only the affected neighbourhood.
 type Labeling struct {

@@ -5,20 +5,21 @@
 // adjacent nodes (see package fault).
 //
 // Internally the mesh is index-first: every node has a dense int32 ID (its
-// row-major index), the topology is precomputed as a per-node neighbour table
-// of IDs, fault status lives in a bitset, and the ID → coordinate mapping is a
-// table lookup. The grid.Point API remains the public face; the hot paths of
-// package simnet and the traffic engine run entirely on the dense IDs.
+// row-major index), fault status lives in a bitset, a neighbour's ID is the
+// ID plus a per-direction stride behind a one-byte per-node border mask, and
+// the ID → coordinate mapping is arithmetic. The grid.Point API remains the
+// public face; the hot paths of package simnet and the traffic engine run
+// entirely on the dense IDs.
 package mesh
 
 import (
 	"fmt"
+	"math/bits"
 
 	"mccmesh/internal/grid"
 )
 
-// NoNeighbor marks a missing neighbour in the dense neighbour table: the
-// direction leaves the mesh.
+// NoNeighbor marks a missing neighbour: the direction leaves the mesh.
 const NoNeighbor int32 = -1
 
 // Dims describes the extent of a mesh along each axis. A 2-D mesh has Z == 1.
@@ -52,13 +53,11 @@ type Mesh struct {
 	// faulty is a bitset over dense node IDs (bit i = node i is faulty).
 	faulty []uint64
 	nfault int
-	// points maps dense node ID to coordinates (the inverse of Index).
-	points []grid.Point
-	// nbr is the neighbour table: nbr[id*6+d] is the dense ID of the
-	// neighbour of node id in direction d, or NoNeighbor. The table depends
-	// only on the topology, never on fault status, so it is immutable after
-	// construction.
-	nbr []int32
+	// inside[id] has bit d set when direction d from node id stays inside
+	// the mesh; stride[d] is the ID offset of a step in direction d. Both are
+	// immutable after construction.
+	inside []uint8
+	stride [grid.NumDirections]int32
 }
 
 // New3D returns a fault-free 3-D mesh with the given extents.
@@ -84,25 +83,21 @@ func newMesh(d Dims) *Mesh {
 	m := &Mesh{
 		dims:   d,
 		faulty: make([]uint64, (n+63)/64),
-		points: make([]grid.Point, n),
-		nbr:    make([]int32, n*grid.NumDirections),
+		inside: make([]uint8, n),
 	}
-	for i := 0; i < n; i++ {
-		x := i % d.X
-		rest := i / d.X
-		m.points[i] = grid.Point{X: x, Y: rest % d.Y, Z: rest / d.Y}
+	for dir := range grid.NumDirections {
+		q := grid.Direction(dir).Delta()
+		m.stride[dir] = int32(q.X + d.X*(q.Y+d.Y*q.Z))
 	}
-	for i := 0; i < n; i++ {
-		p := m.points[i]
-		for dir := 0; dir < grid.NumDirections; dir++ {
-			q := grid.Step(p, grid.Direction(dir))
-			if m.InBounds(q) {
-				m.nbr[i*grid.NumDirections+dir] = int32(q.X + d.X*(q.Y+d.Y*q.Z))
-			} else {
-				m.nbr[i*grid.NumDirections+dir] = NoNeighbor
+	i := 0
+	m.ForEach(func(p grid.Point) {
+		for dir := range grid.NumDirections {
+			if m.InBounds(grid.Step(p, grid.Direction(dir))) {
+				m.inside[i] |= 1 << dir
 			}
 		}
-	}
+		i++
+	})
 	return m
 }
 
@@ -130,7 +125,7 @@ func (m *Mesh) Directions() []grid.Direction {
 }
 
 // NodeCount returns the total number of nodes.
-func (m *Mesh) NodeCount() int { return len(m.points) }
+func (m *Mesh) NodeCount() int { return len(m.inside) }
 
 // FaultCount returns the number of faulty nodes.
 func (m *Mesh) FaultCount() int { return m.nfault }
@@ -164,14 +159,26 @@ func (m *Mesh) ID(p grid.Point) int32 {
 	return int32(p.X + m.dims.X*(p.Y+m.dims.Y*p.Z))
 }
 
-// Point is the inverse of Index: a table lookup, not arithmetic.
-func (m *Mesh) Point(idx int) grid.Point { return m.points[idx] }
+// Point is the inverse of Index, by arithmetic: no per-node table is read.
+// It panics if idx is not a node ID.
+func (m *Mesh) Point(idx int) grid.Point {
+	if uint(idx) >= uint(len(m.inside)) {
+		panic("mesh: node ID out of range")
+	}
+	i, x, y := uint32(idx), uint32(m.dims.X), uint32(m.dims.Y)
+	row := i / x
+	return grid.Point{X: int(i - row*x), Y: int(row % y), Z: int(row / y)}
+}
 
 // NeighborID returns the dense ID of the neighbour of node id in direction d,
-// or NoNeighbor when that direction leaves the mesh. The underlying table is
-// precomputed once per topology; fault status is not consulted.
+// or NoNeighbor when that direction leaves the mesh: the ID plus the
+// direction's stride, behind the node's one-byte border mask. Fault status is
+// not consulted.
 func (m *Mesh) NeighborID(id int32, d grid.Direction) int32 {
-	return m.nbr[int(id)*grid.NumDirections+int(d)]
+	if m.inside[id]>>d&1 == 0 {
+		return NoNeighbor
+	}
+	return id + m.stride[d]
 }
 
 // SetFaulty marks p as faulty (true) or healthy (false).
@@ -233,9 +240,9 @@ func (m *Mesh) FaultyWords() []uint64 { return m.faulty }
 // Faults returns the coordinates of all faulty nodes in index order.
 func (m *Mesh) Faults() []grid.Point {
 	out := make([]grid.Point, 0, m.nfault)
-	for i := range m.points {
-		if m.FaultyAt(i) {
-			out = append(out, m.points[i])
+	for w, word := range m.faulty {
+		for ; word != 0; word &= word - 1 {
+			out = append(out, m.Point(w<<6|bits.TrailingZeros64(word)))
 		}
 	}
 	return out
@@ -250,9 +257,9 @@ func (m *Mesh) ClearFaults() {
 }
 
 // Clone returns a deep copy of the mesh. The immutable topology tables
-// (points, neighbour IDs) are shared; the fault bitset is copied.
+// (border masks) are shared; the fault bitset is copied.
 func (m *Mesh) Clone() *Mesh {
-	c := &Mesh{dims: m.dims, faulty: make([]uint64, len(m.faulty)), nfault: m.nfault, points: m.points, nbr: m.nbr}
+	c := &Mesh{dims: m.dims, faulty: make([]uint64, len(m.faulty)), nfault: m.nfault, inside: m.inside, stride: m.stride}
 	copy(c.faulty, m.faulty)
 	return c
 }
@@ -278,29 +285,26 @@ func (m *Mesh) Neighbor(p grid.Point, d grid.Direction) (grid.Point, bool) {
 
 // Degree returns the number of in-bounds neighbours of p.
 func (m *Mesh) Degree(p grid.Point) int {
-	n := 0
-	base := m.Index(p) * grid.NumDirections
-	for _, d := range m.Directions() {
-		if m.nbr[base+int(d)] != NoNeighbor {
-			n++
-		}
-	}
-	return n
+	return bits.OnesCount8(m.inside[m.Index(p)])
 }
 
 // ForEach calls fn for every node of the mesh in index order.
 func (m *Mesh) ForEach(fn func(grid.Point)) {
-	for _, p := range m.points {
-		fn(p)
+	for z := 0; z < m.dims.Z; z++ {
+		for y := 0; y < m.dims.Y; y++ {
+			for x := 0; x < m.dims.X; x++ {
+				fn(grid.Point{X: x, Y: y, Z: z})
+			}
+		}
 	}
 }
 
 // HealthyNodes returns all non-faulty node coordinates in index order.
 func (m *Mesh) HealthyNodes() []grid.Point {
 	out := make([]grid.Point, 0, m.NodeCount()-m.nfault)
-	for i, p := range m.points {
+	for i := range m.NodeCount() {
 		if !m.FaultyAt(i) {
-			out = append(out, p)
+			out = append(out, m.Point(i))
 		}
 	}
 	return out

@@ -164,22 +164,40 @@ func TestAxesDirections(t *testing.T) {
 	}
 }
 
+// TestNeighborTableMatchesGeometry checks NeighborID (stride plus border
+// mask) and Degree against grid.Step on every node and direction of every
+// mesh with extents 1, 2 and 3 on each axis, in 2-D and in 3-D: each extent
+// puts a node on both borders of an axis, on one, or on neither.
 func TestNeighborTableMatchesGeometry(t *testing.T) {
-	for _, m := range []*Mesh{New2D(4, 3), New3D(3, 4, 5)} {
+	var meshes []*Mesh
+	for x := 1; x <= 3; x++ {
+		for y := 1; y <= 3; y++ {
+			meshes = append(meshes, New2D(x, y))
+			for z := 1; z <= 3; z++ {
+				meshes = append(meshes, New3D(x, y, z))
+			}
+		}
+	}
+	for _, m := range meshes {
 		for i := 0; i < m.NodeCount(); i++ {
 			p := m.Point(i)
 			if got := m.ID(p); got != int32(i) {
-				t.Fatalf("ID(%v) = %d, want %d", p, got, i)
+				t.Fatalf("%v: ID(%v) = %d, want %d", m.Dims(), p, got, i)
 			}
+			degree := 0
 			for _, d := range grid.Directions3D {
 				q := grid.Step(p, d)
 				want := NoNeighbor
 				if m.InBounds(q) {
 					want = int32(m.Index(q))
+					degree++
 				}
 				if got := m.NeighborID(int32(i), d); got != want {
-					t.Errorf("NeighborID(%v, %v) = %d, want %d", p, d, got, want)
+					t.Errorf("%v: NeighborID(%v, %v) = %d, want %d", m.Dims(), p, d, got, want)
 				}
+			}
+			if got := m.Degree(p); got != degree {
+				t.Errorf("%v: Degree(%v) = %d, want %d", m.Dims(), p, got, degree)
 			}
 		}
 		if m.ID(grid.Point{X: -1}) != NoNeighbor {

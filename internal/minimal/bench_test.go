@@ -6,6 +6,7 @@ package minimal_test
 // octant build the routing providers run after a fault change reaches it.
 
 import (
+	"slices"
 	"testing"
 
 	"mccmesh/internal/fault"
@@ -39,7 +40,11 @@ func BenchmarkReachability16(b *testing.B) {
 
 // fieldChurn32 is a 32^3 mesh with 5% random obstacles, the octant field
 // toward its centre from the origin corner, and 64 seeded 3-node regions
-// inside that box: the fault events the field-build benchmark replays.
+// inside that box: the fault events the field-build benchmark replays. The
+// centre and its neighbours are kept free of the random obstacles, so the
+// field is live — most of the box reaches the centre — as every field a
+// routing provider builds is (a provider answers an obstacle destination
+// without a build).
 type fieldChurn32 struct {
 	m       *mesh.Mesh
 	avoid   []uint64
@@ -50,10 +55,15 @@ type fieldChurn32 struct {
 func newFieldChurn32() *fieldChurn32 {
 	fc := &fieldChurn32{m: mesh.NewCube(32), s: grid.Point{}, d: grid.Point{X: 16, Y: 16, Z: 16}}
 	fc.avoid = make([]uint64, (fc.m.NodeCount()+63)/64)
+	free := []int32{fc.m.ID(fc.d)}
+	for _, dir := range grid.Directions3D {
+		free = append(free, fc.m.NeighborID(free[0], dir))
+	}
 	r := rng.New(11)
 	for i := 0; i < fc.m.NodeCount()/20; i++ {
-		id := r.Intn(fc.m.NodeCount())
-		fc.avoid[id>>6] |= 1 << uint(id&63)
+		if id := int32(r.Intn(fc.m.NodeCount())); !slices.Contains(free, id) {
+			fc.avoid[id>>6] |= 1 << uint(id&63)
+		}
 	}
 	for i := range fc.regions {
 		p := grid.Point{X: r.Intn(16), Y: r.Intn(16), Z: r.Intn(16)}
@@ -76,6 +86,10 @@ func (fc *fieldChurn32) flip(i int) {
 func BenchmarkFieldBuild32(b *testing.B) {
 	fc := newFieldChurn32()
 	f := minimal.ReachabilityWordsInto(nil, fc.m, fc.avoid, fc.s, fc.d)
+	box := grid.BoxOf(fc.s, fc.d).Volume()
+	if blocked := len(f.AppendBlocked(nil, fc.avoid)); blocked*50 > box {
+		b.Fatalf("%d of the box's %d nodes are free but cannot reach %v: the field is not live", blocked, box, fc.d)
+	}
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {

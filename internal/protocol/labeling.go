@@ -94,8 +94,12 @@ func (h *labelHandler) Receive(ctx *simnet.Context, env *simnet.Envelope) {
 		return
 	}
 	st := h.state(ctx)
-	dir := directionToward(ctx.Self(), env.From)
-	st.neighbor[dir] = msg.Status
+	m := ctx.Mesh()
+	for _, dir := range m.Directions() {
+		if m.NeighborID(ctx.SelfID(), dir) == env.FromID {
+			st.neighbor[dir] = msg.Status
+		}
+	}
 	h.evaluate(ctx, st)
 }
 
@@ -114,23 +118,6 @@ func (h *labelHandler) evaluate(ctx *simnet.Context, st *labelState) {
 	if s := labeling.Rule(fwd[:len(axes)], bwd[:len(axes)]); s != labeling.Safe {
 		st.status = s
 		ctx.Broadcast(KindLabel, labelMsg{Status: s})
-	}
-}
-
-func directionToward(from, to grid.Point) grid.Direction {
-	switch {
-	case to.X > from.X:
-		return grid.XPos
-	case to.X < from.X:
-		return grid.XNeg
-	case to.Y > from.Y:
-		return grid.YPos
-	case to.Y < from.Y:
-		return grid.YNeg
-	case to.Z > from.Z:
-		return grid.ZPos
-	default:
-		return grid.ZNeg
 	}
 }
 

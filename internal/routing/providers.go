@@ -332,16 +332,14 @@ func (c *fieldCache) invalidate(m *mesh.Mesh, live []uint64) {
 		return
 	}
 	copy(c.snap, live)
-	for d, head := range c.heads {
-		if uint8(head) == 0 {
-			continue
-		}
-		dPt := m.Point(d)
-		if hit := uint8(head) & octants(flipped.Min, flipped.Max, dPt); hit != 0 {
+	d := int32(0)
+	m.ForEach(func(dPt grid.Point) {
+		if hit := uint8(c.heads[d]) & octants(flipped.Min, flipped.Max, dPt); hit != 0 {
 			c.slots[d].stale |= hit
-			c.drop(m, int32(d), dPt, hit)
+			c.drop(m, d, dPt, hit)
 		}
-	}
+		d++
+	})
 	c.compact()
 }
 

@@ -48,7 +48,7 @@ type Scenario struct {
 // safe for concurrent use (trials run on parallel workers). The canonical
 // source is a shared-topology pool handing out Clones of one immutable
 // prototype, so concurrent jobs over the same topology share the read-only
-// neighbour/point tables and clone only the mutable fault state.
+// border masks and clone only the mutable fault state.
 func (sc *Scenario) SetMeshSource(fn func() *mesh.Mesh) { sc.meshSource = fn }
 
 // newMesh builds one trial's mesh: the installed source, or the spec's own

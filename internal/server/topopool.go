@@ -13,7 +13,7 @@ import (
 // draw their trial meshes from one immutable prototype instead of each
 // rebuilding the topology tables. A prototype is a fault-free mesh that is
 // never handed out or mutated — trials receive Clones, which share the
-// read-only neighbour/point tables and copy only the fault bitset, so
+// read-only border masks and copy only the fault bitset, so
 // concurrent jobs (and the parallel trial workers inside each job) run
 // re-entrantly over shared read-only state.
 type TopoPool struct {

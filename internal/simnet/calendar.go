@@ -121,7 +121,6 @@ const (
 type event struct {
 	time     Time
 	seq      int64
-	sendTime Time
 	from, to int32 // dense node IDs; mesh.NoNeighbor for off-mesh
 	kind     KindID
 	ref      int32 // payload reference (SendRef/AfterRef), or NoRef

@@ -178,7 +178,7 @@ func (n *Network) exchange() {
 				// conservative barrier cannot order it.
 				panic(fmt.Sprintf("simnet: cross-slab event for t=%d at barrier t=%d (zero-lookahead send)", ev.time, n.now))
 			}
-			dst := n.ctxs[ev.to].sl
+			dst := n.slabOf(ev.to)
 			// Kind IDs are per-slab interning tables. Handlers that intern
 			// through Network.Kind get identical IDs everywhere and this is a
 			// map hit returning ev.kind unchanged; for lazily interned kinds

@@ -1,7 +1,9 @@
 package simnet
 
 import (
+	"fmt"
 	"reflect"
+	"sort"
 	"testing"
 
 	"mccmesh/internal/grid"
@@ -153,4 +155,103 @@ func TestShardedZeroLookaheadGuard(t *testing.T) {
 		}
 	}()
 	sn.exchange()
+}
+
+// idRecord is one delivery as an envelopeIDHandler saw it.
+type idRecord struct {
+	kind           string
+	from, to, self int32
+}
+
+// envelopeIDHandler records every delivery. On "start" it sends one message
+// of every send primitive: to +Z (across a slab boundary when the mesh is cut
+// into layers) with Send and SendRef, to +X (inside the slab) with SendDir,
+// and to itself with After and AfterRef.
+type envelopeIDHandler struct {
+	refKind KindID
+	got     []idRecord
+}
+
+func (h *envelopeIDHandler) Init(*Context) {}
+
+func (h *envelopeIDHandler) Receive(ctx *Context, env *Envelope) {
+	h.got = append(h.got, idRecord{env.Kind, env.FromID, env.ToID, ctx.SelfID()})
+	if ctx.Self() != ctx.Mesh().Point(int(env.ToID)) {
+		panic(fmt.Sprintf("Self() = %v at node %d", ctx.Self(), env.ToID))
+	}
+	if env.Kind != "start" {
+		return
+	}
+	ctx.Send(grid.Step(ctx.Self(), grid.ZPos), "send", nil)
+	ctx.SendDir(grid.XPos, "sendDir", nil)
+	ctx.SendRef(grid.ZPos, h.refKind, 1)
+	ctx.After(1, "after", nil)
+	ctx.AfterRef(2, h.refKind, 2)
+}
+
+// TestEnvelopeIDsNameSenderAndReceiver checks that every send primitive
+// delivers an envelope whose FromID is the sender and whose ToID — and the
+// handler context's SelfID — is the receiver, on one slab and on three (one
+// per Z-layer, so the +Z sends cross slabs), and that ContextOf and ShardOf
+// name the slab owning a node.
+func TestEnvelopeIDsNameSenderAndReceiver(t *testing.T) {
+	m := mesh.New3D(3, 3, 3)
+	starts := []grid.Point{{X: 0, Y: 1, Z: 0}, {X: 1, Y: 2, Z: 1}}
+	var want []idRecord
+	for _, p := range starts {
+		u, x, z := m.ID(p), m.ID(grid.Step(p, grid.XPos)), m.ID(grid.Step(p, grid.ZPos))
+		want = append(want,
+			idRecord{"start", u, u, u},
+			idRecord{"send", u, z, z},
+			idRecord{"sendDir", u, x, x},
+			idRecord{"ref", u, z, z},
+			idRecord{"after", u, u, u},
+			idRecord{"ref", u, u, u},
+		)
+	}
+	sortRecords := func(rs []idRecord) {
+		sort.Slice(rs, func(i, j int) bool { return fmt.Sprint(rs[i]) < fmt.Sprint(rs[j]) })
+	}
+	sortRecords(want)
+	for _, shards := range []int{1, 3} {
+		ranges := mesh.SlabPartition(m, shards)
+		hs := make([]*envelopeIDHandler, len(ranges))
+		handlers := make([]Handler, len(ranges))
+		for i := range hs {
+			hs[i] = &envelopeIDHandler{}
+			handlers[i] = hs[i]
+		}
+		net := NewSlabs(m, handlers, ranges, Options{})
+		refKind := net.Kind("ref")
+		for _, h := range hs {
+			h.refKind = refKind
+		}
+		for _, p := range starts {
+			net.Post(p, "start", nil)
+		}
+		mustRun(t, net)
+		var got []idRecord
+		for s, h := range hs {
+			for _, r := range h.got {
+				if r.to < ranges[s].Lo || r.to >= ranges[s].Hi {
+					t.Errorf("%d slabs: slab %d delivered %+v to a node it does not own", shards, s, r)
+				}
+			}
+			got = append(got, h.got...)
+		}
+		sortRecords(got)
+		if !reflect.DeepEqual(got, want) {
+			t.Errorf("%d slabs: deliveries\n got %+v\nwant %+v", shards, got, want)
+		}
+		for s, r := range ranges {
+			for id := r.Lo; id < r.Hi; id++ {
+				if got := net.ShardOf(id); got != s {
+					t.Errorf("%d slabs: ShardOf(%d) = %d, want %d", shards, id, got, s)
+				}
+				if ctx := net.ContextOf(id); ctx.SelfID() != id || ctx.sl != net.slabs[s] {
+					t.Errorf("%d slabs: ContextOf(%d) is node %d on slab %d, want slab %d", shards, id, ctx.SelfID(), ctx.sl.idx, s)
+				}
+			}
+		}
+	}
 }

@@ -29,6 +29,11 @@
 // path of one event — enqueue, bucket append, dequeue, deliver — performs no
 // allocation.
 //
+// A delivery reads no per-node table but the fault bitset: envelopes name
+// nodes by dense ID (Envelope.FromID/ToID), the handler's Context is one per
+// slab, aimed at the event's node, and slab ownership follows from the ID
+// ranges.
+//
 // Handlers that need the same discipline (the traffic engine) use the Ref
 // fast path: Context.SendRef / Context.AfterRef carry an opaque int32 payload
 // reference into the envelope instead of an `any` box, and the handler
@@ -63,9 +68,10 @@ var ErrEventBudget = errors.New("simnet: event budget exhausted")
 
 // Envelope is a message in flight or being delivered.
 type Envelope struct {
-	// From and To are the sending and receiving nodes. Timer events have
-	// From == To.
-	From, To grid.Point
+	// FromID and ToID are the dense mesh IDs of the sending and receiving
+	// nodes (Mesh.Point gives their coordinates). Timer events and posts
+	// have FromID == ToID.
+	FromID, ToID int32
 	// Kind classifies the message for statistics ("label", "detect", ...).
 	Kind string
 	// KindID is the interned form of Kind, stable within one Network.
@@ -76,8 +82,6 @@ type Envelope struct {
 	// (Context.SendRef / Context.AfterRef), or NoRef. The simulator never
 	// interprets it; the sending handler resolves it against its own pool.
 	Ref int32
-	// SendTime and DeliverTime bracket the link traversal.
-	SendTime, DeliverTime Time
 }
 
 // Handler is the per-node protocol logic. A single Handler value is shared by
@@ -85,9 +89,9 @@ type Envelope struct {
 type Handler interface {
 	// Init runs once per healthy node before any message is delivered.
 	Init(ctx *Context)
-	// Receive handles one delivered envelope. The envelope points into a
-	// scratch slot the simulator reuses for the next delivery; handlers must
-	// copy anything they keep past the call.
+	// Receive handles one delivered envelope. The envelope and the context
+	// point into scratch slots the simulator reuses for the next delivery;
+	// handlers must copy anything they keep past the call.
 	Receive(ctx *Context, env *Envelope)
 }
 
@@ -150,9 +154,8 @@ type Network struct {
 	opts  Options
 	slabs []*slab
 
-	// ctxs and store are indexed by dense node ID; each context is bound to
-	// the slab owning its node, and a slab only touches its own entries.
-	ctxs  []Context
+	// store is indexed by dense node ID; a slab only touches the entries of
+	// its own nodes.
 	store []map[string]any
 
 	now     Time
@@ -202,23 +205,20 @@ func NewSlabs(m *mesh.Mesh, handlers []Handler, ranges []mesh.IDRange, opts Opti
 	n := &Network{
 		mesh:  m,
 		opts:  opts,
-		ctxs:  make([]Context, m.NodeCount()),
 		store: make([]map[string]any, m.NodeCount()),
 	}
 	for i, r := range ranges {
 		s := &slab{
-			net: n, mesh: m, opts: n.opts, ctxs: n.ctxs,
+			net: n, mesh: m, opts: n.opts,
 			idx: i, lo: r.Lo, hi: r.Hi,
 			handler: handlers[i],
 			kindIDs: make(map[string]KindID, 8),
 		}
+		s.ctx.sl = s
 		s.queue.init()
 		s.queue.tel = opts.Telemetry
 		if opts.Telemetry != nil && len(ranges) > 1 {
 			s.queue.tel = telemetry.NewSink()
-		}
-		for id := r.Lo; id < r.Hi; id++ {
-			n.ctxs[id] = Context{sl: s, self: m.Point(int(id)), selfID: id}
 		}
 		n.slabs = append(n.slabs, s)
 	}
@@ -250,7 +250,18 @@ func (n *Network) Mesh() *mesh.Mesh { return n.mesh }
 func (n *Network) Now() Time { return n.now }
 
 // ShardOf returns the index of the slab owning the dense node ID.
-func (n *Network) ShardOf(id int32) int { return n.ctxs[id].sl.idx }
+func (n *Network) ShardOf(id int32) int { return n.slabOf(id).idx }
+
+// slabOf returns the slab whose ID range holds id: a scan of the few
+// ascending ranges.
+func (n *Network) slabOf(id int32) *slab {
+	for _, s := range n.slabs[:len(n.slabs)-1] {
+		if id < s.hi {
+			return s
+		}
+	}
+	return n.slabs[len(n.slabs)-1]
+}
 
 // Stats returns the accumulated statistics, summed over the slabs: counters
 // add up, ByKind merges by kind name, FinalTime is the latest processed tick
@@ -281,12 +292,12 @@ func (n *Network) Store(p grid.Point) map[string]any {
 	return n.store[idx]
 }
 
-// ContextOf returns the per-node context of the node with dense ID id, bound
-// to its owning slab. Control callbacks (Network.At) use it to act on behalf
-// of a node — e.g. the traffic engine's churn handler re-arms a repaired
-// node's injection timer, whose previous instance was dropped while the node
-// was faulty.
-func (n *Network) ContextOf(id int32) *Context { return &n.ctxs[id] }
+// ContextOf returns a context for the node with dense ID id, bound to its
+// owning slab. Control callbacks (Network.At) use it to act on behalf of a
+// node — e.g. the traffic engine's churn handler re-arms a repaired node's
+// injection timer, whose previous instance was dropped while the node was
+// faulty. Each call returns a new context, which the caller may keep.
+func (n *Network) ContextOf(id int32) *Context { return &Context{sl: n.slabOf(id), selfID: id} }
 
 // Post injects an external event addressed to node p at the current time,
 // into the queue of the slab owning p — e.g. the arrival of a routing request
@@ -296,10 +307,10 @@ func (n *Network) Post(p grid.Point, kind string, payload any) {
 	id := n.mesh.ID(p)
 	s := n.slabs[0]
 	if id != mesh.NoNeighbor {
-		s = n.ctxs[id].sl
+		s = n.slabOf(id)
 	}
 	s.enqueue(event{
-		time: n.now, sendTime: n.now,
+		time: n.now,
 		from: id, to: id,
 		kind: s.intern(kind), ref: NoRef,
 		box: s.box(payload),
@@ -325,10 +336,12 @@ func (n *Network) At(t Time, fn func()) {
 // non-nil error wrapping ErrEventBudget if the event budget was exhausted
 // before quiescence.
 func (n *Network) Run() (Stats, error) {
-	for i := range n.ctxs {
-		if !n.mesh.FaultyAt(i) {
-			c := &n.ctxs[i]
-			c.sl.handler.Init(c)
+	for _, s := range n.slabs {
+		for id := s.lo; id < s.hi; id++ {
+			if !n.mesh.FaultyAt(int(id)) {
+				s.ctx.selfID = id
+				s.handler.Init(&s.ctx)
+			}
 		}
 	}
 	err := n.drain()
@@ -432,11 +445,10 @@ func (n *Network) budgetErr(t Time) error {
 // its events independently of the other slabs within a tick.
 type slab struct {
 	net *Network
-	// mesh, opts and ctxs repeat the Network's so that the per-event path
-	// reaches them through the slab alone.
+	// mesh and opts repeat the Network's so that the per-event path reaches
+	// them through the slab alone.
 	mesh *mesh.Mesh
 	opts Options
-	ctxs []Context
 
 	idx     int
 	lo, hi  int32
@@ -448,9 +460,10 @@ type slab struct {
 
 	delivered, dropped, timers int
 
-	// env is the delivery scratch slot handed (by pointer) to Handler.Receive;
-	// see process.
+	// env and ctx are the delivery scratch slots handed (by pointer) to
+	// Handler.Receive; ctx also serves Init. See process.
 	env Envelope
+	ctx Context
 
 	// kindIDs interns kind strings; kindNames and byKind are indexed by KindID.
 	kindIDs   map[string]KindID
@@ -549,30 +562,20 @@ func (s *slab) process(ev *event) {
 	}
 	s.delivered++
 	s.byKind[ev.kind]++
-	// env is a reusable scratch slot, not a fresh value: passing a pointer
-	// through the Handler interface would otherwise heap-allocate an Envelope
-	// per delivery, and it is filled field by field — a composite literal here
-	// compiles to a build-then-copy of the whole struct. Receive must not
-	// retain it.
+	// env and ctx are reusable scratch slots, not fresh values: passing a
+	// pointer through the Handler interface would otherwise heap-allocate
+	// both per delivery, and env is filled field by field — a composite
+	// literal here compiles to a build-then-copy of the whole struct. Receive
+	// must not retain either.
 	env := &s.env
-	env.From = s.pointOf(ev.from)
-	env.To = s.mesh.Point(int(ev.to))
+	env.FromID = ev.from
+	env.ToID = ev.to
 	env.Kind = s.kindNames[ev.kind]
 	env.KindID = ev.kind
 	env.Payload = s.unbox(ev.box)
 	env.Ref = ev.ref
-	env.SendTime = ev.sendTime
-	env.DeliverTime = ev.time
-	s.handler.Receive(&s.ctxs[ev.to], env)
-}
-
-// pointOf maps a dense ID back to coordinates, tolerating the out-of-mesh
-// marker (senders of dropped posts).
-func (s *slab) pointOf(id int32) grid.Point {
-	if id == mesh.NoNeighbor {
-		return grid.Point{}
-	}
-	return s.mesh.Point(int(id))
+	s.ctx.selfID = ev.to
+	s.handler.Receive(&s.ctx, env)
 }
 
 // enqueue assigns the next sequence number and buckets the event. Events
@@ -591,15 +594,16 @@ func (s *slab) enqueue(ev event) {
 }
 
 // Context gives a handler access to its node's identity, local store and
-// communication primitives.
+// communication primitives. The context a handler receives is its slab's
+// scratch slot, re-aimed at each delivery's node: it is valid for the call
+// only.
 type Context struct {
 	sl     *slab
-	self   grid.Point
 	selfID int32
 }
 
-// Self returns the node this context belongs to.
-func (c *Context) Self() grid.Point { return c.self }
+// Self returns the coordinates of the node this context belongs to.
+func (c *Context) Self() grid.Point { return c.sl.mesh.Point(int(c.selfID)) }
 
 // SelfID returns the dense mesh ID of the node this context belongs to.
 func (c *Context) SelfID() int32 { return c.selfID }
@@ -613,7 +617,7 @@ func (c *Context) Time() Time { return c.sl.now }
 func (c *Context) Mesh() *mesh.Mesh { return c.sl.mesh }
 
 // Store returns this node's local key/value store.
-func (c *Context) Store() map[string]any { return c.sl.net.Store(c.self) }
+func (c *Context) Store() map[string]any { return c.sl.net.Store(c.Self()) }
 
 // NeighborFaulty reports whether the neighbour in direction dir is faulty or
 // missing. Nodes are assumed to know the liveness of their direct neighbours
@@ -629,12 +633,12 @@ func (c *Context) NeighborFaulty(dir grid.Direction) bool {
 // Send transmits a message to a neighbouring node. It panics if to is not a
 // mesh neighbour of the sender, keeping protocols honest about locality.
 func (c *Context) Send(to grid.Point, kind string, payload any) {
-	if grid.Manhattan(c.self, to) != 1 {
-		panic(fmt.Sprintf("simnet: %v attempted a non-local send to %v", c.self, to))
+	if self := c.Self(); grid.Manhattan(self, to) != 1 {
+		panic(fmt.Sprintf("simnet: %v attempted a non-local send to %v", self, to))
 	}
 	s := c.sl
 	s.enqueue(event{
-		time: s.now + s.opts.LinkDelay, sendTime: s.now,
+		time: s.now + s.opts.LinkDelay,
 		from: c.selfID, to: s.mesh.ID(to),
 		kind: s.intern(kind), ref: NoRef,
 		box: s.box(payload),
@@ -650,7 +654,7 @@ func (c *Context) SendDir(dir grid.Direction, kind string, payload any) bool {
 		return false
 	}
 	s.enqueue(event{
-		time: s.now + s.opts.LinkDelay, sendTime: s.now,
+		time: s.now + s.opts.LinkDelay,
 		from: c.selfID, to: to,
 		kind: s.intern(kind), ref: NoRef,
 		box: s.box(payload),
@@ -670,7 +674,7 @@ func (c *Context) SendRef(dir grid.Direction, kind KindID, ref int32) bool {
 		return false
 	}
 	s.enqueue(event{
-		time: s.now + s.opts.LinkDelay, sendTime: s.now,
+		time: s.now + s.opts.LinkDelay,
 		from: c.selfID, to: to,
 		kind: kind, ref: ref, box: noBox,
 	})
@@ -707,7 +711,7 @@ func (c *Context) after(delay Time, kind KindID, ref int32, payload any) {
 	s := c.sl
 	s.timers++
 	s.enqueue(event{
-		time: s.now + delay, sendTime: s.now,
+		time: s.now + delay,
 		from: c.selfID, to: c.selfID,
 		kind: kind, ref: ref,
 		box: s.box(payload),

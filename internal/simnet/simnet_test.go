@@ -100,7 +100,7 @@ func (h pingPong) Receive(ctx *Context, env *Envelope) {
 		if n >= h.limit {
 			return
 		}
-		ctx.Send(env.From, "pong", n+1)
+		ctx.Send(ctx.Mesh().Point(int(env.FromID)), "pong", n+1)
 	}
 }
 

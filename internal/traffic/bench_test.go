@@ -103,12 +103,12 @@ func BenchmarkHotspot16Local(b *testing.B) { benchHotspot16(b, "local") }
 // "shards4" bench spec (400 uniform faults, hotspot at rate 0.02, window
 // 200), run sequentially (shards <= 1) or across slab shards. Both variants
 // produce bit-identical results; only events/sec moves.
-func benchHotspot32(b *testing.B, shards int) {
+func benchHotspot32(b *testing.B, model string, shards int) {
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		m := mesh.New3D(32, 32, 32)
 		fault.Uniform{Count: 400}.Inject(m, rng.New(rng.Derive(7, 1<<48)))
-		im, err := traffic.ModelByName("mcc", core.NewModel(m))
+		im, err := traffic.ModelByName(model, core.NewModel(m))
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -120,7 +120,7 @@ func benchHotspot32(b *testing.B, shards int) {
 			Rate: 0.02, Warmup: 50, Window: 200, MaxEvents: 100_000_000,
 			Shards: shards,
 			ShardModel: func() (traffic.InfoModel, error) {
-				return traffic.ModelByName("mcc", core.NewModel(m))
+				return traffic.ModelByName(model, core.NewModel(m))
 			},
 		})
 		res := e.Run(7)
@@ -135,13 +135,19 @@ func benchHotspot32(b *testing.B, shards int) {
 }
 
 // BenchmarkHotspot32MCC is the sequential side of the sharding A/B.
-func BenchmarkHotspot32MCC(b *testing.B) { benchHotspot32(b, 1) }
+func BenchmarkHotspot32MCC(b *testing.B) { benchHotspot32(b, "mcc", 1) }
+
+// BenchmarkHotspot32Local is the event-core cell at a memory-bound size: the
+// 32x32x32 trial under the stateless local-greedy model. Its per-node tables
+// outgrow the caches that hold BenchmarkHotspot16Local's, so it shows what
+// the per-hop path reads from memory beyond the packet record.
+func BenchmarkHotspot32Local(b *testing.B) { benchHotspot32(b, "local", 1) }
 
 // BenchmarkHotspot32MCCShards4 runs the same trial across 4 slab shards —
 // the Go-benchmark twin of the BENCH_traffic.json "shards4" cell (which is
 // informational in `mcc bench -baseline`: parallel speed-up moves with the
 // runner's cores, so it is tracked, never gated).
-func BenchmarkHotspot32MCCShards4(b *testing.B) { benchHotspot32(b, 4) }
+func BenchmarkHotspot32MCCShards4(b *testing.B) { benchHotspot32(b, "mcc", 4) }
 
 // BenchmarkHotspot16MCCTelemetry is BenchmarkHotspot16MCC with the telemetry
 // counters live — the on/off pair that pins the instrumentation overhead

@@ -274,19 +274,33 @@ type run struct {
 	phaseLatSum    int64
 }
 
-// packet is the typed, pooled payload of one in-flight packet; the
-// orientation is fixed at the source and selects the provider every hop.
+// packet is the typed, pooled payload of one in-flight packet, one cache
+// line at most (TestPacketFitsCacheLine). It carries its current position, so
+// a hop needs no coordinate table, and the index of its orientation, which is
+// fixed at the source and selects the provider every hop.
 type packet struct {
 	id     int
-	src    grid.Point
-	dst    grid.Point
-	dstID  int32
-	orient grid.Orientation
 	inject simnet.Time
-	hops   int
+	// at is the node the packet is at, or travelling to; dst its destination.
+	at, dst coord
+	dstID   int32
+	hops    int32
 	// traceIdx is the packet's slot in the trace ring, -1 when untraced.
 	traceIdx int32
+	orient   uint8
 }
+
+// coord is a node position in 32-bit coordinates indexed by axis, the
+// packed form of grid.Point the packet record carries.
+type coord [3]int32
+
+func coordOf(p grid.Point) coord { return coord{int32(p.X), int32(p.Y), int32(p.Z)} }
+
+func (c coord) point() grid.Point { return grid.Point{X: int(c[0]), Y: int(c[1]), Z: int(c[2])} }
+
+// step moves c one hop in direction d: directions come in (+, -) pairs per
+// axis, so d/2 is the axis and d&1 the sign.
+func (c *coord) step(d grid.Direction) { c[d>>1] += 1 - 2*int32(d&1) }
 
 // alloc reserves a pool slot, reusing a released one when available.
 func (st *run) alloc() int32 {
@@ -674,12 +688,12 @@ func (st *run) inject(ctx *simnet.Context) {
 	ref := st.alloc()
 	st.pool[ref] = packet{
 		id:       st.nextID,
-		src:      self,
-		dst:      d,
-		dstID:    int32(ctx.Mesh().Index(d)),
-		orient:   grid.OrientationOf(self, d),
 		inject:   ctx.Time(),
+		at:       coordOf(self),
+		dst:      coordOf(d),
+		dstID:    int32(ctx.Mesh().Index(d)),
 		traceIdx: -1,
+		orient:   uint8(grid.OrientationOf(self, d).Index()),
 	}
 	if st.trace != nil && st.trace.Sampled(st.nextID) {
 		pk := &st.pool[ref]
@@ -694,18 +708,19 @@ func (st *run) inject(ctx *simnet.Context) {
 }
 
 // forward advances a packet one hop using the information model, or records it
-// as stuck when every preferred direction is excluded. The hop runs on dense
-// node IDs end to end with no ID→Point→ID round-trip: one CandidateMaskID
-// call — for the field providers a read of the destination's exception
-// table while no fault change reaches the octant that holds the hop.
+// as stuck when every preferred direction is excluded. The hop reads no
+// per-node table: the node's ID comes with the context, its coordinates and
+// the destination's with the packet, and one CandidateMaskID call — for the
+// field providers a read of the destination's exception table while no fault
+// change reaches the octant that holds the hop — gives the directions.
 func (st *run) forward(ctx *simnet.Context, ref int32) {
 	pk := &st.pool[ref]
-	prov := st.provs[pk.orient.Index()]
+	prov := st.provs[pk.orient]
 	if prov == nil {
-		prov = st.model.Provider(pk.orient)
-		st.provs[pk.orient.Index()] = prov
+		prov = st.model.Provider(grid.OrientationFromIndex(int(pk.orient)))
+		st.provs[pk.orient] = prov
 	}
-	self := ctx.Self()
+	self, dst := pk.at.point(), pk.dst.point()
 	// Hop-source classification is gated on the packet being traced, so the
 	// untraced hot path pays nothing beyond the traceIdx compare.
 	traced := st.trace != nil && pk.traceIdx >= 0
@@ -714,7 +729,7 @@ func (st *run) forward(ctx *simnet.Context, ref int32) {
 		builds0 = st.tel.Get(telemetry.FieldColdBuilds) + st.tel.Get(telemetry.FieldRebuilds) + st.tel.Get(telemetry.DecisionBuilds)
 		dhits0 = st.tel.Get(telemetry.DecisionHits)
 	}
-	mk := prov.CandidateMaskID(ctx.Mesh(), ctx.SelfID(), self, pk.dstID, pk.dst)
+	mk := prov.CandidateMaskID(ctx.Mesh(), ctx.SelfID(), self, pk.dstID, dst)
 	st.dirs = routing.AppendMaskDirs(st.dirs[:0], mk)
 	if len(st.dirs) == 0 {
 		st.res.Stuck++
@@ -724,7 +739,7 @@ func (st *run) forward(ctx *simnet.Context, ref int32) {
 		st.release(ref)
 		return
 	}
-	pick := st.policy.Pick(self, pk.dst, st.dirs)
+	dir := st.dirs[st.policy.Pick(self, dst, st.dirs)]
 	pk.hops++
 	if traced {
 		src := telemetry.HopDirect
@@ -736,7 +751,8 @@ func (st *run) forward(ctx *simnet.Context, ref int32) {
 		}
 		st.trace.Hop(pk.traceIdx, pk.id, ctx.SelfID(), src)
 	}
-	ctx.SendRef(st.dirs[pick], st.packetID, ref)
+	pk.at.step(dir)
+	ctx.SendRef(dir, st.packetID, ref)
 }
 
 // deliver records a completed packet and releases its pool slot.
@@ -750,7 +766,7 @@ func (st *run) deliver(ctx *simnet.Context, ref int32) {
 		st.res.MeasuredDelivered++
 		lat := ctx.Time() - pk.inject
 		st.res.Latency.Add(int(lat))
-		st.res.Hops.Add(pk.hops)
+		st.res.Hops.Add(int(pk.hops))
 		if st.phased {
 			st.phaseDelivered++
 			st.phaseLatSum += int64(lat)

@@ -4,6 +4,7 @@ import (
 	"errors"
 	"reflect"
 	"testing"
+	"unsafe"
 
 	"mccmesh/internal/core"
 	"mccmesh/internal/fault"
@@ -187,5 +188,22 @@ func TestEventBudgetSurfacesInResult(t *testing.T) {
 	agg := Collect([]*Result{res, e.Run(6)})
 	if agg.Failed == 0 || agg.Err == nil {
 		t.Errorf("Collect must surface failed trials: %+v", agg)
+	}
+}
+
+// TestPacketFitsCacheLine pins the packet record to one cache line, and the
+// position it carries, moved hop by hop, to grid.Step: forward reads both in
+// place of a per-node coordinate table.
+func TestPacketFitsCacheLine(t *testing.T) {
+	if size := unsafe.Sizeof(packet{}); size > 64 {
+		t.Errorf("packet is %d B, want at most 64", size)
+	}
+	p := grid.Point{X: 3, Y: 4, Z: 5}
+	for _, d := range grid.Directions3D {
+		c := coordOf(p)
+		c.step(d)
+		if got, want := c.point(), grid.Step(p, d); got != want {
+			t.Errorf("step %v from %v = %v, want %v", d, p, got, want)
+		}
 	}
 }
