@@ -271,12 +271,6 @@ func (r *Regions) Contains(p grid.Point) bool {
 	return r.Mesh.InBounds(p) && r.inBlock[r.Mesh.Index(p)] >= 0
 }
 
-// ContainsID reports block membership by dense node ID (the index-first fast
-// path of the routing baseline).
-func (r *Regions) ContainsID(id int32) bool {
-	return id >= 0 && r.inBlock[id] >= 0
-}
-
 // AvoidWords returns the union of all blocks as a bitset over dense node IDs,
 // the obstacle form the reachability sweep consumes. Built once on first use:
 // a Regions snapshot is immutable (fault changes rebuild it wholesale). The

@@ -3,9 +3,8 @@ package routing_test
 // Benchmarks for the per-hop provider decision, with and without fault churn.
 // The churn variants model the traffic engine's steady state around a mid-run
 // fault injection: the labelling absorbs the new fault incrementally, the
-// component set refreshes in place, the provider drops the octants whose box
-// holds the fault, and the next queries sweep again only the octants they
-// actually need.
+// component set refreshes in place, and the provider patches the exception
+// lists the fault reaches in place, so no built octant is swept again.
 
 import (
 	"testing"
@@ -91,7 +90,7 @@ func (st *benchState) add(r *rng.Rand, ui, di int32) bool {
 }
 
 // churn injects one extra fault and pushes it through the incremental update
-// path the traffic engine uses: relabel, refresh, scoped invalidation.
+// path the traffic engine uses: relabel, refresh, in-place patch.
 func (st *benchState) churn(r *rng.Rand) {
 	for {
 		idx := r.Intn(st.m.NodeCount())
@@ -156,9 +155,9 @@ func BenchmarkMCCDecisionHit32(b *testing.B) {
 }
 
 // BenchmarkMCCDecisionBuild16 is the decision miss path: the queried
-// destination's octants are dropped before every call, so each decision
-// resolves through a whole-octant sweep (what the first query toward a
-// destination pays after a fault event reaches its octant).
+// destination's entry is cleared before every call (DropField), so each
+// decision resolves through a whole-octant sweep, what the first query from
+// an octant not built yet pays.
 func BenchmarkMCCDecisionBuild16(b *testing.B) {
 	st := newBenchState(b)
 	for k := range st.u {
@@ -174,12 +173,12 @@ func BenchmarkMCCDecisionBuild16(b *testing.B) {
 }
 
 // BenchmarkMCCDecisionChurn16 drives the decision path through sustained
-// fault churn: an incremental fault injection (relabel, refresh, scoped
-// invalidation) every 2048 decisions. The query stream cycles through 4096
-// distinct destinations, so every revisit to an octant the fault reached
-// sweeps it again — this measures the lazy-rebuild regime, the worst case
-// the engine approaches only around fault events (its hit ratio between
-// events is what BenchmarkMCCDecisionHit16 measures).
+// fault churn: an incremental fault injection (relabel, refresh, in-place
+// patch of every list the fault reaches) every 2048 decisions. The query
+// stream cycles through 4096 distinct destinations; once their octants are
+// built, a fault event costs its patch and no sweep, so this measures the
+// patch amortised over 2048 hits (the hit alone is
+// BenchmarkMCCDecisionHit16).
 func BenchmarkMCCDecisionChurn16(b *testing.B) {
 	st := newBenchState(b)
 	r := rng.New(31)
@@ -191,5 +190,74 @@ func BenchmarkMCCDecisionChurn16(b *testing.B) {
 		}
 		k := i & 4095
 		st.provs[st.oi[k]].CandidateMaskID(st.m, st.u[k], st.uP[k], st.d[k], st.dP[k])
+	}
+}
+
+// BenchmarkInvalidate32 is the information model under churn at the scale of
+// the benchmark workloads: the eight orientation MCC providers of a 32³ mesh
+// with 400 faults, each holding an octant of every destination, take one
+// fail event and one repair event of the same three adjacent cells per op
+// through the path the traffic engine uses (relabel, region refresh,
+// InvalidateCache), each invalidation patching every list the cells reach.
+func BenchmarkInvalidate32(b *testing.B) {
+	m := mesh.NewCube(32)
+	fault.Uniform{Count: 400}.Inject(m, rng.New(11))
+	var labs [8]*labeling.Labeling
+	var sets [8]*region.ComponentSet
+	var provs [8]*routing.FieldProvider
+	n := m.NodeCount()
+	for i := range provs {
+		o := grid.OrientationFromIndex(i)
+		labs[i] = labeling.Compute(m, o)
+		sets[i] = region.FindMCCs(labs[i])
+		provs[i] = routing.NewMCC(sets[i])
+		// The source corner of orientation o: every destination's octant
+		// toward it is the one o's packets approach from.
+		var u grid.Point
+		if o.SX < 0 {
+			u.X = 31
+		}
+		if o.SY < 0 {
+			u.Y = 31
+		}
+		if o.SZ < 0 {
+			u.Z = 31
+		}
+		for d := range n {
+			provs[i].CandidateMaskID(m, m.ID(u), u, int32(d), m.Point(d))
+		}
+	}
+	// Three healthy cells in a row along X, at the middle of the mesh.
+	var cells []grid.Point
+	for x := 0; len(cells) < 3; x++ {
+		if p := (grid.Point{X: x, Y: 16, Z: 16}); m.IsFaulty(p) {
+			cells = cells[:0]
+		} else {
+			cells = append(cells, p)
+		}
+	}
+	event := func(fail bool) {
+		if fail {
+			m.AddFaults(cells...)
+		} else {
+			m.RemoveFaults(cells...)
+		}
+		for i := range provs {
+			if fail {
+				labs[i].AddFaults(cells)
+			} else {
+				labs[i].RemoveFaults(cells)
+			}
+			sets[i].Refresh()
+			provs[i].InvalidateCache()
+		}
+	}
+	event(true)
+	event(false)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		event(true)
+		event(false)
 	}
 }

@@ -1,9 +1,9 @@
 package routing
 
 // White-box tests for the sparse exception tables: invalidation must be
-// scoped and exact — octants the fault change cannot reach stay as they are,
-// the others are dropped and swept again when next needed — and the table
-// keeps every destination, within its stated byte bound.
+// exact and keep every octant — each list is patched in place to what a
+// fresh sweep of its built octants gives over the changed obstacles — and
+// the table keeps every destination, within its stated byte bound.
 
 import (
 	"slices"
@@ -42,8 +42,9 @@ func snapshotTable(c *fieldCache) map[int32]entrySnap {
 }
 
 // freshList is d's exception list a from-scratch sweep of the octants built
-// produces over avoid.
+// produces over avoid with d carved out.
 func freshList(m *mesh.Mesh, avoid []uint64, d int32, built uint8) []int32 {
+	avoid = CarveOut(avoid, d)
 	c := fieldCache{}
 	c.init(m, avoid)
 	dPt := m.Point(int(d))
@@ -68,8 +69,8 @@ func headFlags(m *mesh.Mesh, d int32, list []int32) uint16 {
 }
 
 // checkEntry asserts that d's entry is exact over the live obstacles avoid:
-// its list equals a fresh sweep of its built octants, and its head flags
-// match the list.
+// its list equals a fresh sweep of its built octants (d carved out), and its
+// head flags match the list.
 func checkEntry(t *testing.T, c *fieldCache, m *mesh.Mesh, avoid []uint64, d int32, what string) {
 	t.Helper()
 	built := uint8(c.heads[d])
@@ -82,46 +83,32 @@ func checkEntry(t *testing.T, c *fieldCache, m *mesh.Mesh, avoid []uint64, d int
 	}
 }
 
-// scopeTally counts what scoped invalidation did to a table's entries.
-type scopeTally struct{ untouched, trimmed, rebuilt int }
+// patchTally counts what invalidation did to a table's entries.
+type patchTally struct{ unchanged, patched int }
 
-// checkUntouched runs right after InvalidateCache: every entry that kept all
-// its octants must hold the same list, every entry that kept some of them
-// the list trimmed to those, and both must equal a fresh sweep over the live
-// obstacles avoid — the scoping skipped no octant the change reached.
-func checkUntouched(t *testing.T, c *fieldCache, m *mesh.Mesh, avoid []uint64, before map[int32]entrySnap, tally *scopeTally) {
+// checkPatched runs right after InvalidateCache: every entry must keep all
+// its octants, and its list must equal a fresh sweep over the live obstacles
+// avoid, whether the patch left it as it was or changed it.
+func checkPatched(t *testing.T, c *fieldCache, m *mesh.Mesh, avoid []uint64, before map[int32]entrySnap, tally *patchTally) {
 	t.Helper()
 	for d, b := range before {
-		built := uint8(c.heads[d])
-		switch {
-		case built == b.built:
-			tally.untouched++
-			if !slices.Equal(list(c, d), b.list) {
-				t.Fatalf("untouched entry %d changed on invalidation", d)
-			}
-		case built != 0:
-			tally.trimmed++
-			if built&^b.built != 0 {
-				t.Fatalf("entry %d gained octants %08b on invalidation", d, built&^b.built)
-			}
+		if built := uint8(c.heads[d]); built != b.built {
+			t.Fatalf("entry %d went from octants %08b to %08b on invalidation", d, b.built, built)
+		}
+		if slices.Equal(list(c, d), b.list) {
+			tally.unchanged++
+		} else {
+			tally.patched++
 		}
 		checkEntry(t, c, m, avoid, d, "after invalidation")
 	}
 }
 
-// observe runs call, a decision toward destination d, and when the call
-// swept an octant invalidation had dropped, counts a rebuild. Either way d's
-// entry must then equal a fresh sweep over the live obstacles avoid.
-func observe(t *testing.T, c *fieldCache, m *mesh.Mesh, avoid []uint64, d int32, tally *scopeTally, call func() uint8) uint8 {
+// observe runs call, a decision toward destination d; d's entry must then
+// equal a fresh sweep over the live obstacles avoid.
+func observe(t *testing.T, c *fieldCache, m *mesh.Mesh, avoid []uint64, d int32, call func() uint8) uint8 {
 	t.Helper()
-	if c.heads == nil {
-		return call()
-	}
-	stale := c.slots[d].stale
 	out := call()
-	if c.slots[d].stale != stale {
-		tally.rebuilt++
-	}
 	if uint8(c.heads[d]) != 0 {
 		checkEntry(t, c, m, avoid, d, "after a lookup")
 	}
@@ -134,15 +121,15 @@ func maskOf(p Provider, m *mesh.Mesh, u, d int32) uint8 {
 }
 
 // TestFieldTableStorageBound pins the storage the fieldCache comment states:
-// 14 bytes per destination plus the live arena entries (4 bytes per
+// 10 bytes per destination plus the live arena entries (4 bytes per
 // exception and 8 per list header), reported by routing.field_storage_peak,
-// and an arena whose garbage compaction keeps below max(live, N/4) entries
-// between invalidations. An oracle queried toward every destination
-// of a faulty 12³ mesh from sources in every octant, with fault changes in
-// between, exercises merges, trims and compaction.
+// and an arena whose garbage compaction keeps below max(live, N/4) entries.
+// An oracle queried toward every destination of a faulty 12³ mesh from
+// sources in every octant, with fault changes in between, exercises merges,
+// patches (in place and moved) and compaction.
 func TestFieldTableStorageBound(t *testing.T) {
-	if n := unsafe.Sizeof(fieldSlot{}) + unsafe.Sizeof(uint16(0)); n != 14 {
-		t.Fatalf("a destination takes %d bytes of table, the comment states 14", n)
+	if n := unsafe.Sizeof(fieldSlot{}) + unsafe.Sizeof(uint16(0)); n != 10 {
+		t.Fatalf("a destination takes %d bytes of table, the comment states 10", n)
 	}
 	m := mesh.NewCube(12)
 	r := rng.New(5)
@@ -152,14 +139,17 @@ func TestFieldTableStorageBound(t *testing.T) {
 	o.SetTelemetry(tel)
 	n := m.NodeCount()
 	peak := 0
+	sample := func() {
+		c := &o.cache
+		peak = max(peak, c.live)
+		if c.dead > max(c.live, n/4) {
+			t.Fatalf("arena garbage %d above max(live %d, N/4)", c.dead, c.live)
+		}
+	}
 	for round := 0; round < 6; round++ {
 		for q := 0; q < 4*n; q++ {
 			maskOf(o, m, int32(r.Intn(n)), int32(r.Intn(n)))
-			c := &o.cache
-			peak = max(peak, c.live)
-			if c.dead > max(c.live, n/4) {
-				t.Fatalf("arena garbage %d above max(live %d, N/4)", c.dead, c.live)
-			}
+			sample()
 		}
 		if round%2 == 0 {
 			m.RemoveFaults(placed[:20]...)
@@ -167,19 +157,20 @@ func TestFieldTableStorageBound(t *testing.T) {
 			m.AddFaults(placed[:20]...)
 		}
 		o.InvalidateCache()
+		sample()
 	}
 	c := &o.cache
 	live := 0
-	for d := range c.slots {
-		if n := int(c.slots[d].n); n > 0 {
-			live += n + 2
+	for _, s := range c.slots {
+		if s.off > 0 {
+			live += int(s.n) + 2
 		}
 	}
 	if live != c.live || len(c.exc) != c.live+c.dead {
 		t.Fatalf("arena accounting: lists hold %d, live %d, dead %d, arena %d", live, c.live, c.dead, len(c.exc))
 	}
-	if got, want := tel.Get(telemetry.FieldStoragePeak), int64(14*n+4*peak); got != want || peak == 0 {
-		t.Fatalf("routing.field_storage_peak = %d, want 14·N + 4·(peak live entries %d) = %d", got, peak, want)
+	if got, want := tel.Get(telemetry.FieldStoragePeak), int64(10*n+4*peak); got != want || peak == 0 {
+		t.Fatalf("routing.field_storage_peak = %d, want 10·N + 4·(peak live entries %d) = %d", got, peak, want)
 	}
 	if tel.Get(telemetry.FieldEvictions) != 0 {
 		t.Fatalf("the table evicted")
@@ -224,8 +215,8 @@ func TestFieldTableKeepsEveryDestination(t *testing.T) {
 // TestFieldCacheEpochInvalidation: after a fault injection flows through the
 // incremental update path (AddFaults + Refresh + InvalidateCache), every
 // decision must match a provider built from scratch over the same mesh.
-// Octants the change cannot reach stay as they are; the ones it reaches are
-// dropped and swept again when a lookup needs them.
+// Every entry keeps its octants, and its list is patched to a fresh sweep of
+// them over the new obstacles.
 func TestFieldCacheEpochInvalidation(t *testing.T) {
 	m := mesh.NewCube(8)
 	fault.Uniform{Count: 20}.Inject(m, rng.New(3))
@@ -276,8 +267,8 @@ func TestFieldCacheEpochInvalidation(t *testing.T) {
 	lab.AddFaults([]grid.Point{m.Point(int(injected))})
 	set.Refresh()
 	prov.InvalidateCache()
-	var tally scopeTally
-	checkUntouched(t, &prov.cache, m, set.UnionAvoidWords(), before, &tally)
+	var tally patchTally
+	checkPatched(t, &prov.cache, m, set.UnionAvoidWords(), before, &tally)
 
 	// Every answer must now match a from-scratch provider.
 	freshSet := region.FindMCCs(labeling.Compute(m, grid.PositiveOrientation))
@@ -286,16 +277,15 @@ func TestFieldCacheEpochInvalidation(t *testing.T) {
 		if qq.v == injected || qq.u == injected || qq.d == injected {
 			continue // the query premise (healthy endpoints) changed
 		}
-		got := observe(t, &prov.cache, m, set.UnionAvoidWords(), qq.d, &tally, func() uint8 { return maskOf(prov, m, qq.u, qq.d) })
+		got := observe(t, &prov.cache, m, set.UnionAvoidWords(), qq.d, func() uint8 { return maskOf(prov, m, qq.u, qq.d) })
 		if want := maskOf(fresh, m, qq.u, qq.d); got != want {
 			t.Fatalf("after epoch invalidation: decision (%v -> %v) = %06b, fresh provider says %06b",
 				qq.u, qq.d, got, want)
 		}
 	}
-	// Some entries kept every octant, and some dropped octant was swept
-	// again.
-	if tally.untouched == 0 || tally.rebuilt == 0 {
-		t.Errorf("want untouched entries and rebuilt octants, got %+v", tally)
+	// The fault reached some lists, and left others as they were.
+	if tally.unchanged == 0 || tally.patched == 0 {
+		t.Errorf("want unchanged and patched entries, got %+v", tally)
 	}
 }
 
@@ -343,20 +333,20 @@ func TestFieldCacheEpochInvalidationOnRepair(t *testing.T) {
 	lab.RemoveFaults(repaired)
 	set.Refresh()
 	prov.InvalidateCache()
-	var tally scopeTally
-	checkUntouched(t, &prov.cache, m, set.UnionAvoidWords(), before, &tally)
+	var tally patchTally
+	checkPatched(t, &prov.cache, m, set.UnionAvoidWords(), before, &tally)
 
 	freshSet := region.FindMCCs(labeling.Compute(m, grid.PositiveOrientation))
 	fresh := NewMCC(freshSet)
 	for _, qq := range queries {
-		got := observe(t, &prov.cache, m, set.UnionAvoidWords(), qq.d, &tally, func() uint8 { return maskOf(prov, m, qq.u, qq.d) })
+		got := observe(t, &prov.cache, m, set.UnionAvoidWords(), qq.d, func() uint8 { return maskOf(prov, m, qq.u, qq.d) })
 		if want := maskOf(fresh, m, qq.u, qq.d); got != want {
 			t.Fatalf("after repair invalidation: decision (%v -> %v) = %06b, fresh provider says %06b",
 				qq.u, qq.d, got, want)
 		}
 	}
-	if tally.rebuilt == 0 {
-		t.Errorf("no dropped octant was swept again: %+v", tally)
+	if tally.unchanged == 0 || tally.patched == 0 {
+		t.Errorf("want unchanged and patched entries, got %+v", tally)
 	}
 
 	// The oracle takes the same scoped invalidation on repair; check it
@@ -369,10 +359,10 @@ func TestFieldCacheEpochInvalidationOnRepair(t *testing.T) {
 	beforeO := snapshotTable(&o.cache)
 	m.RemoveFaults(placed[len(placed)/3 : 2*len(placed)/3]...)
 	o.InvalidateCache()
-	checkUntouched(t, &o.cache, m, m.FaultyWords(), beforeO, &tally)
+	checkPatched(t, &o.cache, m, m.FaultyWords(), beforeO, &tally)
 	freshO := NewOracle(m)
 	for _, qq := range queries {
-		got := observe(t, &o.cache, m, m.FaultyWords(), qq.d, &tally, func() uint8 { return maskOf(o, m, qq.u, qq.d) })
+		got := observe(t, &o.cache, m, m.FaultyWords(), qq.d, func() uint8 { return maskOf(o, m, qq.u, qq.d) })
 		if want := maskOf(freshO, m, qq.u, qq.d); got != want {
 			t.Fatalf("oracle after repair: decision (%v -> %v) = %06b, fresh oracle says %06b", qq.u, qq.d, got, want)
 		}
@@ -387,11 +377,11 @@ func TestFieldCacheEpochInvalidationOnRepair(t *testing.T) {
 // by a few roaming sources, must equal those of freshly built providers, on
 // the miss path and on the hit path that follows it; entries must be exact
 // as invalidation leaves them, and after every lookup. Against a vacuous
-// pass, each of the three outcomes — kept whole, trimmed to the octants the
-// change missed, an octant swept again — must happen at least once.
+// pass, both outcomes — a list the change left as it was, a list it
+// changed — must happen at least once.
 func TestScopedInvalidationMatchesFresh(t *testing.T) {
 	type q struct{ u, d int32 }
-	var tally scopeTally
+	var tally patchTally
 	for _, seed := range []uint64{1, 7, 42} {
 		r := rng.New(seed)
 		m := mesh.New3D(8+r.Intn(5), 8+r.Intn(5), 8+r.Intn(5))
@@ -423,7 +413,7 @@ func TestScopedInvalidationMatchesFresh(t *testing.T) {
 			if avoid == nil {
 				return mask(), mask()
 			}
-			return observe(t, &p.cache, m, avoid, qq.d, &tally, mask), observe(t, &p.cache, m, avoid, qq.d, &tally, mask)
+			return observe(t, &p.cache, m, avoid, qq.d, mask), observe(t, &p.cache, m, avoid, qq.d, mask)
 		}
 		for _, qq := range queries {
 			ask(mcc, set.UnionAvoidWords(), qq)
@@ -452,8 +442,8 @@ func TestScopedInvalidationMatchesFresh(t *testing.T) {
 			set.Refresh()
 			mcc.InvalidateCache()
 			oracle.InvalidateCache()
-			checkUntouched(t, &mcc.cache, m, set.UnionAvoidWords(), beforeM, &tally)
-			checkUntouched(t, &oracle.cache, m, m.FaultyWords(), beforeO, &tally)
+			checkPatched(t, &mcc.cache, m, set.UnionAvoidWords(), beforeM, &tally)
+			checkPatched(t, &oracle.cache, m, m.FaultyWords(), beforeO, &tally)
 
 			// A few roaming sources toward already-cached destinations come
 			// first, from any octant.
@@ -479,8 +469,107 @@ func TestScopedInvalidationMatchesFresh(t *testing.T) {
 			}
 		}
 	}
-	if tally.untouched == 0 || tally.trimmed == 0 || tally.rebuilt == 0 {
-		t.Fatalf("a scoping outcome never happened: %+v", tally)
+	if tally.unchanged == 0 || tally.patched == 0 {
+		t.Fatalf("a patch outcome never happened: %+v", tally)
 	}
-	t.Logf("entries kept whole %d, trimmed %d, octants rebuilt %d", tally.untouched, tally.trimmed, tally.rebuilt)
+	t.Logf("entries unchanged %d, patched %d", tally.unchanged, tally.patched)
+}
+
+// FuzzFieldPatchMatchesSweep checks the in-place patch against a fresh sweep.
+// On a random 2-D or 3-D mesh of up to 6³ nodes, an oracle or an MCC
+// provider builds octants of most destinations from sources at every mesh
+// corner, some moved onto the destination's planes. Each step then adds and
+// removes cells together — a built destination itself, a cell on one of its
+// planes, a cell on the mesh border and a random cell, each flipped — and
+// after its InvalidateCache every entry must keep its octants, with a list
+// and head flags equal to a fresh sweep of them over the live obstacles with
+// the destination carved out. A few lookups from random sources follow each
+// step, so later steps patch lists that merges grew.
+func FuzzFieldPatchMatchesSweep(f *testing.F) {
+	f.Add(uint64(1), uint8(5), uint8(5), uint8(5), uint8(20), uint8(8), false)
+	f.Fuzz(func(t *testing.T, seed uint64, nx, ny, nz, faults, steps uint8, mcc bool) {
+		m := mesh.New3D(1+int(nx)%6, 1+int(ny)%6, 1+int(nz)%6)
+		dims, n := m.Dims(), m.NodeCount()
+		r := rng.New(seed)
+		fault.Uniform{Count: int(faults) % (n/3 + 1)}.Inject(m, r)
+		p, avoid := NewOracle(m), m.FaultyWords
+		var lab *labeling.Labeling
+		var set *region.ComponentSet
+		if mcc {
+			lab = labeling.Compute(m, grid.OrientationFromIndex(int(seed%8)))
+			set = region.FindMCCs(lab)
+			p, avoid = NewMCC(set), set.UnionAvoidWords
+		}
+		hi := grid.Point{X: dims.X - 1, Y: dims.Y - 1, Z: dims.Z - 1}
+		for d := range n {
+			if r.Intn(5) == 0 {
+				continue // left unbuilt
+			}
+			dPt := m.Point(d)
+			for k := 0; k < 8; k++ {
+				u := grid.Point{X: hi.X * (k & 1), Y: hi.Y * (k >> 1 & 1), Z: hi.Z * (k >> 2 & 1)}
+				switch r.Intn(4) {
+				case 0:
+					u.X = dPt.X
+				case 1:
+					u.Y, u.Z = dPt.Y, dPt.Z
+				}
+				maskOf(p, m, m.ID(u), int32(d))
+			}
+		}
+		c := &p.cache
+		if c.heads == nil {
+			return // a single node: every lookup started at its destination
+		}
+		for step := 0; step < 1+int(steps)%12; step++ {
+			// The cells to flip: a built destination, a cell on one of its
+			// planes, a border cell and a random one.
+			d := int32(r.Intn(n))
+			for k := 0; k < n && uint8(c.heads[d]) == 0; k++ {
+				d = (d + 1) % int32(n)
+			}
+			dPt := m.Point(int(d))
+			onPlane := m.Point(r.Intn(n))
+			switch r.Intn(3) {
+			case 0:
+				onPlane.X = dPt.X
+			case 1:
+				onPlane.Y = dPt.Y
+			default:
+				onPlane.Z = dPt.Z
+			}
+			border := m.Point(r.Intn(n))
+			border.Y = hi.Y * r.Intn(2)
+			var add, rem []grid.Point
+			for _, q := range []grid.Point{dPt, onPlane, border, m.Point(r.Intn(n))} {
+				switch {
+				case slices.Contains(add, q) || slices.Contains(rem, q):
+				case m.IsFaulty(q):
+					rem = append(rem, q)
+				case m.FaultCount()+len(add) < n/2:
+					add = append(add, q)
+				}
+			}
+			m.AddFaults(add...)
+			if mcc {
+				lab.AddFaults(add)
+			}
+			m.RemoveFaults(rem...)
+			if mcc {
+				lab.RemoveFaults(rem)
+				set.Refresh()
+			}
+			before := snapshotTable(c)
+			p.InvalidateCache()
+			for d, b := range before {
+				if built := uint8(c.heads[d]); built != b.built {
+					t.Fatalf("step %d: entry %d went from octants %08b to %08b", step, d, b.built, built)
+				}
+				checkEntry(t, c, m, avoid(), d, "after the patch")
+			}
+			for k := 0; k < 4; k++ {
+				maskOf(p, m, int32(r.Intn(n)), int32(r.Intn(n)))
+			}
+		}
+	})
 }

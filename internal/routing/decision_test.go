@@ -4,7 +4,7 @@ package routing_test
 // provider, CandidateMaskID must agree bit for bit with the first-principles
 // reference decision (ReferenceMask over the provider's obstacle set) — on
 // fresh fault sets, after incremental fault additions and after repairs, at
-// every point of the epoch lifecycle (cold slot, warm slot, stale slot).
+// every point of an entry's life (cold, warm, patched by a fault change).
 
 import (
 	"fmt"
@@ -52,8 +52,9 @@ func blockCases(m *mesh.Mesh) []refCase {
 
 // checkParity compares CandidateMaskID against the reference over count
 // random (u, d) pairs of healthy nodes. Each pair is checked twice in a row,
-// so both the miss path (cold or stale slot) and the immediately-warm hit
-// path of the caching providers are exercised on the same query. A field
+// so both the miss path (no built octant holds the hop) and the
+// immediately-warm hit path of the caching providers are exercised on the
+// same query. A field
 // provider's derived AllowedID is checked against the reference bit of every
 // forward neighbour too.
 func checkParity(t *testing.T, m *mesh.Mesh, rc refCase, r *rng.Rand, count int, stage string) {
@@ -158,7 +159,7 @@ func TestDecisionMaskParity(t *testing.T) {
 // against ReferenceMask before the first step and after every step. The
 // oracle and mcc providers follow each step in place (labelling update,
 // Refresh, InvalidateCache), as the traffic engine's models do, so their
-// caches go through cold, warm, stale and widened slots; rfb and fb-rule are
+// caches go through cold, warm, patched and widened entries; rfb and fb-rule are
 // rebuilt over the new faults, as core.Model rebuilds them.
 func FuzzDecisionMatchesReference(f *testing.F) {
 	f.Add(uint64(1), uint8(6), uint8(6), uint8(6), uint8(20), uint8(8))
@@ -237,8 +238,8 @@ func TestRecordsMaskWithoutRecords(t *testing.T) {
 // 2-D and 3-D meshes. Each step asks every model, for a set of destinations,
 // the hop from sources in all eight octants and from sources tied with d on
 // one or two coordinates, so d's list merges several octants and planes. The
-// oracle and mcc providers follow every step in place (their tables are
-// trimmed and rebuilt); rfb and fb-rule are rebuilt per step, as core.Model
+// oracle and mcc providers follow every step in place (their lists are
+// patched); rfb and fb-rule are rebuilt per step, as core.Model
 // rebuilds them, and then serve the whole step. Every answer must equal that
 // of a provider built fresh for the one query and ReferenceMask.
 func TestFieldTableMatchesFreshUnderChurn(t *testing.T) {

@@ -6,15 +6,12 @@ import (
 	"mccmesh/internal/minimal"
 )
 
-// DropField drops every built octant of d's entry in p, as if a fault
-// change had reached all of them: the next lookup toward d sweeps an octant
-// again as a stale rebuild.
+// DropField clears d's entry in p, its built octants and its list: the next
+// lookup toward d sweeps an octant as a cold build.
 func DropField(p *FieldProvider, d int32) {
 	c := &p.cache
-	if built := uint8(c.heads[d]); built != 0 {
-		c.slots[d].stale |= built
-		c.drop(p.mesh, d, p.mesh.Point(int(d)), built)
-	}
+	c.free(&c.slots[d])
+	c.heads[d] = 0
 }
 
 // ReferenceMask is the hop decision from first principles, the reference

@@ -16,10 +16,12 @@ import (
 
 // fieldCache is a field provider's sparse reachability table: for each
 // destination d, one sorted list of d's exceptions, the nodes free in the
-// provider's obstacle set (carved for d) with no monotone path to d. Under
-// the paper's fault models almost every free node reaches d, so a list
-// holds a handful of nodes where a bitset field held a whole box (the IWPP
-// principle: store only the elements that matter).
+// provider's obstacle set with d carved out (d's own bit cleared) that have
+// no monotone path to d. Under the paper's fault models almost every free
+// node reaches d, so a list holds a handful of nodes where a bitset field
+// held a whole box (the IWPP principle: store only the elements that
+// matter). The carve changes no answer: a provider whose obstacles hold d
+// answers 0 before it reads the list.
 //
 // A list covers the closed octants of d built so far, each the box from d
 // to a mesh corner, swept in full into one scratch field whose exceptions
@@ -31,15 +33,16 @@ import (
 // flags which of them hold one; most hits read the head and the obstacle
 // bits in snap, and nothing per destination else.
 //
-// invalidate drops the octants whose box meets the bounding box of the
-// cells that flipped and trims the lists to the octants left; a dropped
-// octant is swept again when next queried.
+// invalidate patches every list whose built region meets a cell that
+// flipped, from the flipped cells outward (patch), and drops no octant: a
+// fault change reaches a node only through its forward neighbours, so only
+// the nodes behind a changed cell are visited.
 //
-// Storage: 14 bytes per destination (a 2-byte head, a 12-byte slot), and
-// in the arena 4 bytes per live exception plus an 8-byte header per
-// non-empty list. compact reclaims the arena's garbage in place once it
+// Storage: 10 bytes per destination (a 2-byte head, an 8-byte slot), and
+// in the arena 4 bytes per live exception plus an 8-byte header per list. compact reclaims the arena's garbage in place once it
 // exceeds both the live entries and N/4 (N destinations), so the arena
-// holds at most 2·live + N/4 entries plus what one invalidation frees.
+// holds at most 2·live + N/4 entries. A patched list is rewritten only when
+// it changed, in place when it fits its old room.
 // There is no eviction; routing.field_storage_peak reports the peak of the
 // per-destination tables plus the live arena entries.
 type fieldCache struct {
@@ -52,7 +55,7 @@ type fieldCache struct {
 	// snap is the obstacle set the lists were built over, copied from the
 	// provider's uncarved obstacle set when the tables are allocated and
 	// brought up to date by each invalidate. The hop path reads it in place
-	// of a per-destination field.
+	// of a per-destination field, and build sweeps over it.
 	snap []uint64
 
 	// strideY and strideZ are the node-ID steps along Y and Z (X steps by
@@ -61,7 +64,17 @@ type fieldCache struct {
 	hi               grid.Point
 
 	field   minimal.Field // scratch: the octant being built
-	blocked []int32       // scratch: its exceptions
+	blocked []int32       // scratch: its exceptions, or a patch's additions
+	list    []int32       // scratch: a list being stored
+
+	// Scratch of invalidate: the cells that flipped, the patch's worklist,
+	// and its overlay on the list being patched: flip, a bitset over node
+	// IDs allocated by the first invalidate that patches, has the bit of
+	// each node whose status differs from the stored list, and touched
+	// names every node whose bit was set.
+	added, removed, work, touched []cell
+	behind                        [6]cell
+	flip                          []uint64
 
 	// tel receives cache counters (builds, invalidations, decision
 	// hits/builds, the storage gauge); nil — the default — costs one
@@ -82,11 +95,19 @@ const (
 )
 
 // fieldSlot is the cold half of one destination's entry: its exception list
-// exc[off:off+n] and the octants invalidate dropped since they were last
-// built (stale, bits as in the head). The zero slot is an empty list.
+// exc[off:off+n], behind its header when off > 0. The zero slot is an empty
+// list that holds no arena room; a list a patch empties keeps its header and
+// room (off > 0, n = 0) until the next compaction, as a fault and its repair
+// often empty and refill the same lists.
 type fieldSlot struct {
 	off, n int32
-	stale  uint8
+}
+
+// cell is a node ID with its coordinates, so that a patch steps through the
+// mesh without dividing IDs.
+type cell struct {
+	id int32
+	p  grid.Point
 }
 
 // octants returns the octants of d whose closed box meets the box [lo, hi]:
@@ -204,13 +225,13 @@ func (c *fieldCache) probe(u, d int32, delta int, stride int32, pos grid.Directi
 	return ok << (uint32(pos) + neg)
 }
 
-// build sweeps the octant of d that holds u, over avoid (the provider's
-// obstacle set carved for d), and merges its exceptions into d's list. On an
-// axis u shares with d it takes the side lean names (octant bits as in the
-// head): the side the provider's sources come from. Every octant whose box
-// lies inside the swept one (flat on an axis where d is on the mesh border)
-// is marked built with it.
-func (c *fieldCache) build(m *mesh.Mesh, u grid.Point, d int32, dPt grid.Point, avoid []uint64, lean uint8) {
+// build sweeps the octant of d that holds u, over snap with d carved out,
+// and merges its exceptions into d's list. On an axis u shares with d it
+// takes the side lean names (octant bits as in the head): the side the
+// provider's sources come from. Every octant whose box lies inside the swept
+// one (flat on an axis where d is on the mesh border) is marked built with
+// it.
+func (c *fieldCache) build(m *mesh.Mesh, u grid.Point, d int32, dPt grid.Point, lean uint8) {
 	k := int(lean)
 	side := func(uc, dc, bit int) {
 		if uc < dc {
@@ -223,8 +244,12 @@ func (c *fieldCache) build(m *mesh.Mesh, u grid.Point, d int32, dPt grid.Point, 
 	side(u.Y, dPt.Y, 2)
 	side(u.Z, dPt.Z, 4)
 	far := c.corner(k)
-	f := minimal.ReachabilityWordsInto(&c.field, m, avoid, far, dPt)
-	c.blocked = f.AppendBlocked(c.blocked[:0], avoid)
+	w := &c.snap[d>>6]
+	was := *w
+	*w &^= 1 << uint(d&63)
+	f := minimal.ReachabilityWordsInto(&c.field, m, c.snap, far, dPt)
+	c.blocked = f.AppendBlocked(c.blocked[:0], c.snap)
+	*w = was
 	box := grid.BoxOf(far, dPt)
 	var covered uint8
 	for j := 0; j < 8; j++ {
@@ -232,68 +257,90 @@ func (c *fieldCache) build(m *mesh.Mesh, u grid.Point, d int32, dPt grid.Point, 
 			covered |= 1 << uint(j)
 		}
 	}
-	s := &c.slots[d]
-	if s.stale&(1<<uint(k)) != 0 {
-		c.tel.Inc(telemetry.FieldRebuilds)
-	} else {
-		c.tel.Inc(telemetry.FieldColdBuilds)
-	}
-	s.stale &^= covered
+	c.tel.Inc(telemetry.FieldColdBuilds)
 	head := c.heads[d] | uint16(covered)
 	for _, v := range c.blocked {
 		head |= planes(m.Point(int(v)), dPt)
 	}
 	c.heads[d] = head
-	c.merge(d, s, c.blocked)
+	c.merge(d, c.blocked)
+	c.gauge()
+}
+
+// gauge reports the table's storage to routing.field_storage_peak.
+func (c *fieldCache) gauge() {
 	c.tel.Max(telemetry.FieldStoragePeak, int64(len(c.slots))*int64(unsafe.Sizeof(fieldSlot{})+2)+4*int64(c.live))
 }
 
-// merge replaces the list of d's slot s with its sorted union with add
-// (sorted), written at the end of the arena behind a header: the owner d and
-// the list's length.
-func (c *fieldCache) merge(d int32, s *fieldSlot, add []int32) {
+// merge makes d's list its sorted union with add (sorted).
+func (c *fieldCache) merge(d int32, add []int32) {
 	if len(add) == 0 {
 		return
 	}
+	s := c.slots[d]
 	old := c.exc[s.off : s.off+s.n]
-	start := len(c.exc)
-	c.exc = append(c.exc, d, 0)
+	out := c.list[:0]
 	for len(old) > 0 && len(add) > 0 {
 		switch {
 		case old[0] < add[0]:
-			c.exc, old = append(c.exc, old[0]), old[1:]
+			out, old = append(out, old[0]), old[1:]
 		case add[0] < old[0]:
-			c.exc, add = append(c.exc, add[0]), add[1:]
+			out, add = append(out, add[0]), add[1:]
 		default:
-			c.exc, old, add = append(c.exc, old[0]), old[1:], add[1:]
+			out, old, add = append(out, old[0]), old[1:], add[1:]
 		}
 	}
-	c.exc = append(append(c.exc, old...), add...)
-	n := len(c.exc) - start - 2
-	c.exc[start+1] = int32(n)
-	c.free(s)
-	s.off, s.n = int32(start+2), int32(n)
-	c.live += n + 2
+	c.list = append(append(out, old...), add...)
+	c.store(d, c.list)
+}
+
+// store makes list (sorted, outside the arena) d's list: in place when it
+// fits the room d's list holds (the length in its header), otherwise at the
+// end of the arena behind a new header, the owner d and the list's length.
+// The arena is almost all live lists, and it grows by doubling: append's
+// gentler growth for large slices copied it about five times its final
+// size over a trial, and left as many dead arrays for the collector.
+func (c *fieldCache) store(d int32, list []int32) {
+	s := &c.slots[d]
+	n := int32(len(list))
+	switch {
+	case s.off > 0 && n <= c.exc[s.off-1]:
+		copy(c.exc[s.off:], list)
+		c.live += int(n - s.n)
+		c.dead -= int(n - s.n)
+		s.n = n
+	case n == 0:
+	default:
+		if need := len(c.exc) + int(n) + 2; need > cap(c.exc) {
+			c.exc = slices.Grow(c.exc, max(need, 2*cap(c.exc))-len(c.exc))
+		}
+		start := int32(len(c.exc))
+		c.exc = append(append(c.exc, d, n), list...)
+		c.free(s)
+		s.off, s.n = start+2, n
+		c.live += int(n) + 2
+	}
 	c.compact()
 }
 
 // free turns s's list, and its header, into garbage.
 func (c *fieldCache) free(s *fieldSlot) {
-	if s.n == 0 {
+	if s.off == 0 {
 		return
 	}
 	c.exc[s.off-2] = -1
 	c.live -= int(s.n) + 2
 	c.dead += int(s.n) + 2
-	s.n = 0
+	*s = fieldSlot{}
 }
 
 // compact slides the live lists down over the garbage in place, in arena
 // order, once the garbage exceeds both the live entries and a quarter of the
 // slot count: each entry moved is paid for by at least one entry of
-// garbage, so merges and trims stay amortised O(1) per entry. The headers
-// make the arena walkable: a list whose owner is -1 is garbage, and a live
-// list keeps its owner's first n entries (trims leave garbage behind them).
+// garbage, so stores stay amortised O(1) per entry. The headers make the
+// arena walkable: a list whose owner is -1 is garbage, and a live list keeps
+// its owner's first n entries (a list that shrank in place leaves garbage
+// behind it). An emptied list's header goes too.
 func (c *fieldCache) compact() {
 	if c.dead <= max(c.live, len(c.slots)/4) {
 		return
@@ -303,6 +350,12 @@ func (c *fieldCache) compact() {
 		owner, next := c.exc[i], i+2+int(c.exc[i+1])
 		if owner >= 0 {
 			s := &c.slots[owner]
+			if s.n == 0 {
+				c.live -= 2
+				*s = fieldSlot{}
+				i = next
+				continue
+			}
 			copy(c.exc[w+2:], c.exc[s.off:s.off+s.n])
 			c.exc[w], c.exc[w+1] = owner, s.n
 			s.off = int32(w + 2)
@@ -314,60 +367,248 @@ func (c *fieldCache) compact() {
 	c.dead = 0
 }
 
-// invalidate brings snap up to live and drops, from every entry, the
-// octants whose box meets the bounding box of the cells that flipped,
-// trimming its list to the octants that remain.
+// invalidate brings every list, and snap, up to the obstacle set live: each
+// entry whose built octants meet a cell that flipped is patched in place
+// (patch), and every entry keeps all its built octants.
 func (c *fieldCache) invalidate(m *mesh.Mesh, live []uint64) {
 	c.tel.Inc(telemetry.FieldEpochBumps)
 	if c.heads == nil {
 		return // nothing built yet; the first lookup copies live
 	}
+	c.added, c.removed = c.added[:0], c.removed[:0]
 	flipped := grid.Box{Min: grid.Point{X: 1}} // empty
 	for i, w := range live {
 		for x := w ^ c.snap[i]; x != 0; x &= x - 1 {
-			flipped = flipped.Extend(m.Point(i<<6 | bits.TrailingZeros64(x)))
+			b := bits.TrailingZeros64(x)
+			f := cell{int32(i<<6 | b), m.Point(i<<6 | b)}
+			flipped = flipped.Extend(f.p)
+			if w>>uint(b)&1 != 0 {
+				c.added = append(c.added, f)
+			} else {
+				c.removed = append(c.removed, f)
+			}
 		}
 	}
 	if flipped.Empty() {
 		return
 	}
-	copy(c.snap, live)
+	if c.flip == nil {
+		c.flip = make([]uint64, len(c.snap))
+	}
 	d := int32(0)
-	m.ForEach(func(dPt grid.Point) {
-		if hit := uint8(c.heads[d]) & octants(flipped.Min, flipped.Max, dPt); hit != 0 {
-			c.slots[d].stale |= hit
-			c.drop(m, d, dPt, hit)
-		}
-		d++
-	})
-	c.compact()
-}
-
-// drop unmarks the octants gone of d's entry and trims its list, in place,
-// to the entries a remaining octant holds; the freed tail of the list is
-// garbage. The head's list flags are recomputed from what is kept.
-func (c *fieldCache) drop(m *mesh.Mesh, d int32, dPt grid.Point, gone uint8) {
-	built := uint8(c.heads[d]) &^ gone
-	head := uint16(built)
-	s := &c.slots[d]
-	ex := c.exc[s.off : s.off+s.n]
-	kept := ex[:0]
-	if built != 0 {
-		for _, v := range ex {
-			if p := m.Point(int(v)); built&octants(p, p, dPt) != 0 {
-				kept = append(kept, v)
-				head |= planes(p, dPt)
+	var dPt grid.Point
+	for dPt.Z = 0; dPt.Z <= c.hi.Z; dPt.Z++ {
+		for dPt.Y = 0; dPt.Y <= c.hi.Y; dPt.Y++ {
+			for dPt.X = 0; dPt.X <= c.hi.X; dPt.X, d = dPt.X+1, d+1 {
+				head := c.heads[d]
+				if built := uint8(head); built != 0 && built&octants(flipped.Min, flipped.Max, dPt) != 0 {
+					s := c.slots[d]
+					c.patch(m, live, &target{d, dPt, built, head &^ 0xff, c.exc[s.off : s.off+s.n]})
+				}
 			}
 		}
 	}
-	c.heads[d] = head
-	if len(kept) == 0 {
-		c.free(s)
-		return
+	copy(c.snap, live)
+	c.gauge()
+}
+
+// target is the entry a patch works on: destination id at p, its built
+// octants, and its list as stored (ex) with that list's head flags.
+type target struct {
+	id    int32
+	p     grid.Point
+	built uint8
+	flags uint16
+	ex    []int32
+}
+
+// patch brings the list of t from exact over snap to exact over live, in two
+// monotone passes over t's built region, the nodes v with built &
+// octants(v, v, d) != 0, which is closed under forward steps:
+//
+//  1. Additions, over the obstacles snap ∪ live. An added cell leaves the
+//     list; one that reached d seeds the worklist. A free node v behind a
+//     worklist cell joins the list, and the worklist, when none of its
+//     forward neighbours is d or free and off the list.
+//  2. Removals, over live. Every removed cell joins the list; one with a
+//     forward neighbour that is d, or free and off the list, leaves it
+//     again and seeds the worklist. Every listed node behind a worklist
+//     cell leaves the list and joins the worklist.
+//
+// Reachability only falls in pass 1 and only rises in pass 2, so each pass
+// ends exact. A node behind w is one step farther from d than w on one axis:
+// on an axis where w shares d's coordinate, a step to either side. d is
+// carved out of the list's obstacle set, so a flip of d changes nothing.
+func (c *fieldCache) patch(m *mesh.Mesh, live []uint64, t *target) {
+	c.work = c.work[:0]
+	for _, a := range c.added {
+		if a.id != t.id && t.holds(a.p) {
+			if c.listed(t, a) {
+				c.toggle(a)
+			} else {
+				c.work = append(c.work, a)
+			}
+		}
 	}
-	c.live -= len(ex) - len(kept)
-	c.dead += len(ex) - len(kept)
-	s.n = int32(len(kept))
+	for len(c.work) > 0 {
+		w := c.work[len(c.work)-1]
+		c.work = c.work[:len(c.work)-1]
+		for _, v := range c.behindOf(t, w) {
+			if !obstacle(c.snap, live, v.id) && !c.listed(t, v) && !c.reaches(t, v, c.snap, live) {
+				c.toggle(v)
+				c.work = append(c.work, v)
+			}
+		}
+	}
+
+	for _, r := range c.removed {
+		if r.id != t.id && t.holds(r.p) {
+			c.toggle(r)
+		}
+	}
+	for _, r := range c.removed {
+		if r.id != t.id && t.holds(r.p) && c.reaches(t, r, live, live) {
+			c.toggle(r)
+			c.work = append(c.work, r)
+		}
+	}
+	for len(c.work) > 0 {
+		w := c.work[len(c.work)-1]
+		c.work = c.work[:len(c.work)-1]
+		for _, v := range c.behindOf(t, w) {
+			if c.listed(t, v) {
+				c.toggle(v)
+				c.work = append(c.work, v)
+			}
+		}
+	}
+	c.commit(m, t)
+}
+
+// holds reports whether a built octant of t holds p.
+func (t *target) holds(p grid.Point) bool {
+	return t.built&toward(t.p.X-p.X, t.p.Y-p.Y, t.p.Z-p.Z) != 0
+}
+
+// obstacle reports whether v is set in a or in b.
+func obstacle(a, b []uint64, v int32) bool {
+	return (a[v>>6]|b[v>>6])>>(uint(v)&63)&1 != 0
+}
+
+// listed reports whether v is on the list being patched: whether t's stored
+// list holds it, unless its flip bit is set.
+func (c *fieldCache) listed(t *target, v cell) bool {
+	return t.stores(v) != (c.flip[v.id>>6]>>(uint(v.id)&63)&1 != 0)
+}
+
+// stores reports whether t's stored list holds v, searching it only when the
+// list's head flags name a plane of the destination that v lies on.
+func (t *target) stores(v cell) bool {
+	if t.flags&planes(v.p, t.p) == 0 {
+		return false
+	}
+	_, ok := slices.BinarySearch(t.ex, v.id)
+	return ok
+}
+
+// toggle puts v on the list being patched, or takes it off.
+func (c *fieldCache) toggle(v cell) {
+	w, bit := &c.flip[v.id>>6], uint64(1)<<(uint(v.id)&63)
+	if *w&bit == 0 {
+		c.touched = append(c.touched, v)
+	}
+	*w ^= bit
+}
+
+// reaches reports whether v has a forward neighbour toward t's destination
+// that is the destination, or is free in a ∪ b and off the list being
+// patched.
+func (c *fieldCache) reaches(t *target, v cell, a, b []uint64) bool {
+	open := func(w int32, q grid.Point) bool {
+		return w == t.id || !obstacle(a, b, w) && !c.listed(t, cell{w, q})
+	}
+	p, d := v.p, t.p
+	return p.X != d.X && open(v.id+sign(d.X-p.X), grid.Point{X: p.X + int(sign(d.X-p.X)), Y: p.Y, Z: p.Z}) ||
+		p.Y != d.Y && open(v.id+sign(d.Y-p.Y)*c.strideY, grid.Point{X: p.X, Y: p.Y + int(sign(d.Y-p.Y)), Z: p.Z}) ||
+		p.Z != d.Z && open(v.id+sign(d.Z-p.Z)*c.strideZ, grid.Point{X: p.X, Y: p.Y, Z: p.Z + int(sign(d.Z-p.Z))})
+}
+
+// sign returns -1 or 1, the sign of a nonzero delta.
+func sign(delta int) int32 {
+	return int32(delta>>63) | 1
+}
+
+// behindOf returns, in c.behind, the nodes behind w toward t's destination
+// (see patch) inside the mesh and t's built region: a step off one of the
+// destination's planes is the only one that can leave the region, as every
+// other keeps the side of the destination w lies on.
+func (c *fieldCache) behindOf(t *target, w cell) []cell {
+	out := c.behind[:0]
+	p, d := w.p, t.p
+	add := func(id int32, q grid.Point, onPlane bool) {
+		if !onPlane || t.holds(q) {
+			out = append(out, cell{id, q})
+		}
+	}
+	if p.X <= d.X && p.X > 0 {
+		add(w.id-1, grid.Point{X: p.X - 1, Y: p.Y, Z: p.Z}, p.X == d.X)
+	}
+	if p.X >= d.X && p.X < c.hi.X {
+		add(w.id+1, grid.Point{X: p.X + 1, Y: p.Y, Z: p.Z}, p.X == d.X)
+	}
+	if p.Y <= d.Y && p.Y > 0 {
+		add(w.id-c.strideY, grid.Point{X: p.X, Y: p.Y - 1, Z: p.Z}, p.Y == d.Y)
+	}
+	if p.Y >= d.Y && p.Y < c.hi.Y {
+		add(w.id+c.strideY, grid.Point{X: p.X, Y: p.Y + 1, Z: p.Z}, p.Y == d.Y)
+	}
+	if p.Z <= d.Z && p.Z > 0 {
+		add(w.id-c.strideZ, grid.Point{X: p.X, Y: p.Y, Z: p.Z - 1}, p.Z == d.Z)
+	}
+	if p.Z >= d.Z && p.Z < c.hi.Z {
+		add(w.id+c.strideZ, grid.Point{X: p.X, Y: p.Y, Z: p.Z + 1}, p.Z == d.Z)
+	}
+	return out
+}
+
+// commit stores t's patched list and recomputes its head flags when the
+// patch changed the list, and clears the flip bits.
+func (c *fieldCache) commit(m *mesh.Mesh, t *target) {
+	changed := false
+	add := c.blocked[:0]
+	for _, v := range c.touched {
+		if c.flip[v.id>>6]>>(uint(v.id)&63)&1 != 0 {
+			changed = true
+			if !t.stores(v) {
+				add = append(add, v.id)
+				c.flip[v.id>>6] &^= 1 << (uint(v.id) & 63)
+			}
+		}
+	}
+	c.blocked = add
+	if changed {
+		slices.Sort(add)
+		out := c.list[:0]
+		for _, v := range t.ex {
+			for len(add) > 0 && add[0] < v {
+				out, add = append(out, add[0]), add[1:]
+			}
+			if c.flip[v>>6]>>(uint(v)&63)&1 == 0 {
+				out = append(out, v)
+			}
+		}
+		c.list = append(out, add...)
+		head := uint16(t.built)
+		for _, v := range c.list {
+			head |= planes(m.Point(int(v)), t.p)
+		}
+		c.heads[t.id] = head
+		c.store(t.id, c.list)
+	}
+	for _, v := range c.touched {
+		c.flip[v.id>>6] &^= 1 << (uint(v.id) & 63)
+	}
+	c.touched = c.touched[:0]
 }
 
 // FieldProvider is the field-backed provider of the oracle, the MCC model and
@@ -389,16 +630,15 @@ func (c *fieldCache) drop(m *mesh.Mesh, d int32, dPt grid.Point, gone uint8) {
 // avoids every obstacle. Every obstacle set contains the faults, and an
 // obstacle neighbour reaches nothing, so an allowed neighbour is also
 // healthy and outside every fault region — the paper never forwards into
-// one. A destination inside a block (healthy, but swallowed by the coarse
-// model) is carved out of the obstacle set of the fields toward it, so
-// routes can at least try to terminate.
+// one. The exceptions toward d are taken with d carved out of the set: a
+// destination inside a block (healthy, but swallowed by the coarse model)
+// is answered from them, so routes can at least try to terminate.
 type FieldProvider struct {
 	name      string
 	mesh      *mesh.Mesh
 	obstacles func() []uint64 // the live obstacle set
-	// blocks is the block table of the block baselines, nil otherwise: the
-	// source of the destination carve-out, and a snapshot that cannot
-	// follow fault changes (see Follows).
+	// blocks is the block table of the block baselines, nil otherwise: a
+	// snapshot that cannot follow fault changes (see Follows).
 	blocks *block.Regions
 	// lean names, as octant bits (fieldCache.build), the side of the
 	// destination the provider's sources come from on an axis they share
@@ -407,8 +647,7 @@ type FieldProvider struct {
 	// whose packets approach from the high side.
 	lean uint8
 
-	cache    fieldCache
-	scratchW []uint64 // destination-carve-out copy of the obstacle set
+	cache fieldCache
 }
 
 // NewOracle returns the omniscient provider: a step is permitted exactly when
@@ -451,11 +690,12 @@ func (p *FieldProvider) SetTelemetry(s *telemetry.Sink) { p.cache.tel = s }
 func (p *FieldProvider) Follows() bool { return p.blocks == nil }
 
 // InvalidateCache brings p's table up to date with the obstacle set after a
-// change since the last call (or since the first lookup). Invalidation is
-// scoped to the fault (see fieldCache): only the octants whose box meets the
-// changed cells are dropped, and each is swept again the next time a hop
-// toward its destination needs it. It is correct only for a provider that
-// Follows, after its source has been brought up to date.
+// change since the last call (or since the first lookup). The update is
+// scoped to the fault and exact (see fieldCache): the exception list of each
+// destination whose built octants hold a changed cell is patched in place,
+// from the changed cells outward, and no built octant is dropped. It is
+// correct only for a provider that Follows, after its source has been
+// brought up to date.
 func (p *FieldProvider) InvalidateCache() { p.cache.invalidate(p.mesh, p.obstacles()) }
 
 // CandidateMaskID implements Provider. A hop that needs no field — u is d,
@@ -476,26 +716,11 @@ func (p *FieldProvider) CandidateMaskID(_ *mesh.Mesh, u int32, uPt grid.Point, d
 	dx, dy, dz := dPt.X-uPt.X, dPt.Y-uPt.Y, dPt.Z-uPt.Z
 	if uint8(c.heads[d])&toward(dx, dy, dz) == 0 {
 		c.tel.Inc(telemetry.DecisionBuilds)
-		c.build(p.mesh, uPt, d, dPt, p.carve(p.obstacles(), d), p.lean)
+		c.build(p.mesh, uPt, d, dPt, p.lean)
 	} else {
 		c.tel.Inc(telemetry.DecisionHits)
 	}
 	return c.mask(u, d, dx, dy, dz)
-}
-
-// carve returns the obstacle set of the fields toward d: live itself, or,
-// when d sits inside a block, a scratch copy of live with d's bit cleared.
-func (p *FieldProvider) carve(live []uint64, d int32) []uint64 {
-	if p.blocks == nil || !p.blocks.ContainsID(d) {
-		return live
-	}
-	if cap(p.scratchW) < len(live) {
-		p.scratchW = make([]uint64, len(live))
-	}
-	w := p.scratchW[:len(live)]
-	copy(w, live)
-	w[d>>6] &^= 1 << uint(d&63)
-	return w
 }
 
 // AllowedID reports whether the step from u to v toward d is permitted: the

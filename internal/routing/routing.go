@@ -33,10 +33,11 @@ import (
 // One call answers the whole hop, addressed by dense mesh node IDs.
 //
 // FieldProvider (the oracle, mcc, rfb and fb-rule models) answers from the
-// destination's exceptions, the few free nodes that cannot reach it: while
-// no fault change reaches the octant that holds the hop, a hop reads the
-// destination's head and the neighbours' obstacle bits, and the exceptions
-// only for a neighbour on a plane through the destination that holds one.
+// destination's exceptions, the few free nodes that cannot reach it: once an
+// octant that holds the hop is built, a hop reads the destination's head and
+// the neighbours' obstacle bits, and the exceptions only for a neighbour on a
+// plane through the destination that holds one; a fault change patches the
+// exceptions in place.
 // The other providers compute the mask on the fly.
 type Provider interface {
 	// CandidateMaskID returns the packed candidate-direction mask for a hop

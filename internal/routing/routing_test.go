@@ -116,8 +116,14 @@ func TestInvalidateCachesDropsStaleFields(t *testing.T) {
 	// Wall off the destination's approach through (1,0,0) region: make every
 	// neighbour of v faulty except s so no minimal path through v survives.
 	m.AddFaults(grid.Point{X: 2}, grid.Point{X: 1, Y: 1}, grid.Point{X: 1, Z: 1})
-	// The stale cached field still says yes until the cache is invalidated.
+	// The cached list still says yes until the cache is invalidated, which
+	// patches it in place: the octant stays built, and the list is what a
+	// fresh sweep gives.
 	o.InvalidateCache()
+	if uint8(o.cache.heads[dID]) == 0 {
+		t.Fatalf("invalidation dropped the destination's octant")
+	}
+	checkEntry(t, &o.cache, m, m.FaultyWords(), dID, "after invalidation")
 	if mk := o.CandidateMaskID(m, sID, s, dID, d); mk&stepX != 0 || mk != ReferenceMask(m, m.FaultyWords(), true, sID, dID) {
 		t.Errorf("after invalidation the oracle must see the new faults: mask %06b", mk)
 	}

@@ -44,16 +44,18 @@ const (
 	SimBucketStoragePeak
 
 	// FieldColdBuilds counts octant sweeps of a destination's exception
-	// table for an octant never built for it before.
+	// table, each for an octant not built for it before.
 	FieldColdBuilds
-	// FieldRebuilds counts octant sweeps of an octant a fault change
-	// dropped since it was last built: the stale rebuilds churn costs.
+	// FieldRebuilds always reads 0: a fault change patches the exception
+	// lists in place and drops no octant, so none is swept again. The slot
+	// stays while the benchmark ledger reads it.
 	FieldRebuilds
 	// FieldEvictions always reads 0: the sparse exception tables keep every
 	// destination. The slot stays while the benchmark ledger reads it.
 	FieldEvictions
 	// FieldEpochBumps counts field-table invalidations (fault churn), each
-	// scoped to the octants whose box holds a changed cell.
+	// patching the exception lists of the destinations whose built octants
+	// hold a changed cell.
 	FieldEpochBumps
 	// DecisionHits counts per-hop routing decisions answered without a
 	// sweep: from a built octant of the destination (one slot read, the
@@ -63,7 +65,7 @@ const (
 	DecisionHits
 	// DecisionBuilds counts decisions that first swept the octant of the
 	// destination holding the hop's node, because no built one held it;
-	// each pairs with one cold build or rebuild.
+	// each pairs with one cold build.
 	DecisionBuilds
 	// FieldStoragePeak is a gauge: the peak bytes of one field provider's
 	// slot table plus its live exceptions, the table's whole footprint
@@ -279,7 +281,8 @@ const (
 	// HopDirect is a decision that needed no reachability field (stateless
 	// providers, label lookups).
 	HopDirect HopSource = iota
-	// HopColdBuild built or rebuilt a reachability field for the decision.
+	// HopColdBuild swept an octant of the destination's exception table
+	// for the decision.
 	HopColdBuild
 	// HopDecisionHit answered the whole hop from the destination's built
 	// exception table, with no sweep.

@@ -711,8 +711,8 @@ func (st *run) inject(ctx *simnet.Context) {
 // as stuck when every preferred direction is excluded. The hop reads no
 // per-node table: the node's ID comes with the context, its coordinates and
 // the destination's with the packet, and one CandidateMaskID call — for the
-// field providers a read of the destination's exception table while no fault
-// change reaches the octant that holds the hop — gives the directions.
+// field providers a read of the destination's exception table once an octant
+// that holds the hop is built — gives the directions.
 func (st *run) forward(ctx *simnet.Context, ref int32) {
 	pk := &st.pool[ref]
 	prov := st.provs[pk.orient]
@@ -726,7 +726,7 @@ func (st *run) forward(ctx *simnet.Context, ref int32) {
 	traced := st.trace != nil && pk.traceIdx >= 0
 	var builds0, dhits0 int64
 	if traced {
-		builds0 = st.tel.Get(telemetry.FieldColdBuilds) + st.tel.Get(telemetry.FieldRebuilds) + st.tel.Get(telemetry.DecisionBuilds)
+		builds0 = st.tel.Get(telemetry.DecisionBuilds)
 		dhits0 = st.tel.Get(telemetry.DecisionHits)
 	}
 	mk := prov.CandidateMaskID(ctx.Mesh(), ctx.SelfID(), self, pk.dstID, dst)
@@ -746,7 +746,7 @@ func (st *run) forward(ctx *simnet.Context, ref int32) {
 		switch {
 		case st.tel.Get(telemetry.DecisionHits) > dhits0:
 			src = telemetry.HopDecisionHit
-		case st.tel.Get(telemetry.FieldColdBuilds)+st.tel.Get(telemetry.FieldRebuilds)+st.tel.Get(telemetry.DecisionBuilds) > builds0:
+		case st.tel.Get(telemetry.DecisionBuilds) > builds0:
 			src = telemetry.HopColdBuild
 		}
 		st.trace.Hop(pk.traceIdx, pk.id, ctx.SelfID(), src)
